@@ -100,8 +100,9 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     ++rec.generation;
     cluster_.sched_->wake_all();
   } else {
-    while (!(cluster_.aborted_ || rec.generation != my_generation))
-      (void)cluster_.sched_->wait_transport(lock, 0);
+    for (bool again = false; !(cluster_.aborted_ || rec.generation != my_generation);
+         again = true)
+      (void)cluster_.park(*this, lock, VirtualCluster::WaitTarget::recovery(), again);
     if (rec.generation == my_generation) {
       if (cluster_.abort_kind_ == VirtualCluster::AbortKind::Timeout)
         throw CommTimeout("peer rank raised CommTimeout during recovery");
@@ -167,11 +168,17 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
     tracer_.instant(trace::Cat::Fault, "corrupt", trace::kTrackHost, m.send_time_us,
                     modeled_bytes, dst, tag);
   }
+  // a dropped attempt's tombstone cannot satisfy the receiver's wait, so
+  // only a real arrival wakes it
+  const bool arrives = !m.dropped;
+  bool wake = false;
   {
     core::MutexLock lock(cluster_.mutex_);
     cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
+    wake = arrives &&
+           cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
   }
-  cluster_.sched_->wake_all();
+  if (wake) cluster_.sched_->wake(dst);
   clock_.advance(spec_.net.mpi_overhead_us);
   return status;
 }
@@ -180,11 +187,13 @@ void RankContext::post_send_failure(int dst, int tag) {
   Message m;
   m.failed = true;
   m.send_time_us = clock_.now_us;
+  bool wake = false;
   {
     core::MutexLock lock(cluster_.mutex_);
     cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
+    wake = cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
   }
-  cluster_.sched_->wake_all();
+  if (wake) cluster_.sched_->wake(dst);
 }
 
 void RankContext::raise_timeout(const std::string& what) {
@@ -211,7 +220,7 @@ RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
   {
     core::MutexLock lock(cluster_.mutex_);
     auto& chan = cluster_.channels_[{pending.src, rank_, pending.tag}];
-    for (;;) {
+    for (bool again = false;; again = true) {
       // skip dropped-attempt tombstones silently: the lost attempt's timing
       // effect reaches us through the retransmission's later send time
       while (!chan.queue.empty() && chan.queue.front().dropped && !chan.queue.front().failed)
@@ -237,12 +246,15 @@ RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
           throw CommTimeout("peer rank raised CommTimeout during recv");
         throw std::runtime_error("peer rank aborted during recv");
       }
-      // park on the scheduler: under threads this is the condvar (with the
-      // wall-clock watchdog when armed); under seq the fiber yields to the
-      // event loop, and "timed out" is its deterministic equivalent --
-      // every rank parked with no wakeup pending
-      if (cluster_.sched_->wait_transport(lock, wall_timeout_ms) && chan.queue.empty() &&
-          !cluster_.aborted_ && cluster_.deaths_.empty()) {
+      // park on the scheduler until the sender's arrival wakes us: under
+      // threads this is the rank's condvar (with the wall-clock watchdog
+      // when armed); under seq the fiber yields to the event loop, and
+      // "timed out" is its deterministic equivalent -- every rank parked
+      // with no wakeup pending
+      if (cluster_.park(*this, lock,
+                        VirtualCluster::WaitTarget::channel(pending.src, pending.tag), again,
+                        wall_timeout_ms) &&
+          chan.queue.empty() && !cluster_.aborted_ && cluster_.deaths_.empty()) {
         lock.unlock();
         raise_timeout("wall-clock timeout waiting for message from rank " +
                       std::to_string(pending.src));
@@ -353,11 +365,16 @@ void RankContext::allreduce_sum(double* values, int count) {
     red.arrived = 0;
     std::fill(red.arrived_mask.begin(), red.arrived_mask.end(), std::uint8_t{0});
     ++red.generation;
-    cluster_.sched_->wake_all();
+    // wake exactly the ranks parked on the generation this arrival completed
+    for (int r = 0; r < n; ++r)
+      if (cluster_.claim_waiter(r, VirtualCluster::WaitTarget::reduction(my_generation)))
+        cluster_.sched_->wake(r);
   } else {
-    while (!(cluster_.aborted_ || red.generation != my_generation ||
-             cluster_.reduction_blocked_by_failure()))
-      (void)cluster_.sched_->wait_transport(lock, 0);
+    for (bool again = false; !(cluster_.aborted_ || red.generation != my_generation ||
+                               cluster_.reduction_blocked_by_failure());
+         again = true)
+      (void)cluster_.park(*this, lock, VirtualCluster::WaitTarget::reduction(my_generation),
+                          again);
     if (red.generation == my_generation) {
       // a generation that can never complete aborts with *no* collective
       // span recorded on any participant, keeping the per-rank collective
@@ -380,6 +397,27 @@ void RankContext::allreduce_sum(double* values, int count) {
 void RankContext::barrier() {
   double v = 0.0;
   allreduce_sum(&v, 1);
+}
+
+bool VirtualCluster::park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target,
+                          bool again, double wall_timeout_ms) {
+  SchedCounters& counters = ctx.sched_counters_;
+  ++counters.parks;
+  if (again) ++counters.spurious;
+  WaitTarget& slot = parked_[static_cast<std::size_t>(ctx.rank())];
+  slot = target;
+  const bool timed_out = sched_->park(ctx.rank(), lock, wall_timeout_ms);
+  // a failure broadcast (or an OS wakeup under threads) leaves the slot set
+  slot = WaitTarget{};
+  ++counters.wakes;
+  return timed_out;
+}
+
+bool VirtualCluster::claim_waiter(int rank, const WaitTarget& target) {
+  WaitTarget& slot = parked_[static_cast<std::size_t>(rank)];
+  if (slot != target) return false;
+  slot = WaitTarget{};
+  return true;
 }
 
 void VirtualCluster::register_death(int rank, DeathKind kind, double time_us) {
@@ -421,6 +459,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     channels_.clear();
     deaths_.clear();
     terminal_.assign(static_cast<std::size_t>(n), 0);
+    parked_.assign(static_cast<std::size_t>(n), WaitTarget{});
     red_.arrived = 0;
     red_.width = -1;
     for (auto& slot : red_.contrib) slot.clear();
@@ -429,7 +468,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     red_.arrived_mask.assign(static_cast<std::size_t>(n), 0);
     recovery_ = RecoverySync{};
   }
-  sched_ = make_scheduler(kind, mutex_, cv_);
+  sched_ = make_scheduler(kind);
   // tracing turns on via the spec or the QUDA_SIM_TRACE environment variable
   // (whose value doubles as the Chrome JSON export path)
   const char* env_trace = std::getenv("QUDA_SIM_TRACE");
@@ -494,15 +533,20 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   };
   sched_->run(rank_ptrs, trace_on, body);
 
-  // fault/recovery accounting survives even a failed run -- tests assert on
-  // counters after catching CommTimeout
+  // fault/recovery and scheduler accounting survives even a failed run --
+  // tests assert on counters after catching CommTimeout
   fault_totals_ = FaultCounters{};
   per_rank_counters_.clear();
   per_rank_counters_.reserve(static_cast<std::size_t>(n));
+  sched_totals_ = SchedCounters{};
+  per_rank_sched_.clear();
+  per_rank_sched_.reserve(static_cast<std::size_t>(n));
   makespan_us_ = 0;
   for (auto& c : contexts) {
     per_rank_counters_.push_back(c->faults().counters());
     fault_totals_ += c->faults().counters();
+    per_rank_sched_.push_back(c->sched_counters());
+    sched_totals_ += c->sched_counters();
     makespan_us_ = std::max(makespan_us_, c->clock().now_us);
   }
 

@@ -10,7 +10,9 @@
 // operations below, whose completion times are pure functions of the
 // participants' clocks and the network model -- so simulated timings are
 // deterministic regardless of OS scheduling, and bit-identical across the
-// two schedulers (tests/test_scheduler_equivalence.cpp).
+// two schedulers (tests/test_scheduler_equivalence.cpp).  A blocked rank
+// parks on a slot of its own and is woken only by the operation that
+// satisfies its wait; failures wake everyone (DESIGN.md §12).
 //
 // Semantics mirror the MPI subset that QMP exposes and the paper uses:
 // point-to-point non-blocking send/receive with handles, and all-reduce.
@@ -68,6 +70,22 @@ struct RecoveryEpoch {
   std::vector<DeathRecord> deaths; // sorted by rank (deterministic)
 };
 
+// Per-rank scheduler counters of one run(), counted in the transport's wait
+// loops.  Under seq they are a pure function of the configuration; under
+// threads the OS may add spurious wakeups.
+struct SchedCounters {
+  std::int64_t parks = 0;    // times the rank blocked in a transport wait
+  std::int64_t wakes = 0;    // times it resumed from one
+  std::int64_t spurious = 0; // resumes that found the wait unmet and parked again
+
+  SchedCounters& operator+=(const SchedCounters& o) {
+    parks += o.parks;
+    wakes += o.wakes;
+    spurious += o.spurious;
+    return *this;
+  }
+};
+
 // a matched in-flight message
 struct Message {
   std::vector<std::byte> payload;  // empty in Modeled mode
@@ -120,6 +138,7 @@ public:
   FaultStream& faults() { return faults_; }
   trace::RankTracer& tracer() { return tracer_; }
   telemetry::RankRecorder& recorder() { return recorder_; }
+  const SchedCounters& sched_counters() const { return sched_counters_; }
 
   // post a non-blocking send; advances the clock by the MPI call overhead.
   // Under fault injection the attempt may be dropped, corrupted, or delayed;
@@ -193,6 +212,8 @@ public:
   RecoveryEpoch recovery_rendezvous();
 
 private:
+  friend class VirtualCluster; // counts parks into sched_counters_
+
   VirtualCluster& cluster_;
   int rank_;
   const ClusterSpec& spec_;
@@ -201,6 +222,7 @@ private:
   FaultStream faults_;
   trace::RankTracer tracer_;
   telemetry::RankRecorder recorder_;
+  SchedCounters sched_counters_;
 };
 
 class VirtualCluster {
@@ -229,6 +251,13 @@ public:
     return per_rank_counters_;
   }
 
+  // scheduler counters of the last run(), summed over ranks and per rank
+  // (populated even when a rank threw)
+  const SchedCounters& sched_totals() const { return sched_totals_; }
+  const std::vector<SchedCounters>& per_rank_sched_counters() const {
+    return per_rank_sched_;
+  }
+
   // per-rank event streams of the last run() when tracing was enabled via
   // ClusterSpec::trace or QUDA_SIM_TRACE (populated even when a rank threw)
   const trace::TraceReport& trace() const { return trace_report_; }
@@ -253,6 +282,35 @@ private:
   // mark the cluster failed and wake every blocked rank
   void poison(AbortKind kind);
 
+  // What a parked rank waits for.  The transport op that satisfies the wait
+  // -- a send on the rank's channel, the completing arrival of the reduction
+  // generation -- finds the rank's target here and wakes that rank alone;
+  // failure paths (poison, deaths, recovery) wake every rank instead.
+  struct WaitTarget {
+    enum class Kind : std::uint8_t { None, Channel, Reduction, Recovery };
+    Kind kind = Kind::None;
+    int src = -1;                // Channel: messages from src on tag
+    int tag = 0;
+    std::int64_t generation = 0; // Reduction: the in-flight generation
+
+    static WaitTarget channel(int src, int tag) { return {Kind::Channel, src, tag, 0}; }
+    static WaitTarget reduction(std::int64_t generation) {
+      return {Kind::Reduction, -1, 0, generation};
+    }
+    static WaitTarget recovery() { return {Kind::Recovery, -1, 0, 0}; }
+    bool operator==(const WaitTarget&) const = default;
+  };
+
+  // Park ctx's rank until the op that satisfies `target` wakes it (or a
+  // failure path wakes everyone); returns the scheduler's watchdog verdict.
+  // Counts the park and the resume, plus a spurious re-park when `again`
+  // (the previous wake left the wait unmet).
+  bool park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target, bool again,
+            double wall_timeout_ms = 0) QUDA_REQUIRES(mutex_);
+  // when `rank` is parked on `target`, clear its slot and return true: the
+  // caller must then wake it
+  bool claim_waiter(int rank, const WaitTarget& target) QUDA_REQUIRES(mutex_);
+
   // record a process death for the current failure epoch and wake everyone
   void register_death(int rank, DeathKind kind, double time_us);
   // true when some terminal (dead or recovering) rank has not arrived at
@@ -261,12 +319,15 @@ private:
 
   ClusterSpec spec_;
   FaultModel fault_model_;
-  // one cluster-wide transport lock: channels, the allreduce rendezvous, and
-  // the poison flag all rendezvous through it (clang checks the GUARDED_BY
-  // fields under QUDA_SIM_ANALYZE; static_check.py checks coverage always)
+  // one cluster-wide transport lock: channels, the allreduce rendezvous, the
+  // park slots, and the poison flag all rendezvous through it (clang checks
+  // the GUARDED_BY fields under QUDA_SIM_ANALYZE; static_check.py checks
+  // coverage always).  Ranks block on the scheduler's per-rank slots, which
+  // release this lock while parked.
   core::Mutex mutex_;
-  core::CondVar cv_ QUDA_CV_WAITS_WITH(mutex_);
   std::map<ChannelKey, Channel> channels_ QUDA_GUARDED_BY(mutex_);
+  // what each parked rank waits for, indexed by rank (Kind::None: running)
+  std::vector<WaitTarget> parked_ QUDA_GUARDED_BY(mutex_);
   bool aborted_ QUDA_GUARDED_BY(mutex_) = false; // a rank threw; peers must not block forever
   AbortKind abort_kind_ QUDA_GUARDED_BY(mutex_) = AbortKind::None;
 
@@ -313,13 +374,15 @@ private:
   // Execution engine of the current run() (threads or seq, resolved from
   // ClusterSpec::scheduler / QUDA_SIM_SCHED).  Created at run() entry and
   // torn down at exit; stable for the whole run, so ranks dereference it
-  // without holding mutex_ (only wait_transport's internals touch shared
-  // scheduler state, under their own discipline).
+  // without holding mutex_ (only park's internals touch shared scheduler
+  // state, under their own discipline).
   std::unique_ptr<RankScheduler> sched_;
 
   double makespan_us_ = 0;
   FaultCounters fault_totals_;
   std::vector<FaultCounters> per_rank_counters_;
+  SchedCounters sched_totals_;
+  std::vector<SchedCounters> per_rank_sched_;
   trace::TraceReport trace_report_;
   telemetry::TelemetryReport telemetry_report_;
 };

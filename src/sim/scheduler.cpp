@@ -12,21 +12,25 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <queue>
 #include <thread>
+#include <utility>
 
 namespace quda::sim {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// threads: one OS thread per rank, parked on the cluster condvar
+// threads: one OS thread per rank, each parked on a condvar of its own
 
 class ThreadsScheduler final : public RankScheduler {
 public:
-  ThreadsScheduler(core::Mutex& mutex, core::CondVar& cv) : mutex_(mutex), cv_(cv) {}
-
   void run(const std::vector<RankContext*>& ranks, bool trace_on,
            const std::function<void(RankContext&)>& body) override {
+    slots_.clear();
+    for (std::size_t r = 0; r < ranks.size(); ++r)
+      slots_.push_back(std::make_unique<core::CondVar>());
     std::vector<std::thread> threads;
     threads.reserve(ranks.size());
     for (RankContext* ctx : ranks) {
@@ -43,9 +47,10 @@ public:
     for (auto& t : threads) t.join();
   }
 
-  bool wait_transport(core::MutexLock& lock, double wall_timeout_ms) override {
+  bool park(int rank, core::MutexLock& lock, double wall_timeout_ms) override {
+    core::CondVar& slot = *slots_[static_cast<std::size_t>(rank)];
     if (wall_timeout_ms <= 0) {
-      cv_.wait(lock);
+      slot.wait(lock);
       return false;
     }
     // the watchdog is the one place real time enters the simulator, and it
@@ -53,14 +58,20 @@ public:
     const auto deadline =
         core::now_for_watchdog() +
         std::chrono::microseconds(static_cast<std::int64_t>(wall_timeout_ms * 1e3));
-    return cv_.wait_until(lock, deadline) == std::cv_status::timeout;
+    return slot.wait_until(lock, deadline) == std::cv_status::timeout;
   }
 
-  void wake_all() override { cv_.notify_all(); }
+  // only rank r ever waits on slot r, so one notify reaches exactly it
+  void wake(int rank) override { slots_[static_cast<std::size_t>(rank)]->notify_one(); }
+
+  void wake_all() override {
+    for (auto& slot : slots_) slot->notify_one();
+  }
 
 private:
-  core::Mutex& mutex_;
-  core::CondVar& cv_;
+  // one condvar per rank, indexed by rank; the waits release the cluster's
+  // transport lock that park() receives
+  std::vector<std::unique_ptr<core::CondVar>> slots_ QUDA_CV_WAITS_WITH(VirtualCluster::mutex_);
 };
 
 // ---------------------------------------------------------------------------
@@ -71,18 +82,32 @@ class SeqScheduler final : public RankScheduler {
 public:
   void run(const std::vector<RankContext*>& ranks, bool trace_on,
            const std::function<void(RankContext&)>& body) override;
-  bool wait_transport(core::MutexLock& lock, double wall_timeout_ms) override;
+  bool park(int rank, core::MutexLock& lock, double wall_timeout_ms) override;
+  void wake(int rank) override;
   void wake_all() override;
 
 private:
+  // a fiber's guard page + stack mapping, unmapped when the fiber is
+  // destroyed -- including when run() throws part-way through set-up
+  struct StackMap {
+    void* base = MAP_FAILED;
+    std::size_t bytes = 0;
+
+    StackMap() = default;
+    StackMap(const StackMap&) = delete;
+    StackMap& operator=(const StackMap&) = delete;
+    ~StackMap() {
+      if (base != MAP_FAILED) ::munmap(base, bytes);
+    }
+  };
+
   struct Fiber {
     enum class State { Runnable, Parked, Done };
     enum class Wake { Notified, TimedOut, Deadlock };
 
     RankContext* ctx = nullptr;
     ucontext_t uc{};
-    void* map = nullptr; // guard page + stack, unmapped on teardown
-    std::size_t map_bytes = 0;
+    StackMap stack;
     State state = State::Runnable;
     Wake wake = Wake::Notified;
     bool watchdog = false; // parked caller armed a wall-timeout fallback
@@ -95,10 +120,19 @@ private:
 
   static void trampoline(unsigned hi, unsigned lo);
   void resume(Fiber& f, bool trace_on);
-  Fiber* pick_runnable();
+  void make_runnable(Fiber& f, Fiber::Wake why);
   void unpark_deterministically();
 
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<std::unique_ptr<Fiber>> fibers_; // indexed by rank
+  // The runnable fibers keyed by (simulated clock, rank); the loop resumes
+  // the smallest, so execution order is a pure function of simulation
+  // state, with rank as the deterministic tie-break.  A key is exact until
+  // its fiber runs: a runnable fiber's clock cannot change before it is
+  // resumed, and no rank writes another rank's clock.
+  std::priority_queue<std::pair<double, int>, std::vector<std::pair<double, int>>,
+                      std::greater<>>
+      runnable_;
+  int live_ = 0; // fibers not yet Done
   const std::function<void(RankContext&)>* body_ = nullptr;
   ucontext_t loop_uc_{};
   Fiber* current_ = nullptr;
@@ -111,6 +145,7 @@ void SeqScheduler::trampoline(unsigned hi, unsigned lo) {
   Fiber& f = *self->current_;
   (*self->body_)(*f.ctx); // the body wrapper catches everything
   f.state = Fiber::State::Done;
+  --self->live_;
   // returning setcontext()s uc_link, i.e. the event loop's saved context
 }
 
@@ -124,16 +159,10 @@ void SeqScheduler::resume(Fiber& f, bool trace_on) {
   current_ = nullptr;
 }
 
-SeqScheduler::Fiber* SeqScheduler::pick_runnable() {
-  // the runnable fiber with the smallest (simulated clock, rank): execution
-  // order is a pure function of simulation state, with rank as the
-  // deterministic tie-break (iteration order is ascending rank)
-  Fiber* best = nullptr;
-  for (auto& f : fibers_) {
-    if (f->state != Fiber::State::Runnable) continue;
-    if (best == nullptr || f->ctx->clock().now_us < best->ctx->clock().now_us) best = f.get();
-  }
-  return best;
+void SeqScheduler::make_runnable(Fiber& f, Fiber::Wake why) {
+  f.state = Fiber::State::Runnable;
+  f.wake = why;
+  runnable_.emplace(f.ctx->clock().now_us, f.ctx->rank());
 }
 
 void SeqScheduler::unpark_deterministically() {
@@ -151,8 +180,7 @@ void SeqScheduler::unpark_deterministically() {
       break;
     }
   }
-  victim->wake = victim->watchdog ? Fiber::Wake::TimedOut : Fiber::Wake::Deadlock;
-  victim->state = Fiber::State::Runnable;
+  make_runnable(*victim, victim->watchdog ? Fiber::Wake::TimedOut : Fiber::Wake::Deadlock);
 }
 
 void SeqScheduler::run(const std::vector<RankContext*>& ranks, bool trace_on,
@@ -162,23 +190,23 @@ void SeqScheduler::run(const std::vector<RankContext*>& ranks, bool trace_on,
   const std::size_t guard = page > 0 ? static_cast<std::size_t>(page) : 4096;
 
   fibers_.clear();
+  runnable_ = {};
   fibers_.reserve(ranks.size());
   for (RankContext* ctx : ranks) {
     auto f = std::make_unique<Fiber>();
     f->ctx = ctx;
-    f->map_bytes = guard + kStackBytes;
-    f->map = ::mmap(nullptr, f->map_bytes, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (f->map == MAP_FAILED)
+    f->stack.bytes = guard + kStackBytes;
+    f->stack.base =
+        ::mmap(nullptr, f->stack.bytes, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (f->stack.base == MAP_FAILED)
       throw std::runtime_error("seq scheduler: mmap of a fiber stack failed");
     // stacks grow downward: the guard page sits at the low end of the map
-    if (::mprotect(static_cast<char*>(f->map) + guard, kStackBytes,
-                   PROT_READ | PROT_WRITE) != 0) {
-      ::munmap(f->map, f->map_bytes);
+    char* stack = static_cast<char*>(f->stack.base) + guard;
+    if (::mprotect(stack, kStackBytes, PROT_READ | PROT_WRITE) != 0)
       throw std::runtime_error("seq scheduler: mprotect of a fiber stack failed");
-    }
     if (::getcontext(&f->uc) != 0)
       throw std::runtime_error("seq scheduler: getcontext failed");
-    f->uc.uc_stack.ss_sp = static_cast<char*>(f->map) + guard;
+    f->uc.uc_stack.ss_sp = stack;
     f->uc.uc_stack.ss_size = kStackBytes;
     f->uc.uc_link = &loop_uc_;
     const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -186,31 +214,27 @@ void SeqScheduler::run(const std::vector<RankContext*>& ranks, bool trace_on,
                   static_cast<unsigned>(self >> 32), static_cast<unsigned>(self & 0xffffffffu));
     fibers_.push_back(std::move(f));
   }
+  live_ = static_cast<int>(fibers_.size());
+  for (auto& f : fibers_) make_runnable(*f, Fiber::Wake::Notified);
 
-  for (;;) {
-    Fiber* next = pick_runnable();
-    if (next == nullptr) {
-      bool all_done = true;
-      for (auto& f : fibers_)
-        if (f->state != Fiber::State::Done) all_done = false;
-      if (all_done) break;
+  while (live_ > 0) {
+    if (runnable_.empty()) {
       unpark_deterministically();
       continue;
     }
-    resume(*next, trace_on);
+    const int rank = runnable_.top().second;
+    runnable_.pop();
+    resume(*fibers_[static_cast<std::size_t>(rank)], trace_on);
   }
 
-  for (auto& f : fibers_)
-    if (f->map != nullptr) ::munmap(f->map, f->map_bytes);
-  fibers_.clear();
+  fibers_.clear(); // unmaps every stack
   body_ = nullptr;
 }
 
-bool SeqScheduler::wait_transport(core::MutexLock& lock, double wall_timeout_ms) {
+bool SeqScheduler::park(int /*rank*/, core::MutexLock& lock, double wall_timeout_ms) {
   Fiber& f = *current_;
   f.state = Fiber::State::Parked;
   f.watchdog = wall_timeout_ms > 0;
-  f.wake = Fiber::Wake::Notified;
   // the transport lock is uncontended on this single thread, but the
   // unlock/relock pair keeps the lock discipline identical to threads mode
   lock.unlock();
@@ -223,13 +247,14 @@ bool SeqScheduler::wait_transport(core::MutexLock& lock, double wall_timeout_ms)
   return f.wake == Fiber::Wake::TimedOut;
 }
 
+void SeqScheduler::wake(int rank) {
+  Fiber& f = *fibers_[static_cast<std::size_t>(rank)];
+  if (f.state == Fiber::State::Parked) make_runnable(f, Fiber::Wake::Notified);
+}
+
 void SeqScheduler::wake_all() {
-  for (auto& f : fibers_) {
-    if (f->state == Fiber::State::Parked) {
-      f->state = Fiber::State::Runnable;
-      f->wake = Fiber::Wake::Notified;
-    }
-  }
+  for (auto& f : fibers_)
+    if (f->state == Fiber::State::Parked) make_runnable(*f, Fiber::Wake::Notified);
 }
 
 } // namespace
@@ -264,14 +289,9 @@ int threads_scheduler_capacity() {
   return 512;
 }
 
-std::unique_ptr<RankScheduler> make_scheduler(SchedulerKind kind, core::Mutex& mutex,
-                                              core::CondVar& cv) {
-  switch (kind) {
-    case SchedulerKind::Seq: return std::make_unique<SeqScheduler>();
-    case SchedulerKind::Threads:
-    case SchedulerKind::Auto: break;
-  }
-  return std::make_unique<ThreadsScheduler>(mutex, cv);
+std::unique_ptr<RankScheduler> make_scheduler(SchedulerKind kind) {
+  if (kind == SchedulerKind::Seq) return std::make_unique<SeqScheduler>();
+  return std::make_unique<ThreadsScheduler>();
 }
 
 } // namespace quda::sim

@@ -136,6 +136,15 @@ TEST(SchedulerEquivalence, ModeledSolveMultiDimGrid) {
   sweep_modeled(8, cfg);
 }
 
+// the fig5(a) 32-GPU point (32^3 x 256 time-sliced over 32 GPUs, single/half
+// with overlap): 32 rank threads, so a wakeup that reached the wrong rank,
+// or none, would show here first
+TEST(SchedulerEquivalence, ModeledSolve32RankFig5Point) {
+  ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
+  cfg.local = LatticeDims{32, 32, 32, 8};
+  sweep_modeled(32, cfg);
+}
+
 // message faults (drops, degraded links, transient stalls) perturb the
 // timeline through the retry machinery; the injected schedule is a pure
 // function of the seed, so both schedulers must replay it exactly

@@ -14,7 +14,9 @@
 //   - the critical-path walk: valid, closed at t = 0, path == makespan
 //     bitwise, category tiling exact;
 //   - the per-link-class traffic split (shm/ib/xswitch bytes), pinning the
-//     topology classification of every message.
+//     topology classification of every message;
+//   - the scheduler counters: how often the ranks block (parks, wakes),
+//     and that no wake leaves a rank to park again (zero spurious).
 //
 // Any change to the scheduler, the interconnect model, or the halo pipeline
 // that moves the 256-rank timeline fails here loudly.  The exported trace
@@ -99,6 +101,8 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   const long kGoldenShmBytes = 6555648;
   const long kGoldenIbBytes = 19666944;
   const long kGoldenXswitchBytes = 26222592;
+  // scheduler counters: every park ends in one wake, none spurious
+  const std::int64_t kGoldenParks = 10996;
 
   const auto& per_rank = cluster.trace().per_rank;
   const std::uint64_t d0 = trace::sequence_digest(per_rank.front());
@@ -114,12 +118,15 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
     }
   }
 
+  const sim::SchedCounters& sched = cluster.sched_totals();
   std::printf("SeqGolden: makespan %.17g digest0 %llu digest255 %llu fold %llu "
-              "shm %ld ib %ld xswitch %ld\n",
+              "shm %ld ib %ld xswitch %ld parks %lld wakes %lld spurious %lld\n",
               cluster.makespan_us(), static_cast<unsigned long long>(d0),
               static_cast<unsigned long long>(d255),
               static_cast<unsigned long long>(fold), r.metrics.shm_bytes,
-              r.metrics.ib_bytes, r.metrics.xswitch_bytes);
+              r.metrics.ib_bytes, r.metrics.xswitch_bytes,
+              static_cast<long long>(sched.parks), static_cast<long long>(sched.wakes),
+              static_cast<long long>(sched.spurious));
 
   EXPECT_EQ(cluster.makespan_us(), kGoldenMakespanUs);
   EXPECT_EQ(d0, kGoldenDigestRank0);
@@ -130,6 +137,9 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   EXPECT_EQ(r.metrics.shm_bytes, kGoldenShmBytes);
   EXPECT_EQ(r.metrics.ib_bytes, kGoldenIbBytes);
   EXPECT_EQ(r.metrics.xswitch_bytes, kGoldenXswitchBytes);
+  EXPECT_EQ(sched.parks, kGoldenParks);
+  EXPECT_EQ(sched.wakes, kGoldenParks);
+  EXPECT_EQ(sched.spurious, 0);
   EXPECT_GT(r.metrics.shm_bytes, 0);
   EXPECT_GT(r.metrics.ib_bytes, 0);
   EXPECT_GT(r.metrics.xswitch_bytes, 0);

@@ -1,15 +1,17 @@
 // Unit tests: the discrete-event cluster simulator -- message timing
-// semantics, FIFO channels, collectives, determinism across runs, and
-// failure isolation.
+// semantics, FIFO channels, collectives, determinism across runs, failure
+// isolation, and targeted wakeups.
 
 #include "comm/qmp.h"
 #include "core/wallclock.h"
+#include "parallel/modeled_solver.h"
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 namespace quda::sim {
 namespace {
@@ -276,6 +278,120 @@ TEST(EventSim, DoubleWaitOnPendingRecvIsHardError) {
       EXPECT_THROW((void)ctx.wait(pending), std::logic_error);
     }
   });
+}
+
+// --- targeted wakeups (DESIGN.md §12) ---------------------------------------
+// A parked rank is woken only by the operation that satisfies its wait.
+// Under seq the scheduler counters are a pure function of the run, so the
+// tests pin them; under threads the OS may wake a thread spuriously, so no
+// counter value is asserted there.
+
+constexpr int kNoiseMessages = 1000;
+
+// Rank 0 parks on (1 -> 0, tag 7).  Rank 1 sends kNoiseMessages messages to
+// rank 0 on tag 8, each followed by a ping-pong with rank 2 that parks rank
+// 1 and so hands the event loop to the other ranks, and finally sends on
+// tag 7.  Only that last send satisfies rank 0's wait.
+void noisy_neighbour(RankContext& ctx) {
+  switch (ctx.rank()) {
+    case 0:
+      (void)ctx.recv(1, 7);
+      break;
+    case 1:
+      for (int i = 0; i < kNoiseMessages; ++i) {
+        ctx.isend(0, 8, {}, 64);
+        ctx.isend(2, 100, {}, 64);
+        (void)ctx.recv(2, 101);
+      }
+      ctx.isend(0, 7, {}, 64);
+      break;
+    default:
+      for (int i = 0; i < kNoiseMessages; ++i) {
+        (void)ctx.recv(1, 100);
+        ctx.isend(1, 101, {}, 64);
+      }
+      break;
+  }
+}
+
+// Rank 0 enters an allreduce at once; ranks 1 and 2 first ping-pong
+// kNoiseMessages times.  Only the completing arrival satisfies rank 0's wait.
+void late_reduction(RankContext& ctx) {
+  for (int i = 0; i < kNoiseMessages; ++i) {
+    if (ctx.rank() == 1) {
+      ctx.isend(2, 100, {}, 64);
+      (void)ctx.recv(2, 101);
+    } else if (ctx.rank() == 2) {
+      (void)ctx.recv(1, 100);
+      ctx.isend(1, 101, {}, 64);
+    }
+  }
+  ctx.barrier();
+}
+
+ClusterSpec three_ranks(SchedulerKind kind) {
+  ClusterSpec s;
+  s.nodes = 3;
+  s.gpus_per_node = 1;
+  s.scheduler = kind;
+  return s;
+}
+
+TEST(EventSimWakeups, SeqResumesReceiverOnlyForItsChannel) {
+  VirtualCluster cluster(three_ranks(SchedulerKind::Seq));
+  cluster.run(noisy_neighbour);
+  const std::vector<SchedCounters>& per_rank = cluster.per_rank_sched_counters();
+  ASSERT_EQ(per_rank.size(), 3u);
+  EXPECT_EQ(per_rank[0].parks, 1);
+  EXPECT_EQ(per_rank[0].wakes, 1) << "only the tag-7 send may resume rank 0";
+  EXPECT_EQ(per_rank[0].spurious, 0);
+  // rank 1 parked once per ping-pong: the loop had kNoiseMessages chances
+  // to resume rank 0 and took none of them
+  EXPECT_EQ(per_rank[1].parks, kNoiseMessages);
+  const SchedCounters& total = cluster.sched_totals();
+  EXPECT_EQ(total.spurious, 0);
+  EXPECT_EQ(total.wakes, total.parks);
+  EXPECT_EQ(total.parks, per_rank[0].parks + per_rank[1].parks + per_rank[2].parks);
+}
+
+TEST(EventSimWakeups, SeqResumesReductionWaiterOnlyOnCompletion) {
+  VirtualCluster cluster(three_ranks(SchedulerKind::Seq));
+  cluster.run(late_reduction);
+  const SchedCounters& r0 = cluster.per_rank_sched_counters()[0];
+  EXPECT_EQ(r0.parks, 1);
+  EXPECT_EQ(r0.wakes, 1) << "only the completing arrival may resume rank 0";
+  EXPECT_EQ(r0.spurious, 0);
+  // rank 1 parked once per ping-pong, and then completed the reduction
+  EXPECT_EQ(cluster.per_rank_sched_counters()[1].parks, kNoiseMessages);
+  EXPECT_EQ(cluster.sched_totals().spurious, 0);
+}
+
+TEST(EventSimWakeups, ThreadsDeliverTheSameTimelines) {
+  for (const auto body : {noisy_neighbour, late_reduction}) {
+    VirtualCluster seq(three_ranks(SchedulerKind::Seq));
+    seq.run(body);
+    VirtualCluster threads(three_ranks(SchedulerKind::Threads));
+    threads.run(body);
+    EXPECT_EQ(threads.makespan_us(), seq.makespan_us());
+  }
+}
+
+TEST(EventSimWakeups, FaultFree32RankModeledSolveHasNoSpuriousReparks) {
+  // no wake of a fault-free run -- halo receives and allreduce
+  // generations -- leaves a rank to park again
+  ClusterSpec spec = ClusterSpec::jlab_9g(32);
+  spec.scheduler = SchedulerKind::Seq;
+  VirtualCluster cluster(spec);
+  parallel::ModeledSolverConfig cfg;
+  cfg.local = LatticeDims{32, 32, 32, 8}; // the fig5(a) 32-GPU point
+  cfg.sloppy = Precision::Half;
+  cfg.iterations = 10;
+  cfg.reliable_interval = 5;
+  ASSERT_TRUE(parallel::run_modeled_solver(cluster, cfg).fits);
+  const SchedCounters& total = cluster.sched_totals();
+  EXPECT_GT(total.parks, 0);
+  EXPECT_EQ(total.wakes, total.parks);
+  EXPECT_EQ(total.spurious, 0);
 }
 
 TEST(GridTopology, CoordsRankRoundTrip2x2x2x4) {

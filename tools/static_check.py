@@ -26,9 +26,11 @@ at any thread budget, and observational-only tracing:
   sim-mutex-coverage          every mutex member must be referenced by at
                               least one QUDA_GUARDED_BY / QUDA_REQUIRES /
                               ... annotation; every condition-variable
-                              member must carry QUDA_CV_WAITS_WITH; every
-                              annotation argument must name a declared
-                              mutex (core/annotations.h)
+                              member, held directly or through a container
+                              or smart pointer, must carry
+                              QUDA_CV_WAITS_WITH; every annotation argument
+                              must name a declared mutex
+                              (core/annotations.h)
   sim-bad-suppression         malformed suppression: NOLINT without a
                               rule list or reason, unknown rule name, or
                               an empty SIM_ORDERED justification
@@ -498,8 +500,14 @@ def rule_static_state(ctx):
 
 
 _MUTEX_DECL_RE = re.compile(r"\b(?:std::mutex|core::Mutex|Mutex)\s+(\w+)\s*;")
+# a condvar member, held directly (`CondVar cv_`) or through a container or
+# smart pointer (`std::vector<std::unique_ptr<CondVar>> slots_`,
+# `std::unique_ptr<CondVar[]> cvs_`, `std::array<CondVar, 4> cvs_`): after
+# the type come optional `[]`, trailing template arguments and closing `>`s,
+# then the member name
 _CV_DECL_RE = re.compile(
-    r"\b(?:std::condition_variable(?:_any)?|core::CondVar|CondVar)\s+(\w+)")
+    r"\b(?:std::condition_variable(?:_any)?|core::CondVar|CondVar)\b"
+    r"\s*(?:\[\s*\]\s*)?(?:(?:,[^<>;{}()]*)?>\s*)*(\w+)\s*(\()?")
 _ANNOT_RE = re.compile(
     r"\bQUDA_(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES|ACQUIRE|RELEASE|TRY_ACQUIRE|"
     r"EXCLUDES|RETURN_CAPABILITY|CV_WAITS_WITH)\s*\(([^()]*)\)")
@@ -515,7 +523,9 @@ def collect_mutex_info(ctx, registry):
             continue
         registry["mutexes"][m.group(1)] = (ctx, line_of(ctx.code, m.start()))
     for m in _CV_DECL_RE.finditer(ctx.code):
-        if enclosing_kind(ctx.scopes, m.start()) != "record":
+        # a member function returning one (`unique_ptr<CondVar> make()`) is
+        # not a member
+        if enclosing_kind(ctx.scopes, m.start()) != "record" or m.group(2):
             continue
         stop = ctx.code.find(";", m.end())
         stmt = ctx.code[m.start():stop if stop >= 0 else len(ctx.code)]
