@@ -3,6 +3,8 @@
 // application, and the face gather.  These measure the reproduction's own
 // host throughput (useful when hacking on the kernels); the simulated-GPU
 // numbers in the figure benches come from the device model, not from here.
+// BM_AnalyzeSolve times the post-run critical-path analysis of one recorded
+// 32-GPU trace, the analysis layer's host cost on its own.
 
 #include "blas/blas.h"
 #include "dirac/clover_term.h"
@@ -10,6 +12,9 @@
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
 #include "exec/host_engine.h"
+#include "parallel/modeled_solver.h"
+#include "sim/event_sim.h"
+#include "trace/attribution.h"
 
 #include <benchmark/benchmark.h>
 
@@ -194,6 +199,38 @@ template <typename P> void BM_BlasPUpdateThreads(benchmark::State& state) {
   exec::set_thread_budget(0);
 }
 BENCHMARK(BM_BlasPUpdateThreads<PrecSingle>)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+// the recorded trace of bench_fig5_strong's 32-GPU single/half overlap point
+// (32^3 x 256 time-sliced over 32 ranks, 100 iterations), recorded once
+struct RecordedRun {
+  trace::TraceReport report;
+  trace::ModelConfig config;
+
+  RecordedRun() {
+    sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(32);
+    spec.trace.enabled = true;
+    sim::VirtualCluster cluster(spec);
+    parallel::ModeledSolverConfig cfg;
+    cfg.local = LatticeDims{32, 32, 32, 256 / 32};
+    cfg.outer = Precision::Single;
+    cfg.sloppy = Precision::Half;
+    cfg.policy = CommPolicy::Overlap;
+    cfg.iterations = 100;
+    parallel::run_modeled_solver(cluster, cfg);
+    report = cluster.trace();
+    config.dual_copy_engine = spec.device.dual_copy_engine;
+  }
+};
+
+void BM_AnalyzeSolve(benchmark::State& state) {
+  static const RecordedRun run;
+  for (auto _ : state) {
+    const trace::CritSummary s = trace::analyze_solve(run.report, run.config);
+    benchmark::DoNotOptimize(s.path_us);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(run.report.total_events()));
+}
+BENCHMARK(BM_AnalyzeSolve)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace quda

@@ -67,26 +67,18 @@ CritSummary analyze_solve(const TraceReport& report, const ModelConfig& config) 
 
   s.compute_bound_us = compute_bound_us(model);
 
-  const ReplayResult identity = replay(model);
-  const ReplayResult zero_net = replay(model, WhatIf{.net_scale = 0.0});
-  const ReplayResult free_pcie = replay(model, WhatIf{.pcie_scale = 0.0});
-  WhatIf overlap;
-  overlap.infinite_overlap = true;
-  const ReplayResult inf_overlap = replay(model, overlap);
-  if (!identity.ok || !zero_net.ok || !free_pcie.ok || !inf_overlap.ok) {
-    s.error = !identity.ok ? identity.error
-              : !zero_net.ok ? zero_net.error
-              : !free_pcie.ok ? free_pcie.error
-                              : inf_overlap.error;
+  const Projections p = replay(model);
+  if (!p.ok) {
+    s.error = p.error;
     return s;
   }
-  s.replay_identity_us = identity.makespan_us;
+  s.replay_identity_us = p.identity_us;
   // a reduced-weight projection is <= the measurement in exact arithmetic;
   // clamp away the forward replay's accumulated rounding so the reported
   // numbers keep that invariant
-  s.whatif_zero_latency_us = std::min(zero_net.makespan_us, s.makespan_us);
-  s.whatif_free_pcie_us = std::min(free_pcie.makespan_us, s.makespan_us);
-  s.whatif_infinite_overlap_us = std::min(inf_overlap.makespan_us, s.makespan_us);
+  s.whatif_zero_latency_us = std::min(p.zero_latency_us, s.makespan_us);
+  s.whatif_free_pcie_us = std::min(p.free_pcie_us, s.makespan_us);
+  s.whatif_infinite_overlap_us = std::min(p.infinite_overlap_us, s.makespan_us);
   s.valid = true;
   return s;
 }

@@ -1,9 +1,11 @@
 #include "trace/critpath.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <tuple>
 
 namespace quda::trace {
@@ -31,25 +33,86 @@ int engine_of(const Event& e, int num_engines) {
   return num_engines == 2 ? (h2d ? 0 : 1) : 0;
 }
 
-// per-rank extraction pass: turn the recorded event list into a RankProgram
-// whose Advance steps tile every host gap between anchors
+// what one recorded event contributes to the program model
+enum class Role : std::uint8_t {
+  None,
+  Isend,
+  Irecv,
+  Wait,
+  Collective,
+  SyncCopy,
+  AsyncCopy,
+  Kernel,
+  StreamWait,
+  StreamSync,
+  DeviceSync,
+  Reset,        // recovery_reset: cluster-wide channel purge
+  CommSpan,     // gap containers: send_frame / recv_frame
+  DeviceSpan,   //   halo_dslash / gauge_exchange
+  RecoverySpan, //   checkpoint / rollback / restore / ... spans
+};
+
+Role role_of(const Event& e) {
+  if (e.track >= 0) {
+    if (e.cat == Cat::Kernel && !e.instant) return Role::Kernel;
+    if (e.cat == Cat::Copy && !e.instant) return Role::AsyncCopy;
+    if (e.cat == Cat::Sync && e.instant && named(e, "stream_wait")) return Role::StreamWait;
+    return Role::None; // unknown stream activity: observational only, not modeled
+  }
+  if (e.track != kTrackHost) return Role::None; // comm / solver tracks
+  switch (e.cat) {
+    case Cat::Comm:
+      if (e.instant) return named(e, "isend") ? Role::Isend
+                            : named(e, "irecv") ? Role::Irecv
+                                                : Role::None;
+      if (named(e, "mpi_wait")) return Role::Wait;
+      if (named(e, "send_frame") || named(e, "recv_frame")) return Role::CommSpan;
+      return Role::None;
+    case Cat::Copy:
+      return e.instant ? Role::None : Role::SyncCopy;
+    case Cat::Sync:
+      if (e.instant) return Role::None;
+      if (named(e, "stream_sync")) return Role::StreamSync;
+      if (named(e, "device_sync")) return Role::DeviceSync;
+      return Role::None;
+    case Cat::Collective:
+      return e.instant ? Role::None : Role::Collective;
+    case Cat::Op:
+      if (!e.instant && (named(e, "halo_dslash") || named(e, "gauge_exchange")))
+        return Role::DeviceSpan;
+      return Role::None;
+    case Cat::Fault:
+      if (e.instant) return named(e, "recovery_reset") ? Role::Reset : Role::None;
+      if (named(e, "checkpoint") || named(e, "ckpt_commit") || named(e, "rollback") ||
+          named(e, "restore") || named(e, "detect") || named(e, "respawn") ||
+          named(e, "resume"))
+        return Role::RecoverySpan;
+      return Role::None;
+    default:
+      return Role::None; // Solver / Op instants and containers
+  }
+}
+
+// per-rank extraction: a pre-pass sizes the program and collects the gap
+// containers, the tail end and the channel-purge times; the main pass turns
+// the recorded event list into the RankProgram
 class RankExtractor {
 public:
-  RankExtractor(const std::vector<Event>& events, int rank, ProgramModel& model)
-      : events_(events), rank_(rank), model_(model), prog_(model.ranks[static_cast<std::size_t>(rank)]) {}
+  RankExtractor(const std::vector<Event>& events, int rank, ProgramModel& model,
+                std::vector<Role>& roles, std::vector<double>& resets)
+      : events_(events), rank_(rank), model_(model),
+        prog_(model.ranks[static_cast<std::size_t>(rank)]), roles_(roles), resets_(resets) {}
 
   void run() {
-    collect_containers();
+    prepass();
     for (std::size_t i = 0; i < events_.size() && model_.ok(); ++i) dispatch(i);
     if (!model_.ok()) return;
     // trailing host time not followed by an anchor (e.g. the tail of the
-    // final container span) -- tile out to the latest host-side end so the
-    // rank's end anchor equals its final simulated clock
-    double final_end = cursor_;
-    for (const Event& e : events_)
-      if (e.track < 0) final_end = std::max(final_end, e.end_us);
-    push_gap(final_end);
-    prog_.end_us = cursor_;
+    // final container span): the rank's end anchor equals its final
+    // simulated clock, the latest host-side end
+    const double final_end = std::max(cursor_, host_end_);
+    if (final_end > cursor_) prog_.tail_gap = classify(cursor_ + 0.5 * (final_end - cursor_));
+    prog_.end_us = final_end;
     prog_.num_streams = static_cast<int>(streams_.size());
   }
 
@@ -59,21 +122,34 @@ private:
       model_.error = "rank " + std::to_string(rank_) + ": " + what;
   }
 
-  // ---- pass 1: container spans classifying host gaps ------------------------
+  // ---- pre-pass: roles, sizes, containers, tail end, resets -----------------
 
-  void collect_containers() {
-    for (const Event& e : events_) {
-      if (e.instant || e.track != kTrackHost) continue;
-      if (e.cat == Cat::Comm && (named(e, "send_frame") || named(e, "recv_frame")))
-        comm_ivs_.push_back({e.ts_us, e.end_us});
-      else if (e.cat == Cat::Op && (named(e, "halo_dslash") || named(e, "gauge_exchange")))
-        dev_ivs_.push_back({e.ts_us, e.end_us});
-      else if (e.cat == Cat::Fault &&
-               (named(e, "checkpoint") || named(e, "ckpt_commit") || named(e, "rollback") ||
-                named(e, "restore") || named(e, "detect") || named(e, "respawn") ||
-                named(e, "resume")))
-        rec_ivs_.push_back({e.ts_us, e.end_us});
+  void prepass() {
+    roles_.resize(events_.size());
+    std::size_t steps = 0, ops = 0, waits = 0, colls = 0;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      const Event& e = events_[i];
+      if (e.track < 0) host_end_ = std::max(host_end_, e.end_us);
+      const Role role = role_of(e);
+      roles_[i] = role;
+      switch (role) {
+        case Role::None: break;
+        case Role::Reset: resets_.push_back(e.ts_us); break;
+        case Role::CommSpan: comm_ivs_.push_back({e.ts_us, e.end_us}); break;
+        case Role::DeviceSpan: dev_ivs_.push_back({e.ts_us, e.end_us}); break;
+        case Role::RecoverySpan: rec_ivs_.push_back({e.ts_us, e.end_us}); break;
+        case Role::SyncCopy:
+        case Role::AsyncCopy:
+        case Role::Kernel: ++ops; ++steps; break;
+        case Role::Wait: ++waits; ++steps; break;
+        case Role::Collective: ++colls; ++steps; break;
+        default: ++steps; break;
+      }
     }
+    prog_.steps.reserve(steps);
+    prog_.ops.reserve(ops);
+    prog_.waits.reserve(waits);
+    prog_.colls.reserve(colls);
     auto by_begin = [](const Interval& a, const Interval& b) { return a.begin < b.begin; };
     std::sort(comm_ivs_.begin(), comm_ivs_.end(), by_begin);
     std::sort(dev_ivs_.begin(), dev_ivs_.end(), by_begin);
@@ -97,24 +173,35 @@ private:
     return GapKind::Solver;
   }
 
-  // ---- pass 2 helpers -------------------------------------------------------
+  // ---- main pass helpers ----------------------------------------------------
 
-  bool push_gap(double to) {
+  // the host clock reaches the next step's anchor at `to`: validate and
+  // classify the gap [cursor_, to] the step will carry
+  bool reach(double to) {
     if (to < cursor_) {
       fail("host anchor regressed in time");
       return false;
     }
-    if (to > cursor_) {
-      Step s;
-      s.kind = StepKind::Advance;
-      s.gap = classify(cursor_ + 0.5 * (to - cursor_));
-      s.begin_us = cursor_;
-      s.end_us = to;
-      prog_.steps.push_back(s);
-      cursor_ = to;
-    }
+    gap_ = to > cursor_ ? classify(cursor_ + 0.5 * (to - cursor_)) : GapKind::Solver;
     return true;
   }
+
+  // append a step reached by reach(begin); the host clock resumes at its end
+  void push(StepKind kind, double begin, double end, int ref, int peer = -1, int tag = -1,
+            bool dropped = false) {
+    prog_.steps.push_back({.begin_us = begin,
+                           .end_us = end,
+                           .kind = kind,
+                           .gap = gap_,
+                           .dropped = dropped,
+                           .peer = peer,
+                           .tag = tag,
+                           .ref = ref});
+    cursor_ = end;
+  }
+
+  int next_step() const { return static_cast<int>(prog_.steps.size()); }
+  int next_op() const { return static_cast<int>(prog_.ops.size()); }
 
   ResState& stream_state(int stream) {
     if (stream >= static_cast<int>(streams_.size()))
@@ -128,114 +215,82 @@ private:
     return engines_[static_cast<std::size_t>(engine)];
   }
 
-  // ---- pass 2: event dispatch ----------------------------------------------
+  // ---- main pass: event dispatch --------------------------------------------
 
   void dispatch(std::size_t i) {
     const Event& e = events_[i];
-    if (e.track >= 0) {
-      if (e.cat == Cat::Kernel && !e.instant) return on_kernel(e);
-      if (e.cat == Cat::Copy && !e.instant) return on_async_copy(e);
-      if (e.cat == Cat::Sync && e.instant && named(e, "stream_wait")) return on_stream_wait(e);
-      return; // unknown stream activity: observational only, not modeled
-    }
-    if (e.track != kTrackHost) return; // comm / solver tracks are containers
-    switch (e.cat) {
-      case Cat::Comm:
-        if (e.instant && named(e, "isend")) return on_isend(e, i);
-        if (e.instant && named(e, "irecv")) return on_irecv(e);
-        if (!e.instant && named(e, "mpi_wait")) return on_wait(e);
-        return; // send_frame / recv_frame: containers
-      case Cat::Copy:
-        if (!e.instant) return on_sync_copy(e);
-        return;
-      case Cat::Sync:
-        if (!e.instant && named(e, "stream_sync")) return on_stream_sync(e);
-        if (!e.instant && named(e, "device_sync")) return on_device_sync(e);
-        return;
-      case Cat::Collective:
-        if (!e.instant) return on_collective(e);
-        return;
-      case Cat::Fault:
+    switch (roles_[i]) {
+      case Role::Isend: return on_isend(e, i);
+      case Role::Irecv: return on_irecv(e);
+      case Role::Wait: return on_wait(e);
+      case Role::Collective: return on_collective(e);
+      case Role::SyncCopy: return on_sync_copy(e);
+      case Role::AsyncCopy: return on_async_copy(e);
+      case Role::Kernel: return on_kernel(e);
+      case Role::StreamWait: return on_stream_wait(e);
+      case Role::StreamSync: return on_stream_sync(e);
+      case Role::DeviceSync: return on_device_sync(e);
+      case Role::Reset:
         // a recovery epoch cleared the transport channels: receives posted
         // before the reset can never be waited on again
-        if (e.instant && named(e, "recovery_reset")) irecv_fifo_.clear();
+        irecv_fifo_.clear();
         return;
       default:
-        return; // Solver / Op instants and containers
+        return; // containers and unmodeled events
     }
   }
 
   void on_isend(const Event& e, std::size_t i) {
-    if (!push_gap(e.ts_us)) return;
-    Step s;
-    s.kind = StepKind::Isend;
-    s.begin_us = s.end_us = e.ts_us;
-    s.peer = e.peer;
-    s.tag = e.tag;
+    if (!reach(e.ts_us)) return;
     // a dropped attempt is tagged by the fault tombstone recorded right after
-    s.dropped = i + 1 < events_.size() && events_[i + 1].cat == Cat::Fault &&
-                events_[i + 1].instant && named(events_[i + 1], "drop");
-    prog_.steps.push_back(s);
+    const bool dropped = i + 1 < events_.size() && events_[i + 1].cat == Cat::Fault &&
+                         events_[i + 1].instant && named(events_[i + 1], "drop");
+    push(StepKind::Isend, e.ts_us, e.ts_us, prog_.num_sends++, e.peer, e.tag, dropped);
   }
 
   void on_irecv(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
-    Step s;
-    s.kind = StepKind::Irecv;
-    s.begin_us = s.end_us = e.ts_us;
-    s.peer = e.peer;
-    s.tag = e.tag;
-    irecv_fifo_[{e.peer, e.tag}].push_back(static_cast<int>(prog_.steps.size()));
-    prog_.steps.push_back(s);
+    if (!reach(e.ts_us)) return;
+    irecv_fifo_[{e.peer, e.tag}].push_back(next_step());
+    push(StepKind::Irecv, e.ts_us, e.ts_us, prog_.num_posts++, e.peer, e.tag);
   }
 
   void on_wait(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
+    if (!reach(e.ts_us)) return;
     if (e.dep_rank < 0) return fail("mpi_wait without a sender edge");
-    Step s;
-    s.kind = StepKind::Wait;
-    s.begin_us = e.ts_us;
-    s.end_us = e.end_us;
-    s.peer = e.peer;
-    s.tag = e.tag;
-    s.match_rank = e.dep_rank;
-    s.send_ts_us = e.dep_ts_us;
-    s.path_us = e.edge_us;
     auto& q = irecv_fifo_[{e.peer, e.tag}];
     if (q.empty()) return fail("mpi_wait without a posted irecv");
-    s.irecv_step = q.front();
+    WaitEdge w;
+    w.send_ts_us = e.dep_ts_us;
+    w.path_us = e.edge_us;
+    w.irecv_step = q.front();
+    w.match_rank = e.dep_rank;
     q.pop_front();
-    s.post_ts_us = prog_.steps[static_cast<std::size_t>(s.irecv_step)].begin_us;
     // bitwise recomputation of the recorded arrival gate
-    const double arrival = std::max(s.send_ts_us, s.post_ts_us) + s.path_us;
-    s.tail_us = e.end_us - std::max(e.ts_us, arrival);
-    if (s.tail_us < 0) return fail("mpi_wait ended before its recomputed arrival");
-    prog_.steps.push_back(s);
-    cursor_ = e.end_us;
+    const double post = prog_.steps[static_cast<std::size_t>(w.irecv_step)].begin_us;
+    const double arrival = std::max(w.send_ts_us, post) + w.path_us;
+    w.tail_us = e.end_us - std::max(e.ts_us, arrival);
+    if (w.tail_us < 0) return fail("mpi_wait ended before its recomputed arrival");
+    push(StepKind::Wait, e.ts_us, e.end_us, static_cast<int>(prog_.waits.size()), e.peer,
+         e.tag);
+    prog_.waits.push_back(w);
   }
 
   void on_collective(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
+    if (!reach(e.ts_us)) return;
     if (e.dep_rank < 0 || e.dep_rank >= static_cast<int>(model_.ranks.size()))
       return fail("allreduce without a rendezvous edge");
-    Step s;
-    s.kind = StepKind::Collective;
-    s.begin_us = e.ts_us;
-    s.end_us = e.end_us;
-    s.gate_rank = e.dep_rank;
-    s.gate_ts_us = e.dep_ts_us;
-    s.tree_us = e.edge_us;
-    s.coll_index = static_cast<int>(model_.collective_steps[static_cast<std::size_t>(rank_)].size());
-    model_.collective_steps[static_cast<std::size_t>(rank_)].push_back(
-        static_cast<int>(prog_.steps.size()));
-    prog_.steps.push_back(s);
-    cursor_ = e.end_us;
+    const int k = static_cast<int>(prog_.colls.size());
+    prog_.colls.push_back({.gate_ts_us = e.dep_ts_us,
+                           .tree_us = e.edge_us,
+                           .gate_rank = e.dep_rank,
+                           .step = next_step()});
+    push(StepKind::Collective, e.ts_us, e.end_us, k);
   }
 
   void on_sync_copy(const Event& e) {
     const double issue = e.dep_ts_us;
     if (issue < 0) return fail("sync copy without an issue anchor");
-    if (!push_gap(issue)) return;
+    if (!reach(issue)) return;
     ResState& eng = engine_state(engine_of(e, model_.num_engines));
     const double gate = std::max(issue, eng.value);
     if (e.ts_us != gate) return fail("sync copy start does not match its engine gate");
@@ -248,24 +303,18 @@ private:
     op.end_us = e.end_us;
     op.pred_op = (eng.last_op >= 0 && eng.value == gate) ? eng.last_op : -1;
     if (op.pred_op < 0 && gate != issue) return fail("sync copy gated by an untracked engine");
-    op.issue_step = static_cast<int>(prog_.steps.size());
-    const int oi = static_cast<int>(prog_.ops.size());
+    op.issue_step = next_step();
+    const int oi = next_op();
     prog_.ops.push_back(op);
     eng.value = e.end_us;
     eng.last_op = oi;
-    Step s;
-    s.kind = StepKind::SyncCopy;
-    s.begin_us = issue;
-    s.end_us = e.end_us;
-    s.op = oi;
-    prog_.steps.push_back(s);
-    cursor_ = e.end_us;
+    push(StepKind::SyncCopy, issue, e.end_us, oi);
   }
 
   void on_async_copy(const Event& e) {
     const double issue = e.dep_ts_us;
     if (issue < 0) return fail("async copy without an issue anchor");
-    if (!push_gap(issue)) return;
+    if (!reach(issue)) return;
     ResState& st = stream_state(e.track);
     ResState& eng = engine_state(engine_of(e, model_.num_engines));
     const double gate = std::max({issue, st.value, eng.value});
@@ -285,25 +334,20 @@ private:
     else
       op.pred_op = -1;
     if (op.pred_op < 0 && gate != issue) return fail("async copy gated by an untracked resource");
-    op.issue_step = static_cast<int>(prog_.steps.size());
-    const int oi = static_cast<int>(prog_.ops.size());
+    op.issue_step = next_step();
+    const int oi = next_op();
     prog_.ops.push_back(op);
     st.value = e.end_us;
     st.last_op = oi;
     eng.value = e.end_us;
     eng.last_op = oi;
-    Step s;
-    s.kind = StepKind::AsyncCopy;
-    s.begin_us = s.end_us = issue;
-    s.op = oi;
-    s.stream = e.track;
-    prog_.steps.push_back(s);
+    push(StepKind::AsyncCopy, issue, issue, oi);
   }
 
   void on_kernel(const Event& e) {
     const double issue = e.dep_ts_us;
     if (issue < 0) return fail("kernel without an issue anchor");
-    if (!push_gap(issue)) return;
+    if (!reach(issue)) return;
     ResState& st = stream_state(e.track);
     const double gate = std::max(issue, st.value);
     if (e.ts_us < gate) return fail("kernel started before its stream gate");
@@ -317,21 +361,16 @@ private:
     op.end_us = e.end_us;
     op.pred_op = (st.last_op >= 0 && st.value == gate) ? st.last_op : -1;
     if (op.pred_op < 0 && gate != issue) return fail("kernel gated by an untracked stream");
-    op.issue_step = static_cast<int>(prog_.steps.size());
-    const int oi = static_cast<int>(prog_.ops.size());
+    op.issue_step = next_step();
+    const int oi = next_op();
     prog_.ops.push_back(op);
     st.value = e.end_us;
     st.last_op = oi;
-    Step s;
-    s.kind = StepKind::Kernel;
-    s.begin_us = s.end_us = issue;
-    s.op = oi;
-    s.stream = e.track;
-    prog_.steps.push_back(s);
+    push(StepKind::Kernel, issue, issue, oi);
   }
 
   void on_stream_wait(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
+    if (!reach(e.ts_us)) return;
     const int waiter = e.track;
     const int waitee = e.tag;
     ResState& src = stream_state(waitee);
@@ -341,55 +380,45 @@ private:
       dst.value = e.dep_ts_us;
       dst.last_op = src.last_op;
     }
-    Step s;
-    s.kind = StepKind::StreamWait;
-    s.begin_us = s.end_us = e.ts_us;
-    s.stream = waiter;
-    s.waitee = waitee;
-    prog_.steps.push_back(s);
+    push(StepKind::StreamWait, e.ts_us, e.ts_us, -1, waiter, waitee);
   }
 
   void on_stream_sync(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
+    if (!reach(e.ts_us)) return;
     const int stream = e.tag;
-    Step s;
-    s.kind = StepKind::StreamSync;
-    s.begin_us = e.ts_us;
-    s.end_us = e.end_us;
-    s.stream = stream;
+    int pred = -1;
     if (e.end_us > e.ts_us) {
       const ResState& st = stream_state(stream);
       if (st.value != e.end_us || st.last_op < 0)
         return fail("stream_sync end does not match the stream's last op");
-      s.pred_op = st.last_op;
+      pred = st.last_op;
     }
-    prog_.steps.push_back(s);
-    cursor_ = e.end_us;
+    push(StepKind::StreamSync, e.ts_us, e.end_us, pred, -1, stream);
   }
 
   void on_device_sync(const Event& e) {
-    if (!push_gap(e.ts_us)) return;
-    Step s;
-    s.kind = StepKind::DeviceSync;
-    s.begin_us = e.ts_us;
-    s.end_us = e.end_us;
+    if (!reach(e.ts_us)) return;
+    int pred = -1;
     if (e.end_us > e.ts_us) {
       for (const ResState& st : streams_)
-        if (st.value == e.end_us && st.last_op >= 0) s.pred_op = st.last_op;
-      if (s.pred_op < 0)
+        if (st.value == e.end_us && st.last_op >= 0) pred = st.last_op;
+      if (pred < 0)
         for (const ResState& eng : engines_)
-          if (eng.value == e.end_us && eng.last_op >= 0) s.pred_op = eng.last_op;
-      if (s.pred_op < 0) return fail("device_sync end does not match any device resource");
+          if (eng.value == e.end_us && eng.last_op >= 0) pred = eng.last_op;
+      if (pred < 0) return fail("device_sync end does not match any device resource");
     }
-    prog_.steps.push_back(s);
-    cursor_ = e.end_us;
+    push(StepKind::DeviceSync, e.ts_us, e.end_us, pred);
   }
 
   const std::vector<Event>& events_;
   const int rank_;
   ProgramModel& model_;
   RankProgram& prog_;
-  double cursor_ = 0;
+  std::vector<Role>& roles_;    // per event, scratch shared across ranks
+  std::vector<double>& resets_; // recovery_reset times, all ranks
+  double cursor_ = 0;   // host clock after the last step
+  double host_end_ = 0; // latest end of any host-side event
+  GapKind gap_ = GapKind::Solver; // class of the gap before the next step
   std::vector<Interval> comm_ivs_, dev_ivs_, rec_ivs_;
   std::size_t comm_idx_ = 0, dev_idx_ = 0, rec_idx_ = 0;
   std::vector<ResState> streams_, engines_;
@@ -403,43 +432,50 @@ private:
 // the last reset preceding it -- earlier unconsumed sends died with the
 // failure epoch.
 void link_channels(ProgramModel& model, const std::vector<double>& resets) {
-  std::map<std::tuple<int, int, int>, std::deque<int>> sends;
+  struct Fifo {
+    std::vector<int> steps; // the channel's Isend steps in send order
+    std::size_t head = 0;   // first one not yet matched or purged
+  };
+  std::map<std::tuple<int, int, int>, Fifo> sends;
   for (std::size_t r = 0; r < model.ranks.size(); ++r) {
     const auto& steps = model.ranks[r].steps;
     for (std::size_t i = 0; i < steps.size(); ++i)
       if (steps[i].kind == StepKind::Isend && !steps[i].dropped)
-        sends[{static_cast<int>(r), steps[i].peer, steps[i].tag}].push_back(static_cast<int>(i));
+        sends[{static_cast<int>(r), steps[i].peer, steps[i].tag}].steps.push_back(
+            static_cast<int>(i));
   }
   for (std::size_t r = 0; r < model.ranks.size(); ++r) {
-    for (Step& s : model.ranks[r].steps) {
+    RankProgram& prog = model.ranks[r];
+    for (const Step& s : prog.steps) {
       if (s.kind != StepKind::Wait) continue;
-      if (s.match_rank != s.peer) {
+      WaitEdge& w = prog.waits[static_cast<std::size_t>(s.ref)];
+      if (w.match_rank != s.peer) {
         model.error = "mpi_wait edge names a rank other than its channel peer";
         return;
       }
-      auto& q = sends[{s.peer, static_cast<int>(r), s.tag}];
+      Fifo& q = sends[{s.peer, static_cast<int>(r), s.tag}];
       // purge sends that predate the last reset at-or-before this wait
       const auto reset = std::upper_bound(resets.begin(), resets.end(), s.begin_us);
       if (reset != resets.begin()) {
         const double purge_before = *(reset - 1);
-        while (!q.empty() &&
-               model.ranks[static_cast<std::size_t>(s.peer)]
-                       .steps[static_cast<std::size_t>(q.front())]
-                       .begin_us < purge_before)
-          q.pop_front();
+        const auto& sender = model.ranks[static_cast<std::size_t>(s.peer)].steps;
+        while (q.head < q.steps.size() &&
+               sender[static_cast<std::size_t>(q.steps[q.head])].begin_us < purge_before)
+          ++q.head;
       }
-      if (q.empty()) {
+      if (q.head == q.steps.size()) {
         model.error = "mpi_wait without a matching isend on its channel";
         return;
       }
-      const int si = q.front();
-      q.pop_front();
-      const Step& snd = model.ranks[static_cast<std::size_t>(s.peer)].steps[static_cast<std::size_t>(si)];
-      if (snd.begin_us != s.send_ts_us) {
+      const int si = q.steps[q.head++];
+      const Step& snd =
+          model.ranks[static_cast<std::size_t>(s.peer)].steps[static_cast<std::size_t>(si)];
+      if (snd.begin_us != w.send_ts_us) {
         model.error = "matched isend time differs from the recorded send edge";
         return;
       }
-      s.match_step = si;
+      w.match_step = si;
+      w.match_send = snd.ref;
     }
   }
 }
@@ -448,21 +484,19 @@ void link_channels(ProgramModel& model, const std::vector<double>& resets) {
 // collectives, and generation k's gate rank reached its k-th collective at
 // exactly the recorded gate time
 void link_collectives(ProgramModel& model) {
-  const std::size_t count = model.collective_steps.empty() ? 0 : model.collective_steps[0].size();
-  for (const auto& per_rank : model.collective_steps)
-    if (per_rank.size() != count) {
+  const std::size_t count = model.ranks.empty() ? 0 : model.ranks[0].colls.size();
+  for (const RankProgram& prog : model.ranks)
+    if (prog.colls.size() != count) {
       model.error = "ranks disagree on the number of collectives";
       return;
     }
   model.num_collectives = count;
   for (std::size_t k = 0; k < count; ++k) {
-    for (std::size_t r = 0; r < model.ranks.size(); ++r) {
-      const Step& s =
-          model.ranks[r].steps[static_cast<std::size_t>(model.collective_steps[r][k])];
-      const auto& gate_steps = model.collective_steps[static_cast<std::size_t>(s.gate_rank)];
-      const Step& g = model.ranks[static_cast<std::size_t>(s.gate_rank)]
-                          .steps[static_cast<std::size_t>(gate_steps[k])];
-      if (g.begin_us != s.gate_ts_us) {
+    for (const RankProgram& prog : model.ranks) {
+      const CollEdge& c = prog.colls[k];
+      const RankProgram& gate = model.ranks[static_cast<std::size_t>(c.gate_rank)];
+      const Step& g = gate.steps[static_cast<std::size_t>(gate.colls[k].step)];
+      if (g.begin_us != c.gate_ts_us) {
         model.error = "collective gate time differs from the gate rank's arrival";
         return;
       }
@@ -480,18 +514,14 @@ ProgramModel build_model(const TraceReport& report, const ModelConfig& config) {
     return model;
   }
   model.ranks.resize(report.per_rank.size());
-  model.collective_steps.resize(report.per_rank.size());
-  for (std::size_t r = 0; r < report.per_rank.size(); ++r) {
-    RankExtractor(report.per_rank[r], static_cast<int>(r), model).run();
-    if (!model.ok()) return model;
-  }
+  std::vector<Role> roles;
   // cluster-wide channel-purge times (one per recovery epoch; every rank
   // records the same set, the union is just belt and braces)
   std::vector<double> resets;
-  for (const auto& events : report.per_rank)
-    for (const Event& e : events)
-      if (e.instant && e.cat == Cat::Fault && named(e, "recovery_reset"))
-        resets.push_back(e.ts_us);
+  for (std::size_t r = 0; r < report.per_rank.size(); ++r) {
+    RankExtractor(report.per_rank[r], static_cast<int>(r), model, roles, resets).run();
+    if (!model.ok()) return model;
+  }
   std::sort(resets.begin(), resets.end());
   resets.erase(std::unique(resets.begin(), resets.end()), resets.end());
   link_channels(model, resets);
@@ -522,19 +552,35 @@ CriticalPath critical_path(const ProgramModel& model) {
   cp.critical_rank = r;
   cp.makespan_us = model.ranks[static_cast<std::size_t>(r)].end_us;
 
-  double t = cp.makespan_us;
-  int i = static_cast<int>(model.ranks[static_cast<std::size_t>(r)].steps.size()) - 1;
+  auto prog = [&]() -> const RankProgram& { return model.ranks[static_cast<std::size_t>(r)]; };
   long safety = 4 * total_steps + 64;
 
   auto emit = [&](SegKind kind, GapKind gap, const char* label, double begin, double end) {
     if (end > begin) cp.segments.push_back({r, kind, gap, label, begin, end});
   };
 
+  // the rank's tail gap first: from its last step's end to its final clock
+  int i = static_cast<int>(prog().steps.size());
+  double t = prog().gap_begin_us(static_cast<std::size_t>(i));
+  emit(SegKind::HostGap, prog().tail_gap, "host", t, cp.makespan_us);
+  --i;
+
+  // the walk reached step i's begin anchor: emit the host gap before it and
+  // continue at the previous step, aligned with its end
+  auto leave = [&]() -> bool {
+    const Step& s = prog().steps[static_cast<std::size_t>(i)];
+    if (t != s.begin_us) return false;
+    t = prog().gap_begin_us(static_cast<std::size_t>(i));
+    emit(SegKind::HostGap, s.gap, "host", t, s.begin_us);
+    --i;
+    return true;
+  };
+
   // descend a device chain: t == ops[oi].end_us on entry; exits back to the
   // host walk at the first host-gated op's issue anchor
   auto descend = [&](int oi) -> bool {
     for (;;) {
-      const DeviceOp& op = model.ranks[static_cast<std::size_t>(r)].ops[static_cast<std::size_t>(oi)];
+      const DeviceOp& op = prog().ops[static_cast<std::size_t>(oi)];
       if (t != op.end_us) return false;
       emit(op.is_kernel ? SegKind::KernelExec : SegKind::CopyExec, GapKind::Solver, op.name,
            op.start_us, op.end_us);
@@ -545,101 +591,92 @@ CriticalPath critical_path(const ProgramModel& model) {
         continue;
       }
       // host-gated: gate == issue (build_model validated), resume the host
-      // walk just before the issuing step
+      // walk at the issuing step's begin anchor
       t = op.issue_us;
-      i = op.issue_step - 1;
+      i = op.issue_step;
       return true;
     }
   };
 
-  while (i >= 0) {
-    if (--safety < 0) {
-      cp.error = "critical-path walk did not terminate";
-      cp.walk_end_us = t;
-      return cp;
-    }
-    const Step& s = model.ranks[static_cast<std::size_t>(r)].steps[static_cast<std::size_t>(i)];
-    if (t != s.end_us) {
-      cp.error = "critical-path walk lost anchor alignment";
-      cp.walk_end_us = t;
-      return cp;
-    }
+  // one step of the walk back from step i (t == its end); nullptr or error
+  auto step_back = [&]() -> const char* {
+    const Step& s = prog().steps[static_cast<std::size_t>(i)];
+    if (t != s.end_us) return "critical-path walk lost anchor alignment";
+    bool aligned = true;
     switch (s.kind) {
-      case StepKind::Advance:
-        emit(SegKind::HostGap, s.gap, "host", s.begin_us, s.end_us);
-        t = s.begin_us;
-        --i;
-        break;
       case StepKind::Isend:
       case StepKind::Irecv:
       case StepKind::Kernel:
       case StepKind::AsyncCopy:
       case StepKind::StreamWait:
-        --i; // zero-width anchors
+        aligned = leave(); // zero-width anchors
         break;
       case StepKind::Wait: {
-        const double arrival = std::max(s.send_ts_us, s.post_ts_us) + s.path_us;
+        const WaitEdge& w = prog().waits[static_cast<std::size_t>(s.ref)];
+        const double post = prog().steps[static_cast<std::size_t>(w.irecv_step)].begin_us;
+        const double arrival = std::max(w.send_ts_us, post) + w.path_us;
         emit(SegKind::CommTail, GapKind::Solver, "mpi_wait", std::max(s.begin_us, arrival),
              s.end_us);
         if (arrival > s.begin_us) {
-          emit(SegKind::MsgFlight, GapKind::Solver, "msg_flight",
-               std::max(s.send_ts_us, s.post_ts_us), arrival);
-          if (s.send_ts_us >= s.post_ts_us) {
+          emit(SegKind::MsgFlight, GapKind::Solver, "msg_flight", std::max(w.send_ts_us, post),
+               arrival);
+          if (w.send_ts_us >= post) {
             // the sender gated the arrival: hop to its isend anchor
-            r = s.match_rank;
-            i = s.match_step;
-            t = s.send_ts_us;
+            r = w.match_rank;
+            i = w.match_step;
+            t = w.send_ts_us;
             ++cp.cross_rank_jumps;
           } else {
             // our late irecv gated it: continue locally at the post anchor
-            i = s.irecv_step;
-            t = s.post_ts_us;
+            i = w.irecv_step;
+            t = post;
           }
         } else {
           t = s.begin_us;
-          --i;
+          aligned = leave();
         }
         break;
       }
       case StepKind::Collective: {
-        emit(SegKind::CollectiveTree, GapKind::Solver, "allreduce", s.gate_ts_us, s.end_us);
-        if (s.gate_rank == r) {
-          t = s.gate_ts_us; // == s.begin_us: this rank arrived last
-          --i;
-        } else {
-          const int gi =
-              model.collective_steps[static_cast<std::size_t>(s.gate_rank)]
-                                    [static_cast<std::size_t>(s.coll_index)];
-          r = s.gate_rank;
-          i = gi - 1; // resume just before the gate rank's collective step
-          t = s.gate_ts_us;
+        const CollEdge& c = prog().colls[static_cast<std::size_t>(s.ref)];
+        emit(SegKind::CollectiveTree, GapKind::Solver, "allreduce", c.gate_ts_us, s.end_us);
+        t = c.gate_ts_us;
+        if (c.gate_rank != r) {
+          // resume at the gate rank's arrival at the same generation
+          r = c.gate_rank;
+          i = prog().colls[static_cast<std::size_t>(s.ref)].step;
           ++cp.cross_rank_jumps;
-        }
+        } // else: gate == begin, this rank arrived last
+        aligned = leave();
         break;
       }
       case StepKind::SyncCopy:
-        if (!descend(s.op)) {
-          cp.error = "device chain walk lost alignment";
-          cp.walk_end_us = t;
-          return cp;
-        }
+        if (!descend(s.ref)) return "device chain walk lost alignment";
+        aligned = leave();
         break;
       case StepKind::StreamSync:
       case StepKind::DeviceSync:
         if (s.end_us == s.begin_us) {
-          --i;
-        } else if (s.pred_op >= 0) {
-          if (!descend(s.pred_op)) {
-            cp.error = "device chain walk lost alignment";
-            cp.walk_end_us = t;
-            return cp;
-          }
+          aligned = leave();
+        } else if (s.ref >= 0) {
+          if (!descend(s.ref)) return "device chain walk lost alignment";
+          aligned = leave();
         } else {
           emit(SegKind::SyncStall, GapKind::Solver, "sync", s.begin_us, s.end_us);
           t = s.begin_us;
-          --i;
+          aligned = leave();
         }
         break;
+    }
+    return aligned ? nullptr : "critical-path walk lost anchor alignment";
+  };
+
+  while (i >= 0) {
+    const char* error = --safety < 0 ? "critical-path walk did not terminate" : step_back();
+    if (error != nullptr) {
+      cp.error = error;
+      cp.walk_end_us = t;
+      return cp;
     }
   }
 
@@ -650,8 +687,21 @@ CriticalPath critical_path(const ProgramModel& model) {
   return cp;
 }
 
-ReplayResult replay(const ProgramModel& model, const WhatIf& w) {
-  ReplayResult res;
+namespace {
+
+// replay lanes: the identity and the three standard what-if projections.
+// The overlap lane is last, so lanes [0, kOverlapLane) are the ones whose
+// host blocks on comm and device completion.
+constexpr int kLanes = 4;
+constexpr int kOverlapLane = kLanes - 1; // host never blocks on comm or device completion
+constexpr double kNetScale[kLanes] = {1.0, 0.0, 1.0, 1.0};  // flight + tree factor
+constexpr double kPcieScale[kLanes] = {1.0, 1.0, 0.0, 1.0}; // transfer duration factor
+using Lanes = std::array<double, kLanes>;
+
+} // namespace
+
+Projections replay(const ProgramModel& model) {
+  Projections res;
   if (!model.ok()) {
     res.error = model.error;
     return res;
@@ -660,24 +710,24 @@ ReplayResult replay(const ProgramModel& model, const WhatIf& w) {
 
   struct RankState {
     std::size_t pc = 0;
-    double cursor = 0;
-    std::vector<double> streams, engines;
-    std::vector<double> send_t, post_t; // per-step replayed anchors
-    bool registered = false;            // arrival posted at the blocking collective
+    bool arrived = false; // at steps[pc]: gap charged (and rendezvous joined)
+    Lanes cursor{};
+    std::vector<Lanes> streams, engines;
+    std::unique_ptr<Lanes[]> sends, posts; // replayed anchors by ordinal
   };
   std::vector<RankState> st(n);
   for (std::size_t r = 0; r < n; ++r) {
-    st[r].streams.assign(static_cast<std::size_t>(std::max(model.ranks[r].num_streams, 1)), 0.0);
-    st[r].engines.assign(static_cast<std::size_t>(model.num_engines), 0.0);
-    st[r].send_t.assign(model.ranks[r].steps.size(), -1.0);
-    st[r].post_t.assign(model.ranks[r].steps.size(), -1.0);
+    const RankProgram& prog = model.ranks[r];
+    st[r].streams.assign(static_cast<std::size_t>(std::max(prog.num_streams, 1)), Lanes{});
+    st[r].engines.assign(static_cast<std::size_t>(model.num_engines), Lanes{});
+    st[r].sends = std::make_unique_for_overwrite<Lanes[]>(static_cast<std::size_t>(prog.num_sends));
+    st[r].posts = std::make_unique_for_overwrite<Lanes[]>(static_cast<std::size_t>(prog.num_posts));
   }
 
   struct CollState {
     int arrived = 0;
-    double maxv = 0;
-    bool done = false;
-    double done_t = 0;
+    Lanes maxv{};
+    Lanes done_t{};
   };
   std::vector<CollState> colls(model.num_collectives);
 
@@ -686,101 +736,105 @@ ReplayResult replay(const ProgramModel& model, const WhatIf& w) {
     bool all_done = true;
     for (std::size_t r = 0; r < n; ++r) {
       RankState& rs = st[r];
+      Lanes& cur = rs.cursor;
       const RankProgram& prog = model.ranks[r];
       while (rs.pc < prog.steps.size()) {
         const Step& s = prog.steps[rs.pc];
+        if (!rs.arrived) {
+          // first arrival: the local host gap before the step, charged once
+          const double gap = s.begin_us - prog.gap_begin_us(rs.pc);
+          for (double& c : cur) c += gap;
+          if (s.kind == StepKind::Collective) {
+            CollState& c = colls[static_cast<std::size_t>(s.ref)];
+            for (int l = 0; l < kLanes; ++l)
+              c.maxv[l] = c.arrived == 0 ? cur[l] : std::max(c.maxv[l], cur[l]);
+            if (++c.arrived == static_cast<int>(n)) {
+              const double tree = prog.colls[static_cast<std::size_t>(s.ref)].tree_us;
+              for (int l = 0; l < kLanes; ++l) c.done_t[l] = c.maxv[l] + tree * kNetScale[l];
+            }
+          }
+          rs.arrived = true;
+          progress = true;
+        }
         bool blocked = false;
         switch (s.kind) {
-          case StepKind::Advance:
-            rs.cursor += s.end_us - s.begin_us;
-            break;
           case StepKind::Isend:
-            rs.send_t[rs.pc] = rs.cursor;
+            rs.sends[static_cast<std::size_t>(s.ref)] = cur;
             break;
           case StepKind::Irecv:
-            rs.post_t[rs.pc] = rs.cursor;
+            rs.posts[static_cast<std::size_t>(s.ref)] = cur;
             break;
           case StepKind::Wait: {
-            if (w.infinite_overlap) {
-              rs.cursor += s.tail_us; // comm fully hidden: only the local tail
+            const WaitEdge& w = prog.waits[static_cast<std::size_t>(s.ref)];
+            const RankState& sender = st[static_cast<std::size_t>(w.match_rank)];
+            if (sender.pc <= static_cast<std::size_t>(w.match_step)) {
+              blocked = true; // not sent yet
               break;
             }
-            const double snd =
-                st[static_cast<std::size_t>(s.match_rank)].send_t[static_cast<std::size_t>(s.match_step)];
-            if (snd < 0) {
-              blocked = true;
-              break;
-            }
-            const double post = rs.post_t[static_cast<std::size_t>(s.irecv_step)];
-            const double arrival = std::max(snd, post) + s.path_us * w.net_scale;
-            rs.cursor = std::max(rs.cursor, arrival) + s.tail_us;
+            const Lanes& snd = sender.sends[static_cast<std::size_t>(w.match_send)];
+            const Lanes& post =
+                rs.posts[static_cast<std::size_t>(prog.steps[static_cast<std::size_t>(w.irecv_step)].ref)];
+            for (int l = 0; l < kOverlapLane; ++l)
+              cur[l] = std::max(cur[l], std::max(snd[l], post[l]) + w.path_us * kNetScale[l]) +
+                       w.tail_us;
+            cur[kOverlapLane] += w.tail_us; // comm fully hidden: only the local tail
             break;
           }
           case StepKind::Collective: {
-            CollState& c = colls[static_cast<std::size_t>(s.coll_index)];
-            if (!rs.registered) {
-              rs.registered = true;
-              c.maxv = c.arrived == 0 ? rs.cursor : std::max(c.maxv, rs.cursor);
-              if (++c.arrived == static_cast<int>(n)) {
-                c.done = true;
-                c.done_t = c.maxv + s.tree_us * w.net_scale;
-              }
-              progress = true;
-            }
-            if (!c.done) {
+            const CollState& c = colls[static_cast<std::size_t>(s.ref)];
+            if (c.arrived < static_cast<int>(n)) {
               blocked = true;
               break;
             }
-            rs.cursor = std::max(rs.cursor, c.done_t);
-            rs.registered = false;
+            for (int l = 0; l < kLanes; ++l) cur[l] = std::max(cur[l], c.done_t[l]);
             break;
           }
           case StepKind::SyncCopy: {
-            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.op)];
-            double& eng = rs.engines[static_cast<std::size_t>(op.engine)];
-            const double start = std::max(rs.cursor, eng);
-            const double end = start + (op.end_us - op.start_us) * w.pcie_scale;
-            eng = end;
-            if (!w.infinite_overlap) rs.cursor = end;
+            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.ref)];
+            Lanes& eng = rs.engines[static_cast<std::size_t>(op.engine)];
+            for (int l = 0; l < kLanes; ++l)
+              eng[l] = std::max(cur[l], eng[l]) + (op.end_us - op.start_us) * kPcieScale[l];
+            for (int l = 0; l < kOverlapLane; ++l) cur[l] = eng[l];
             break;
           }
           case StepKind::AsyncCopy: {
-            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.op)];
-            double& eng = rs.engines[static_cast<std::size_t>(op.engine)];
-            double& str = rs.streams[static_cast<std::size_t>(op.stream)];
-            const double start = std::max({rs.cursor, eng, str});
-            const double end = start + (op.end_us - op.start_us) * w.pcie_scale;
-            eng = end;
-            str = end;
+            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.ref)];
+            Lanes& eng = rs.engines[static_cast<std::size_t>(op.engine)];
+            Lanes& str = rs.streams[static_cast<std::size_t>(op.stream)];
+            for (int l = 0; l < kLanes; ++l)
+              eng[l] = str[l] =
+                  std::max({cur[l], eng[l], str[l]}) + (op.end_us - op.start_us) * kPcieScale[l];
             break;
           }
           case StepKind::Kernel: {
-            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.op)];
-            double& str = rs.streams[static_cast<std::size_t>(op.stream)];
-            const double start =
-                std::max(rs.cursor, str) + (op.start_us - op.gate_us); // launch overhead
-            str = start + (op.end_us - op.start_us) * w.kernel_scale;
+            const DeviceOp& op = prog.ops[static_cast<std::size_t>(s.ref)];
+            Lanes& str = rs.streams[static_cast<std::size_t>(op.stream)];
+            for (int l = 0; l < kLanes; ++l) // start after the launch overhead
+              str[l] = std::max(cur[l], str[l]) + (op.start_us - op.gate_us) +
+                       (op.end_us - op.start_us);
             break;
           }
-          case StepKind::StreamSync:
-            if (!w.infinite_overlap)
-              rs.cursor = std::max(rs.cursor, rs.streams[static_cast<std::size_t>(s.stream)]);
+          case StepKind::StreamSync: {
+            const Lanes& str = rs.streams[static_cast<std::size_t>(s.tag)];
+            for (int l = 0; l < kOverlapLane; ++l) cur[l] = std::max(cur[l], str[l]);
             break;
+          }
           case StepKind::DeviceSync:
-            if (!w.infinite_overlap) {
-              for (double v : rs.streams) rs.cursor = std::max(rs.cursor, v);
-              for (double v : rs.engines) rs.cursor = std::max(rs.cursor, v);
+            for (int l = 0; l < kOverlapLane; ++l) {
+              for (const Lanes& v : rs.streams) cur[l] = std::max(cur[l], v[l]);
+              for (const Lanes& v : rs.engines) cur[l] = std::max(cur[l], v[l]);
             }
             break;
           case StepKind::StreamWait: {
-            double& waiter = rs.streams[static_cast<std::size_t>(s.stream)];
-            waiter = std::max(waiter, rs.streams[static_cast<std::size_t>(s.waitee)]);
+            Lanes& waiter = rs.streams[static_cast<std::size_t>(s.peer)];
+            const Lanes& waitee = rs.streams[static_cast<std::size_t>(s.tag)];
+            for (int l = 0; l < kLanes; ++l) waiter[l] = std::max(waiter[l], waitee[l]);
             break;
           }
         }
         if (blocked) break;
         ++rs.pc;
-        progress = true;
+        rs.arrived = false;
       }
       if (rs.pc < prog.steps.size()) all_done = false;
     }
@@ -791,14 +845,21 @@ ReplayResult replay(const ProgramModel& model, const WhatIf& w) {
     }
   }
 
-  res.rank_end_us.resize(n);
+  Lanes makespan{};
   for (std::size_t r = 0; r < n; ++r) {
-    double end = st[r].cursor;
-    for (double v : st[r].streams) end = std::max(end, v);
-    for (double v : st[r].engines) end = std::max(end, v);
-    res.rank_end_us[r] = end;
-    res.makespan_us = std::max(res.makespan_us, end);
+    const RankProgram& prog = model.ranks[r];
+    const double tail = prog.end_us - prog.gap_begin_us(prog.steps.size());
+    for (int l = 0; l < kLanes; ++l) {
+      double end = st[r].cursor[l] + tail;
+      for (const Lanes& v : st[r].streams) end = std::max(end, v[l]);
+      for (const Lanes& v : st[r].engines) end = std::max(end, v[l]);
+      makespan[l] = std::max(makespan[l], end);
+    }
   }
+  res.identity_us = makespan[0];
+  res.zero_latency_us = makespan[1];
+  res.free_pcie_us = makespan[2];
+  res.infinite_overlap_us = makespan[kOverlapLane];
   res.ok = true;
   return res;
 }

@@ -7,10 +7,11 @@
 // issue anchor, stream_wait the waitee's ready value.  From those records
 // build_model() reconstructs each rank's *program*: an ordered list of
 // host steps (sends, receives, waits, collectives, copies, kernel issues,
-// syncs, and the local host advances between them) plus the device-op
-// timeline per stream/copy-engine, with every op's gating predecessor
-// resolved by replaying the device-state max() computations on the exact
-// recorded doubles -- so resolution is bitwise, not heuristic.
+// syncs), each carrying the classified local host gap that precedes it,
+// plus the device-op timeline per stream/copy-engine, with every op's
+// gating predecessor resolved by replaying the device-state max()
+// computations on the exact recorded doubles -- so resolution is bitwise,
+// not heuristic.
 //
 // Two consumers:
 //  * critical_path() walks the DAG *backward* from the makespan-defining
@@ -18,11 +19,11 @@
 //    rendezvous edges and descending device chains at blocking syncs.  The
 //    walk uses only recorded times, so the returned segments tile
 //    [0, makespan] exactly: path length == end-to-end simulated time.
-//  * replay() re-executes the extracted program *forward* with edited edge
-//    weights (WhatIf) -- zero-latency network, free PCIe, infinite overlap
-//    -- projecting what the same schedule would have cost on different
-//    hardware.  Max-plus monotonicity guarantees a projection with reduced
-//    weights never exceeds the measured makespan.
+//  * replay() re-executes the extracted program *forward* once, in four
+//    lanes with edited edge weights -- unedited, zero-latency network, free
+//    PCIe, infinite overlap -- projecting what the same schedule would have
+//    cost on different hardware.  Max-plus monotonicity guarantees a
+//    projection with reduced weights never exceeds the measured makespan.
 //
 // attribution.h maps the walk's segments onto the paper's cost categories
 // and bundles the whole analysis into one CritSummary.
@@ -55,21 +56,21 @@ struct DeviceOp {
   int issue_step = -1;   // index of the issuing Step in the rank program
 };
 
+// what a host step is; `ref` names the per-kind table entry it points at
 enum class StepKind : std::uint8_t {
-  Advance,    // local host time between anchors (classified by container)
-  Isend,      // message posted (anchor only; overhead lands in a gap)
-  Irecv,      // receive posted (anchor; supplies the wait's post time)
-  Wait,       // host blocks for a matched message
-  Collective, // allreduce rendezvous
-  SyncCopy,   // host-blocking PCIe transfer
-  AsyncCopy,  // async transfer issue (DeviceOp runs on stream + engine)
-  Kernel,     // kernel issue (DeviceOp runs on the stream)
-  StreamSync, // host blocks on one stream
-  DeviceSync, // host blocks on all streams + engines
-  StreamWait, // cross-stream ordering edge (no host cost)
+  Isend,      // message posted (anchor only; overhead lands in a gap); ref: send ordinal
+  Irecv,      // receive posted (anchor; supplies the wait's post time); ref: post ordinal
+  Wait,       // host blocks for a matched message; ref: WaitEdge
+  Collective, // allreduce rendezvous; ref: generation k (CollEdge)
+  SyncCopy,   // host-blocking PCIe transfer; ref: DeviceOp
+  AsyncCopy,  // async transfer issue (DeviceOp runs on stream + engine); ref: DeviceOp
+  Kernel,     // kernel issue (DeviceOp runs on the stream); ref: DeviceOp
+  StreamSync, // host blocks on stream `tag`; ref: gating DeviceOp (-1 = none)
+  DeviceSync, // host blocks on all streams + engines; ref: gating DeviceOp (-1 = none)
+  StreamWait, // stream `peer` waits for stream `tag` (no host cost)
 };
 
-// container classifying a host Advance gap (innermost enclosing span)
+// container classifying a host gap (innermost enclosing span)
 enum class GapKind : std::uint8_t {
   Solver,       // solver-serial host work (default)
   CommOverhead, // inside send_frame / recv_frame: framing, checksums, MPI calls
@@ -77,43 +78,57 @@ enum class GapKind : std::uint8_t {
   Recovery,     // inside checkpoint/rollback/restore/detect/respawn/resume spans
 };
 
+// One host step.  The local host time before it is implicit: the gap
+// [end_us of the previous step (0 for the first), begin_us], classified by
+// `gap`.  Edges too wide for 32 bytes live in the rank's side tables.
 struct Step {
-  StepKind kind = StepKind::Advance;
-  GapKind gap = GapKind::Solver; // Advance only
-  double begin_us = 0;           // arrival anchor (host clock reaching the step)
-  double end_us = 0;             // post anchor (host clock after the step)
-  // Isend / Irecv / Wait
-  int peer = -1, tag = -1;
-  bool dropped = false;      // Isend: fault tombstone, never delivered
-  double send_ts_us = 0;     // Wait: matched send time (recorded edge)
-  double path_us = 0;        // Wait: network flight time (recorded edge)
-  double post_ts_us = 0;     // Wait: matched irecv post time
-  double tail_us = 0;        // Wait: post-arrival local cost (MPI overhead)
-  int match_rank = -1;       // Wait: sender rank
-  int match_step = -1;       // Wait: sender's Isend step index
-  int irecv_step = -1;       // Wait: this rank's matching Irecv step index
-  // Collective
-  int gate_rank = -1;        // rendezvous-gating rank (recorded edge)
-  double gate_ts_us = 0;     // its arrival time
-  double tree_us = 0;        // tree-reduction cost on top of the gate
-  int coll_index = -1;       // k-th collective of this rank
-  // device
-  int op = -1;               // SyncCopy/AsyncCopy/Kernel: DeviceOp index
-  int stream = -1;           // StreamSync target / StreamWait waiter
-  int waitee = -1;           // StreamWait source stream
-  int pred_op = -1;          // StreamSync/DeviceSync: gating op (-1 = none)
+  double begin_us = 0; // arrival anchor (host clock reaching the step)
+  double end_us = 0;   // post anchor (host clock after the step)
+  StepKind kind = StepKind::Isend;
+  GapKind gap = GapKind::Solver; // class of the host gap before the step
+  bool dropped = false;          // Isend: fault tombstone, never delivered
+  int peer = -1;                 // Isend / Irecv / Wait: channel peer rank
+  int tag = -1;                  // Isend / Irecv / Wait: channel tag
+  int ref = -1;                  // per-kind table index (see StepKind)
+};
+static_assert(sizeof(Step) == 32, "Step is the model's unit of memory traffic");
+
+// a blocking receive's recorded message edge and the anchors it links
+struct WaitEdge {
+  double send_ts_us = 0; // matched send time (recorded edge)
+  double path_us = 0;    // network flight time (recorded edge)
+  double tail_us = 0;    // post-arrival local cost (MPI overhead)
+  int irecv_step = -1;   // this rank's matching Irecv step (its begin: post time)
+  int match_rank = -1;   // sender rank (recorded edge)
+  int match_step = -1;   // sender's Isend step
+  int match_send = -1;   // that Isend's send ordinal
+};
+
+// one rank's view of collective generation k
+struct CollEdge {
+  double gate_ts_us = 0; // rendezvous-gating rank's arrival time (recorded edge)
+  double tree_us = 0;    // tree-reduction cost on top of the gate
+  int gate_rank = -1;    // rendezvous-gating rank (recorded edge)
+  int step = -1;         // this rank's Collective step
 };
 
 struct RankProgram {
   std::vector<Step> steps;
   std::vector<DeviceOp> ops;
+  std::vector<WaitEdge> waits;
+  std::vector<CollEdge> colls; // [k]: this rank's k-th collective
+  int num_sends = 0;           // Isend ordinals handed out
+  int num_posts = 0;           // Irecv ordinals handed out
   int num_streams = 0;
+  GapKind tail_gap = GapKind::Solver; // class of [last step's end, end_us]
   double end_us = 0; // final host anchor == the rank's final simulated clock
+
+  // start of the host gap before step i (i == steps.size(): the tail gap)
+  double gap_begin_us(std::size_t i) const { return i > 0 ? steps[i - 1].end_us : 0.0; }
 };
 
 struct ProgramModel {
   std::vector<RankProgram> ranks;
-  std::vector<std::vector<int>> collective_steps; // [rank][k] -> step index
   std::size_t num_collectives = 0;
   int num_engines = 1;
   std::string error; // non-empty: the trace could not be modeled
@@ -157,26 +172,26 @@ struct CriticalPath {
 
 CriticalPath critical_path(const ProgramModel& model);
 
-// edge-weight edits for what-if projections (all reductions: monotone)
-struct WhatIf {
-  double net_scale = 1.0;    // message flight + collective tree factor
-  double pcie_scale = 1.0;   // PCIe transfer duration factor
-  double kernel_scale = 1.0; // kernel execution duration factor
-  // host never blocks on comm or device completion (waits cost only their
-  // local tail; stream/device syncs are free).  Collectives keep their
-  // rendezvous semantics: a reduction is a data dependency, not comm that
-  // overlap could hide.
-  bool infinite_overlap = false;
-};
-
-struct ReplayResult {
+// makespans of the standard what-if projections (all weight reductions:
+// monotone), replayed forward together
+struct Projections {
   bool ok = false;
   std::string error;
-  double makespan_us = 0;
-  std::vector<double> rank_end_us;
+  double identity_us = 0;     // unedited weights: reproduces the makespan
+  double zero_latency_us = 0; // message flight and collective trees cost nothing
+  double free_pcie_us = 0;    // PCIe transfers cost nothing
+  // host never blocks on comm or device completion (waits cost only their
+  // local tail; copies and syncs do not hold the host).  Collectives keep
+  // their rendezvous semantics: a reduction is a data dependency, not comm
+  // that overlap could hide.
+  double infinite_overlap_us = 0;
 };
 
-ReplayResult replay(const ProgramModel& model, const WhatIf& whatif = {});
+// one forward pass, one lane per projection.  Bitwise the same as replaying
+// each projection alone: blocking on a send or a rendezvous only delays a
+// lane's update, never changes its value, and a collective's max does not
+// depend on arrival order.
+Projections replay(const ProgramModel& model);
 
 // max over ranks of (max over streams of total kernel execution time): a
 // lower bound on any replay that keeps kernel durations (stream ready

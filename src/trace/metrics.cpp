@@ -1,55 +1,12 @@
 #include "trace/metrics.h"
 
-#include <algorithm>
+#include "trace/intervals.h"
+
 #include <cstring>
 #include <utility>
 #include <vector>
 
 namespace quda::trace {
-
-namespace {
-
-using Interval = std::pair<double, double>;
-
-// merge possibly-overlapping intervals into a disjoint sorted union
-std::vector<Interval> interval_union(std::vector<Interval> in) {
-  std::sort(in.begin(), in.end());
-  std::vector<Interval> out;
-  for (const Interval& iv : in) {
-    if (iv.second <= iv.first) continue;
-    if (!out.empty() && iv.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, iv.second);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  return out;
-}
-
-double total_length(const std::vector<Interval>& u) {
-  double t = 0;
-  for (const Interval& iv : u) t += iv.second - iv.first;
-  return t;
-}
-
-// length of the intersection of two disjoint sorted unions
-double intersection_length(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double t = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) t += hi - lo;
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return t;
-}
-
-} // namespace
 
 Metrics compute_metrics(const TraceReport& report) {
   Metrics m;
@@ -82,9 +39,9 @@ Metrics compute_metrics(const TraceReport& report) {
       if (e.cat == Cat::Kernel && e.track >= 0) {
         m.kernel_us += e.dur_us;
         m.kernels[e.name].add(e.dur_us);
-        kernel_windows.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+        kernel_windows.emplace_back(e.ts_us, e.end_us);
       } else if (e.track == kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-        comm_windows.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+        comm_windows.emplace_back(e.ts_us, e.end_us);
       }
     }
     const auto comm_union = interval_union(std::move(comm_windows));

@@ -1,5 +1,7 @@
 #include "trace/telemetry.h"
 
+#include "trace/intervals.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -11,64 +13,11 @@ namespace quda::telemetry {
 
 namespace {
 
-using Interval = std::pair<double, double>;
-
-// merge possibly-overlapping intervals into a disjoint sorted union
-std::vector<Interval> interval_union(std::vector<Interval> in) {
-  std::sort(in.begin(), in.end());
-  std::vector<Interval> out;
-  for (const Interval& iv : in) {
-    if (iv.second <= iv.first) continue;
-    if (!out.empty() && iv.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, iv.second);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  return out;
-}
-
-double total_length(const std::vector<Interval>& u) {
-  double t = 0;
-  for (const Interval& iv : u) t += iv.second - iv.first;
-  return t;
-}
-
-// length of the intersection of two disjoint sorted unions
-double intersection_length(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double t = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].first, b[j].first);
-    const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) t += hi - lo;
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return t;
-}
-
-// a \ b for disjoint sorted unions (the exposed-communication windows)
-std::vector<Interval> interval_subtract(const std::vector<Interval>& a,
-                                        const std::vector<Interval>& b) {
-  std::vector<Interval> out;
-  std::size_t j = 0;
-  for (const Interval& iv : a) {
-    double lo = iv.first;
-    while (j < b.size() && b[j].second <= lo) ++j;
-    std::size_t k = j;
-    while (k < b.size() && b[k].first < iv.second && lo < iv.second) {
-      if (b[k].first > lo) out.emplace_back(lo, b[k].first);
-      lo = std::max(lo, b[k].second);
-      ++k;
-    }
-    if (lo < iv.second) out.emplace_back(lo, iv.second);
-  }
-  return out;
-}
+using trace::Interval;
+using trace::interval_subtract;
+using trace::interval_union;
+using trace::intersection_length;
+using trace::total_length;
 
 // spread a disjoint union over fixed-width buckets as coverage fractions
 void bucketize(const std::vector<Interval>& u, double bucket_us, std::vector<double>& frac) {

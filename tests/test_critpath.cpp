@@ -7,11 +7,15 @@
 //     cross-rank arrival with the same expression the simulator used);
 //   * the typed segments tile [0, makespan], so the attribution categories
 //     sum to the path length;
-//   * the forward replay with unedited weights reproduces the makespan, and
-//     every monotone what-if projection is bracketed by the compute bound
-//     below and the measured time above;
+//   * the forward replay with unedited weights reproduces the makespan
+//     bitwise, and every monotone what-if projection is bracketed by the
+//     compute bound below and the measured time above;
+//   * a faulted run's whole summary (category split, projections, walk
+//     shape) is pinned bitwise, so a gap charged to the wrong step fails;
 //   * the paper's qualitative structure shows up in the attribution:
 //     NoOverlap exposes far more communication than Overlap at fig5 sizes.
+
+#include "crit_pins.h"
 
 #include "core/quda_api.h"
 #include "dirac/gauge_init.h"
@@ -22,7 +26,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace quda {
 namespace {
@@ -105,8 +113,9 @@ TEST_P(CritPathPolicies, WhatIfProjectionsAreBracketed) {
   EXPECT_LE(a.crit.whatif_zero_latency_us, a.crit.makespan_us);
   EXPECT_LE(a.crit.whatif_free_pcie_us, a.crit.makespan_us);
   EXPECT_LE(a.crit.whatif_infinite_overlap_us, a.crit.makespan_us);
-  // identity replay re-derives the recorded schedule
-  EXPECT_NEAR(a.crit.replay_identity_us, a.crit.makespan_us, 1e-6 * a.crit.makespan_us);
+  // identity replay re-derives the recorded schedule bitwise: it applies
+  // the simulator's own max/+ expressions to the recorded doubles
+  EXPECT_EQ(a.crit.replay_identity_us, a.crit.makespan_us);
 }
 
 TEST_P(CritPathPolicies, AnalysisIsDeterministicAcrossRuns) {
@@ -171,7 +180,52 @@ TEST(CritPathAttribution, WalkStaysExactUnderFaultInjection) {
   ASSERT_TRUE(a.crit.valid) << a.crit.error;
   EXPECT_GT(a.result.faults.retries, 0) << "faults must actually fire";
   EXPECT_EQ(a.crit.path_us, a.result.time_us);
+  EXPECT_EQ(a.crit.replay_identity_us, a.crit.makespan_us);
   EXPECT_NEAR(cat_sum(a.crit), a.crit.path_us, 1e-9 * a.crit.path_us);
+}
+
+TEST(CritPathAttribution, FaultedNoOverlapSummaryIsPinned) {
+  // every message and device fault at once on 8 ranks: the trace carries
+  // drop tombstones, checksum failures with retransmissions, stalls,
+  // degraded links and SDC rollbacks, and the whole summary is pinned
+  sim::FaultConfig faults;
+  faults.seed = 11;
+  faults.drop_rate = 4e-3;
+  faults.corrupt_rate = 4e-3;
+  faults.stall_rate = 4e-3;
+  faults.delay_rate = 1e-2;
+  faults.device_flip_rate = 2e-2;
+  ModeledSolverConfig cfg = fig5_config(CommPolicy::NoOverlap);
+  cfg.local = LatticeDims{8, 8, 8, 8};
+  cfg.iterations = 40;
+  cfg.retry.checksums = true;
+  cfg.retry.max_retries = 6;
+  const AnalyzedRun a = run_analyzed(8, cfg, faults);
+  ASSERT_TRUE(a.crit.valid) << a.crit.error;
+  EXPECT_GT(a.result.faults.drops, 0);
+  EXPECT_GT(a.result.faults.checksum_errors, 0);
+  EXPECT_GT(a.result.faults.retries, 0);
+  EXPECT_GT(a.result.faults.stalls, 0);
+  EXPECT_GT(a.result.faults.delays, 0);
+  EXPECT_GT(a.result.rollbacks, 0);
+  EXPECT_EQ(a.crit.path_us, a.result.time_us);
+  const trace::CritSummary pinned{
+      .valid = true,
+      .error = "",
+      .makespan_us = 0x1.639eb95b8f96bp+17,
+      .path_us = 0x1.639eb95b8f96bp+17,
+      .cat_us = {0x1.1b6572b4c35c4p+14, 0x0p+0, 0x1.07b1c74b0cb23p+15, 0x1.e1907f3134b94p+16,
+                 0x1.afab333333bc5p+12, 0x0p+0, 0x0p+0},
+      .critical_rank = 0,
+      .cross_rank_jumps = 846,
+      .segments = 20432,
+      .compute_bound_us = 0x1.1b6572b4c35cp+14,
+      .replay_identity_us = 0x1.639eb95b8f96bp+17,
+      .whatif_zero_latency_us = 0x1.4c59d369ab572p+17,
+      .whatif_free_pcie_us = 0x1.d728c0dfaf5efp+15,
+      .whatif_infinite_overlap_us = 0x1.e191326467f3fp+16,
+  };
+  expect_summary_pinned(a.crit, pinned);
 }
 
 TEST(CritPathAttribution, SolverResultCarriesTheSameSummary) {
@@ -220,6 +274,137 @@ TEST(CritPathDegenerate, AttributionTableNamesEveryCategory) {
   EXPECT_NE(table.find("what-if"), std::string::npos) << table;
 }
 
+// --- every model validation fires on the input it catches -------------------
+
+// the n-th event called `name` on `rank` (spanning: only spans with end > begin)
+trace::Event& nth_event(trace::TraceReport& rep, int rank, const char* name, int n = 0,
+                        bool spanning = false) {
+  for (trace::Event& e : rep.per_rank[static_cast<std::size_t>(rank)])
+    if (std::strcmp(e.name, name) == 0 && (!spanning || e.end_us > e.ts_us) && n-- == 0)
+      return e;
+  throw std::out_of_range(std::string("trace has no such ") + name);
+}
+
+TEST(CritPathValidation, EachCorruptedEdgeIsRejectedWithItsError) {
+  // a small Overlap trace carries every modeled event kind: messages,
+  // collectives, kernels, sync and async copies, stream waits and syncs
+  ModeledSolverConfig cfg = fig5_config(CommPolicy::Overlap, /*iterations=*/2);
+  cfg.local = LatticeDims{8, 8, 8, 8};
+  cfg.reliable_interval = 1;
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(2);
+  spec.trace.enabled = true;
+  sim::VirtualCluster cluster(spec);
+  ASSERT_TRUE(parallel::run_modeled_solver(cluster, cfg).fits);
+  const trace::TraceReport clean = cluster.trace();
+  ASSERT_TRUE(trace::analyze_solve(clean).valid);
+
+  using Report = trace::TraceReport;
+  struct Corruption {
+    const char* error; // the analyzer's message for it
+    std::function<void(Report&)> apply;
+  };
+  const std::vector<Corruption> cases = {
+      // per-rank extraction
+      {"host anchor regressed in time", [](Report& t) { nth_event(t, 0, "isend", 2).ts_us = 0; }},
+      {"mpi_wait without a sender edge",
+       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_rank = -1; }},
+      {"mpi_wait without a posted irecv",
+       [](Report& t) { nth_event(t, 0, "mpi_wait").tag = 9999; }},
+      {"mpi_wait ended before its recomputed arrival",
+       [](Report& t) { nth_event(t, 0, "mpi_wait").edge_us = 1e9; }},
+      {"allreduce without a rendezvous edge",
+       [](Report& t) { nth_event(t, 0, "allreduce").dep_rank = 2; }},
+      {"sync copy without an issue anchor",
+       [](Report& t) { nth_event(t, 0, "memcpy_h2d").dep_ts_us = -1; }},
+      {"sync copy start does not match its engine gate",
+       [](Report& t) { nth_event(t, 0, "memcpy_h2d").ts_us += 1; }},
+      {"async copy without an issue anchor",
+       [](Report& t) { nth_event(t, 0, "memcpy_async_d2h").dep_ts_us = -1; }},
+      {"async copy start does not match its gate",
+       [](Report& t) { nth_event(t, 0, "memcpy_async_d2h").ts_us += 1; }},
+      {"kernel without an issue anchor",
+       [](Report& t) { nth_event(t, 0, "blas").dep_ts_us = -1; }},
+      {"kernel started before its stream gate",
+       [](Report& t) {
+         trace::Event& k = nth_event(t, 0, "dslash_interior");
+         k.ts_us = k.dep_ts_us - 1;
+       }},
+      {"stream_wait source value mismatch",
+       [](Report& t) { nth_event(t, 0, "stream_wait").dep_ts_us += 1; }},
+      {"stream_sync end does not match the stream's last op",
+       [](Report& t) { nth_event(t, 0, "stream_sync", 0, true).end_us += 1; }},
+      {"device_sync end does not match any device resource",
+       [](Report& t) { nth_event(t, 0, "device_sync", 0, true).end_us += 1; }},
+      // cross-rank linking
+      {"mpi_wait edge names a rank other than its channel peer",
+       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_rank = 0; }},
+      {"mpi_wait without a matching isend on its channel",
+       [](Report& t) {
+         // move the first wait and the receive it consumes to a channel
+         // nobody sends on
+         trace::Event& w = nth_event(t, 0, "mpi_wait");
+         for (trace::Event& e : t.per_rank[0])
+           if (std::strcmp(e.name, "irecv") == 0 && e.peer == w.peer && e.tag == w.tag) {
+             e.tag = 9999;
+             break;
+           }
+         w.tag = 9999;
+       }},
+      {"matched isend time differs from the recorded send edge",
+       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_ts_us -= 0.5; }},
+      {"ranks disagree on the number of collectives",
+       [](Report& t) {
+         auto& events = t.per_rank[1];
+         for (auto it = events.end(); it != events.begin();)
+           if (std::strcmp((--it)->name, "allreduce") == 0) {
+             events.erase(it);
+             break;
+           }
+       }},
+      {"collective gate time differs from the gate rank's arrival",
+       [](Report& t) { nth_event(t, 0, "allreduce").dep_ts_us += 0.5; }},
+  };
+  for (const Corruption& c : cases) {
+    SCOPED_TRACE(c.error);
+    Report bad = clean;
+    c.apply(bad);
+    const trace::CritSummary s = trace::analyze_solve(bad);
+    EXPECT_FALSE(s.valid);
+    EXPECT_NE(s.error.find(c.error), std::string::npos) << s.error;
+  }
+}
+
+TEST(CritPathValidation, CyclicWaitsDeadlockTheReplay) {
+  // each of two ranks waits for a message the other sends only afterwards,
+  // all at t = 0 with zero flight time: every recorded edge checks out and
+  // the backward walk closes, but no forward schedule exists
+  trace::TraceReport rep;
+  rep.enabled = true;
+  rep.per_rank.resize(2);
+  for (int r = 0; r < 2; ++r) {
+    trace::Event e;
+    e.cat = trace::Cat::Comm;
+    e.peer = 1 - r;
+    e.tag = 0;
+    e.instant = true;
+    e.name = "irecv";
+    rep.per_rank[static_cast<std::size_t>(r)].push_back(e);
+    e.instant = false;
+    e.name = "mpi_wait";
+    e.dep_rank = 1 - r;
+    e.dep_ts_us = 0;
+    rep.per_rank[static_cast<std::size_t>(r)].push_back(e);
+    e.instant = true;
+    e.name = "isend";
+    e.dep_rank = -1;
+    e.dep_ts_us = -1;
+    rep.per_rank[static_cast<std::size_t>(r)].push_back(e);
+  }
+  const trace::CritSummary s = trace::analyze_solve(rep);
+  EXPECT_FALSE(s.valid);
+  EXPECT_EQ(s.error, "replay deadlocked");
+}
+
 // --- full public-API run (Real execution mode) -------------------------------
 
 TEST(CritPathApi, InvertAttributesItsFullTimeline) {
@@ -249,6 +434,7 @@ TEST(CritPathApi, InvertAttributesItsFullTimeline) {
   EXPECT_GE(r.critpath.path_us, r.simulated_time_us);
   EXPECT_NEAR(cat_sum(r.critpath), r.critpath.path_us, 1e-9 * r.critpath.path_us);
   EXPECT_GT(r.critpath.compute_bound_us, 0.0);
+  EXPECT_EQ(r.critpath.replay_identity_us, r.critpath.makespan_us);
   EXPECT_LE(r.critpath.whatif_zero_latency_us, r.critpath.makespan_us);
 }
 

@@ -12,7 +12,8 @@
 //   - per-rank FNV-1a event-sequence digests (first, last, and a fold over
 //     all 256 ranks), pinning the pipeline structure at scale;
 //   - the critical-path walk: valid, closed at t = 0, path == makespan
-//     bitwise, category tiling exact;
+//     bitwise, category tiling exact, and the whole CritSummary (category
+//     split, what-if projections, walk shape) pinned bitwise;
 //   - the per-link-class traffic split (shm/ib/xswitch bytes), pinning the
 //     topology classification of every message;
 //   - the scheduler counters: how often the ranks block (parks, wakes),
@@ -22,6 +23,8 @@
 // that moves the 256-rank timeline fails here loudly.  The exported trace
 // (trace_seq256_golden.json) is left on disk for tools/quick_gate.sh to
 // lint against tools/trace_schema.json.
+
+#include "crit_pins.h"
 
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
@@ -143,6 +146,25 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   EXPECT_GT(r.metrics.shm_bytes, 0);
   EXPECT_GT(r.metrics.ib_bytes, 0);
   EXPECT_GT(r.metrics.xswitch_bytes, 0);
+
+  // the whole critical-path summary, bitwise (hex floats: exact doubles)
+  const trace::CritSummary kGoldenCrit{
+      .valid = true,
+      .error = "",
+      .makespan_us = 0x1.3ead1a032da3cp+16,
+      .path_us = 0x1.3ead1a032da3cp+16,
+      .cat_us = {0x1.9b34ce67fc4p+2, 0x1.2499e6599c34p+5, 0x1.0bc999999961bp+10,
+                 0x1.38bdc0598f384p+16, 0x1.9533333331f64p+8, 0x0p+0, 0x0p+0},
+      .critical_rank = 0,
+      .cross_rank_jumps = 4,
+      .segments = 2155,
+      .compute_bound_us = 0x1.6b823a2c94834p+5,
+      .replay_identity_us = 0x1.3ead1a032da3cp+16,
+      .whatif_zero_latency_us = 0x1.3ad78d3660d71p+16,
+      .whatif_free_pcie_us = 0x1.06826766b360bp+12,
+      .whatif_infinite_overlap_us = 0x1.38ccc24524edep+16,
+  };
+  expect_summary_pinned(r.critpath, kGoldenCrit);
 
   exec::set_thread_budget(0); // back to the environment default
 }

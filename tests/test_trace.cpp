@@ -254,6 +254,7 @@ TEST(TraceGolden, DigestAndTimingDeterministicAcrossRuns) {
 
 // --- digest unit semantics ----------------------------------------------------
 
+// a span as RankTracer::span records it: begin, duration and the exact end
 Event make_span(const char* name, trace::Cat cat, int track, double b, double e,
                 std::int64_t bytes = 0, int peer = -1, int tag = -1, std::int64_t seq = -1) {
   Event ev;
@@ -263,6 +264,7 @@ Event make_span(const char* name, trace::Cat cat, int track, double b, double e,
   ev.track = track;
   ev.ts_us = b;
   ev.dur_us = e - b;
+  ev.end_us = e;
   ev.bytes = bytes;
   ev.peer = peer;
   ev.tag = tag;
