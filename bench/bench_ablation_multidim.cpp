@@ -18,11 +18,9 @@ using namespace quda::bench;
 namespace {
 
 parallel::ModeledSolverResult run_topo(const comm::GridTopology& topo, LatticeDims global) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(topo.num_ranks());
-  // the event-loop scheduler keeps rank count a parameter: the 256-1024
-  // rank cases are fibers on one thread, not hundreds of OS threads
-  spec.scheduler = sim::SchedulerKind::Seq;
-  sim::VirtualCluster cluster(spec);
+  // the 256-1024 rank cases are fibers on one worker, not hundreds of OS
+  // threads, so rank count stays a parameter
+  sim::VirtualCluster cluster(sim::ClusterSpec::jlab_9g(topo.num_ranks()));
   parallel::ModeledSolverConfig cfg;
   cfg.local = global;
   cfg.local.x /= topo.dims[0];

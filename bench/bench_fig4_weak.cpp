@@ -13,7 +13,7 @@
 //
 // (c) extends past the paper to 256-1024 simulated GPUs ("Scaling Lattice
 // QCD beyond 100 GPUs" regime): 4-D grid decompositions on a fat-tree
-// cluster under the cooperative seq scheduler, with critpath attribution
+// cluster, whose rank fibers share one worker, with critpath attribution
 // per point.  Weak scaling holds the local volume fixed, so the exposed-
 // comm fraction per point isolates the interconnect hierarchy's cost.
 
@@ -41,7 +41,6 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims local,
   std::printf("%-8s %-14s %14s %16s\n", "GPUs", "grid", "Gflops", "GF per GPU");
   for (const auto& topo : grids) {
     sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
-    spec.scheduler = sim::SchedulerKind::Seq;
     const auto r = run_weak_grid_point(spec, topo, local, series, /*iterations=*/10);
     record_grid_point(json, title, series, topo, r);
     if (!r.fits) {

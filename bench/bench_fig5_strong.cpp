@@ -13,9 +13,9 @@
 //
 //  (c) extension past the paper, in the regime of "Scaling Lattice QCD
 //      beyond 100 GPUs": 256-1024 simulated GPUs on (a)'s lattice,
-//      per-dimension 4-D decomposition sweeps on a fat-tree cluster, run
-//      under the cooperative seq scheduler (rank count is a parameter, not
-//      an OS thread budget).  Each point carries critpath/whatif
+//      per-dimension 4-D decomposition sweeps on a fat-tree cluster, whose
+//      rank fibers share one worker (rank count is a parameter, not an OS
+//      thread budget).  Each point carries critpath/whatif
 //      attribution showing where each added cut dimension pays off.
 
 #include "bench_util.h"
@@ -37,7 +37,7 @@ void run_subfigure(BenchJson& json, const char* title, LatticeDims global,
   record_scaling_points(json, title, gpus, series, results);
 }
 
-// the 256-1024 GPU decomposition sweep: fat-tree interconnect, seq scheduler
+// the 256-1024 GPU decomposition sweep: fat-tree interconnect, one worker
 void run_multidim_table(BenchJson& json, const char* title, LatticeDims global,
                         const std::vector<comm::GridTopology>& grids,
                         const SolverSeries& series, int iterations) {
@@ -46,7 +46,6 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims global,
               "exposed comm us");
   for (const auto& topo : grids) {
     sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
-    spec.scheduler = sim::SchedulerKind::Seq;
     const auto r = run_grid_point(spec, topo, global, series, iterations);
     record_grid_point(json, title, series, topo, r);
     if (!r.fits) {
@@ -81,8 +80,8 @@ int main(int argc, char** argv) {
             {"single, overlap", Precision::Single, std::nullopt, CommPolicy::Overlap},
         },
         /*iterations=*/30);
-    // one 256-rank seq-scheduler point so the per-commit gate covers the
-    // O(1000)-rank path (cheap: modeled iterations, cooperative fibers)
+    // one 256-rank point so the per-commit gate covers the O(1000)-rank
+    // path (cheap: modeled iterations, fibers on one worker)
     run_multidim_table(json, "(c) multi-dim V = 24^3 x 128", {24, 24, 24, 128},
                        {{{1, 2, 2, 64}}},
                        {"single-half, overlap", Precision::Single, Precision::Half,

@@ -44,11 +44,10 @@ public:
   void write() const {
     const double wall = std::chrono::duration<double>(core::wall_now() - start_).count();
     std::ofstream os("BENCH_" + name_ + ".json");
-    // one provenance line (commit, build type, scheduler, thread budget) so
-    // any perf delta can be traced back to what produced the numbers
-    const sim::SchedulerKind kind = sim::resolve_scheduler(sim::SchedulerKind::Threads);
+    // one provenance line (commit, build type, thread budget) so any perf
+    // delta can be traced back to what produced the numbers
     os << "{\n  \"name\": " << quote(name_) << ",\n  \"provenance\": "
-       << core::provenance_json(sim::scheduler_name(kind)) << ",\n  \"config\": {";
+       << core::provenance_json() << ",\n  \"config\": {";
     write_fields(os, config_, "\n    ");
     os << "\n  },\n  \"points\": [";
     for (std::size_t p = 0; p < points_.size(); ++p) {
@@ -148,9 +147,9 @@ inline parallel::ModeledSolverResult run_weak_point(int ranks, LatticeDims local
 }
 
 // Run one modeled-solver data point decomposed over a full 4-D process grid
-// on an explicit cluster spec.  The big sweeps (256-1024 ranks) pair a
-// fat_tree spec with SchedulerKind::Seq so rank count stays a parameter
-// instead of an OS thread budget.
+// on an explicit cluster spec.  The big sweeps (256-1024 ranks) use a
+// fat_tree spec; past the thread budget their rank fibers share one worker,
+// so rank count stays a parameter instead of an OS thread count.
 inline parallel::ModeledSolverResult run_grid_point(sim::ClusterSpec spec,
                                                     const comm::GridTopology& topo,
                                                     LatticeDims global,

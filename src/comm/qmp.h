@@ -129,13 +129,13 @@ public:
 
   // Completes the receive: unframes, verifies (when checksums are enabled),
   // and waits out retransmissions of frames that arrived damaged.  May raise
-  // sim::CommTimeout (local wall-clock guard, or a peer poisoned the run).
+  // sim::CommTimeout (no rank left to send, or a peer poisoned the run).
   std::vector<std::byte> wait_receive(sim::RankContext::PendingRecv& pending) {
     auto& counters = ctx_.faults().counters();
     auto& tracer = ctx_.tracer();
     const double recv_begin_us = ctx_.clock().now_us;
     for (;;) {
-      sim::RecvHandle h = ctx_.wait(pending, policy_.wall_timeout_ms);
+      sim::RecvHandle h = ctx_.wait(pending);
       std::vector<std::byte> frame = h.take_payload();
       if (frame.size() < kHeaderBytes)
         throw std::runtime_error("received unframed message on a framed channel");

@@ -4,10 +4,11 @@
 // telemetry JSONL (QUDA_SIM_TELEMETRY), and every BENCH_<name>.json.
 //
 // The stamp records what produced the file -- git describe, build type,
-// the resolved rank scheduler, the host thread budget, and a cluster-spec
-// summary -- as one JSON object, emitted on exactly one line of each
-// export so differential tests (which compare exports bitwise across
-// schedulers and thread budgets) can strip it with a line filter.
+// the host thread budget, and a cluster-spec summary -- as one JSON object,
+// emitted on exactly one line of each export so differential tests (which
+// compare exports bitwise across thread budgets) can strip it with a line
+// filter.  The budget and the rank count fix the rank-worker count
+// (sim::rank_workers).
 //
 // QUDA_SIM_GIT_DESCRIBE / QUDA_SIM_BUILD_TYPE are baked in at configure
 // time by the top-level CMakeLists; the fallbacks keep ad-hoc compiles
@@ -15,7 +16,6 @@
 
 #include "exec/host_engine.h"
 #include "sim/cluster_spec.h"
-#include "sim/scheduler.h"
 
 #include <string>
 
@@ -41,17 +41,14 @@ inline std::string cluster_summary_json(const sim::ClusterSpec& spec) {
          ", \"nodes_per_switch\": " + std::to_string(spec.interconnect.nodes_per_switch) + "}";
 }
 
-// The provenance object itself.  scheduler should be the *resolved* name
-// ("threads" | "seq"); cluster_summary is cluster_summary_json(spec), or
-// empty when no single cluster describes the export (bench suites).
-inline std::string provenance_json(const std::string& scheduler,
-                                   const std::string& cluster_summary = "") {
+// The provenance object itself.  cluster_summary is
+// cluster_summary_json(spec), or empty when no single cluster describes the
+// export (bench suites).
+inline std::string provenance_json(const std::string& cluster_summary = "") {
   std::string out = "{\"git\": \"";
   out += git_describe();
   out += "\", \"build\": \"";
   out += build_type();
-  out += "\", \"scheduler\": \"";
-  out += scheduler;
   out += "\", \"threads\": ";
   out += std::to_string(exec::thread_budget());
   if (!cluster_summary.empty()) {
@@ -62,10 +59,9 @@ inline std::string provenance_json(const std::string& scheduler,
   return out;
 }
 
-// provenance for a run under `spec` (resolves the scheduler the run used)
+// provenance for a run under `spec`
 inline std::string provenance_json(const sim::ClusterSpec& spec) {
-  return provenance_json(sim::scheduler_name(sim::resolve_scheduler(spec.scheduler)),
-                         cluster_summary_json(spec));
+  return provenance_json(cluster_summary_json(spec));
 }
 
 } // namespace quda::core

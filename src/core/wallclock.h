@@ -8,42 +8,16 @@
 // entropy source across src/, bench/, and tests/ -- except inside this
 // file, which is the one allowlisted call site.
 //
-// Two legitimate wall-clock consumers exist, and both route through here:
-//  * the DES deadlock watchdog (RankContext::wait's wall_timeout_ms), via
-//    now_for_watchdog() -- injectable so tests can fake an expired
-//    deadline without sleeping;
-//  * wall-time measurement in the benches (bench_util.h WallTimer), via
-//    wall_now() -- measurement only, never fed back into simulated time.
+// Its one consumer is wall-time measurement in the benches (bench_util.h
+// BenchJson), which never feeds back into simulated time.
 
-#include <atomic>
 #include <chrono>
 
 namespace quda::core {
 
 using WallClock = std::chrono::steady_clock;
-using WallClockFn = WallClock::time_point (*)();
-
-namespace detail {
-// injected override for the watchdog clock (tests only); namespace-scope
-// so no mutable function-local static is needed
-inline std::atomic<WallClockFn> g_watchdog_clock{nullptr};
-} // namespace detail
 
 // monotonic wall-clock read for measurement (benches, tooling)
 inline WallClock::time_point wall_now() { return WallClock::now(); }
-
-// Wall-clock read backing the DES deadlock watchdog.  Defaults to the real
-// monotonic clock; tests inject a fake via set_watchdog_clock_for_testing
-// to exercise timeout paths deterministically and without sleeping.
-inline WallClock::time_point now_for_watchdog() {
-  const WallClockFn fn = detail::g_watchdog_clock.load(std::memory_order_relaxed);
-  return fn != nullptr ? fn() : wall_now();
-}
-
-// install a fake watchdog clock (nullptr restores the real one); returns
-// the previously installed function so tests can nest/restore
-inline WallClockFn set_watchdog_clock_for_testing(WallClockFn fn) {
-  return detail::g_watchdog_clock.exchange(fn);
-}
 
 } // namespace quda::core

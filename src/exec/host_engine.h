@@ -21,7 +21,7 @@
 //   which includes all tier-1 Real-mode tests and the fault-injection
 //   suite -- reproduces the pre-engine results bit-for-bit.
 // * The per-rank discrete-event simulation is untouched: fault draws,
-//   message schedules, and clock charging happen on the rank thread, never
+//   message schedules, and clock charging happen on the rank's fiber, never
 //   inside worker chunks.
 //
 // Thread budget

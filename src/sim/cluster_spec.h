@@ -15,14 +15,6 @@
 
 namespace quda::sim {
 
-// How VirtualCluster::run executes the simulated ranks (DESIGN.md §12):
-//   Threads -- one OS thread per rank (the historical scheduler);
-//   Seq     -- one cooperative event loop resuming stackful fibers in
-//              deterministic (clock, rank) order, so rank count is a
-//              parameter instead of a thread budget;
-//   Auto    -- consult QUDA_SIM_SCHED (threads|seq), default Threads.
-enum class SchedulerKind { Auto, Threads, Seq };
-
 // classification of the wire a delivered message crossed
 enum class LinkClass {
   Shm = 0,         // same node: shared-memory transport
@@ -111,8 +103,6 @@ struct ClusterSpec {
   // solver flight recorder (src/trace/telemetry.h); recording also turns
   // on when QUDA_SIM_TELEMETRY is set (its value = JSONL export path)
   telemetry::TelemetryOptions telemetry{};
-  // how the DES executes the ranks (Auto = QUDA_SIM_SCHED, default threads)
-  SchedulerKind scheduler = SchedulerKind::Auto;
   // leaf-switch grouping of the nodes (default: flat single switch)
   InterconnectModel interconnect{};
 
@@ -171,8 +161,8 @@ struct ClusterSpec {
 
   // A 9g-style cluster scaled past one switch: dual-GPU nodes grouped under
   // 2:1-oversubscribed leaf switches, the shape of the "Scaling Lattice QCD
-  // beyond 100 GPUs" installations.  Big sims (256-1024 ranks) pair this
-  // with SchedulerKind::Seq so rank count stays a parameter.
+  // beyond 100 GPUs" installations.  Big sims (256-1024 ranks) exceed any
+  // thread budget, so their rank fibers share one worker (DESIGN.md §12).
   static ClusterSpec fat_tree(int ranks, int gpus_per_node = 2, int nodes_per_switch = 8,
                               int uplinks_per_switch = 4) {
     if (ranks < 1) throw std::invalid_argument("need at least one rank");

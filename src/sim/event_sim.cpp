@@ -52,7 +52,7 @@ void RankContext::enter_recovery() {
       cluster_.terminal_[static_cast<std::size_t>(rank_)] = 1;
   }
   // cascade: peers blocked on this rank re-check their terminal conditions
-  cluster_.sched_->wake_all();
+  cluster_.sched_.wake_all();
 }
 
 RecoveryEpoch RankContext::recovery_rendezvous() {
@@ -98,11 +98,11 @@ RecoveryEpoch RankContext::recovery_rendezvous() {
     rec.arrived = 0;
     rec.max_arrival = 0;
     ++rec.generation;
-    cluster_.sched_->wake_all();
+    cluster_.sched_.wake_all();
   } else {
     for (bool again = false; !(cluster_.aborted_ || rec.generation != my_generation);
          again = true)
-      (void)cluster_.park(*this, lock, VirtualCluster::WaitTarget::recovery(), again);
+      cluster_.park(*this, lock, VirtualCluster::WaitTarget::recovery(), again);
     if (rec.generation == my_generation) {
       if (cluster_.abort_kind_ == VirtualCluster::AbortKind::Timeout)
         throw CommTimeout("peer rank raised CommTimeout during recovery");
@@ -178,7 +178,7 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
     wake = arrives &&
            cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
   }
-  if (wake) cluster_.sched_->wake(dst);
+  if (wake) cluster_.sched_.wake(dst);
   clock_.advance(spec_.net.mpi_overhead_us);
   return status;
 }
@@ -193,7 +193,7 @@ void RankContext::post_send_failure(int dst, int tag) {
     cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
     wake = cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
   }
-  if (wake) cluster_.sched_->wake(dst);
+  if (wake) cluster_.sched_.wake(dst);
 }
 
 void RankContext::raise_timeout(const std::string& what) {
@@ -209,7 +209,7 @@ RankContext::PendingRecv RankContext::irecv(int src, int tag) {
   return p;
 }
 
-RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
+RecvHandle RankContext::wait(PendingRecv& pending) {
   check_death();
   if (pending.consumed)
     throw std::logic_error("RankContext::wait() called twice on the same PendingRecv");
@@ -246,19 +246,9 @@ RecvHandle RankContext::wait(PendingRecv& pending, double wall_timeout_ms) {
           throw CommTimeout("peer rank raised CommTimeout during recv");
         throw std::runtime_error("peer rank aborted during recv");
       }
-      // park on the scheduler until the sender's arrival wakes us: under
-      // threads this is the rank's condvar (with the wall-clock watchdog
-      // when armed); under seq the fiber yields to the event loop, and
-      // "timed out" is its deterministic equivalent -- every rank parked
-      // with no wakeup pending
-      if (cluster_.park(*this, lock,
-                        VirtualCluster::WaitTarget::channel(pending.src, pending.tag), again,
-                        wall_timeout_ms) &&
-          chan.queue.empty() && !cluster_.aborted_ && cluster_.deaths_.empty()) {
-        lock.unlock();
-        raise_timeout("wall-clock timeout waiting for message from rank " +
-                      std::to_string(pending.src));
-      }
+      // park until the sender's arrival wakes us
+      cluster_.park(*this, lock, VirtualCluster::WaitTarget::channel(pending.src, pending.tag),
+                    again);
     }
     if (chan.queue.front().failed) {
       chan.queue.pop_front();
@@ -368,13 +358,12 @@ void RankContext::allreduce_sum(double* values, int count) {
     // wake exactly the ranks parked on the generation this arrival completed
     for (int r = 0; r < n; ++r)
       if (cluster_.claim_waiter(r, VirtualCluster::WaitTarget::reduction(my_generation)))
-        cluster_.sched_->wake(r);
+        cluster_.sched_.wake(r);
   } else {
     for (bool again = false; !(cluster_.aborted_ || red.generation != my_generation ||
                                cluster_.reduction_blocked_by_failure());
          again = true)
-      (void)cluster_.park(*this, lock, VirtualCluster::WaitTarget::reduction(my_generation),
-                          again);
+      cluster_.park(*this, lock, VirtualCluster::WaitTarget::reduction(my_generation), again);
     if (red.generation == my_generation) {
       // a generation that can never complete aborts with *no* collective
       // span recorded on any participant, keeping the per-rank collective
@@ -399,18 +388,29 @@ void RankContext::barrier() {
   allreduce_sum(&v, 1);
 }
 
-bool VirtualCluster::park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target,
-                          bool again, double wall_timeout_ms) {
+void VirtualCluster::park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target,
+                          bool again) {
   SchedCounters& counters = ctx.sched_counters_;
   ++counters.parks;
   if (again) ++counters.spurious;
   WaitTarget& slot = parked_[static_cast<std::size_t>(ctx.rank())];
   slot = target;
-  const bool timed_out = sched_->park(ctx.rank(), lock, wall_timeout_ms);
-  // a failure broadcast (or an OS wakeup under threads) leaves the slot set
+  const bool deadlocked = sched_.park(ctx.rank(), lock);
+  // a failure broadcast or the deadlock rule leaves the slot set
   slot = WaitTarget{};
   ++counters.wakes;
-  return timed_out;
+  if (!deadlocked) return;
+  // Every rank is parked, so no operation can satisfy any wait.  The
+  // lowest-ranked parked rank (this one) raises; run() records its error
+  // before the poison that unblocks every other rank with CommTimeout.
+  std::string what = "the recovery rendezvous";
+  if (target.kind == WaitTarget::Kind::Channel)
+    what = "a message from rank " + std::to_string(target.src) + " on tag " +
+           std::to_string(target.tag);
+  else if (target.kind == WaitTarget::Kind::Reduction)
+    what = "allreduce generation " + std::to_string(target.generation);
+  throw CommTimeout("simulated deadlock: every rank is parked and rank " +
+                    std::to_string(ctx.rank()) + " waits for " + what);
 }
 
 bool VirtualCluster::claim_waiter(int rank, const WaitTarget& target) {
@@ -427,7 +427,7 @@ void VirtualCluster::register_death(int rank, DeathKind kind, double time_us) {
     if (rank < static_cast<int>(terminal_.size()))
       terminal_[static_cast<std::size_t>(rank)] = 1;
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 bool VirtualCluster::reduction_blocked_by_failure() const {
@@ -444,14 +444,11 @@ void VirtualCluster::poison(AbortKind kind) {
       abort_kind_ = kind;
     }
   }
-  sched_->wake_all();
+  sched_.wake_all();
 }
 
 void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   const int n = spec_.num_ranks();
-  const SchedulerKind kind = resolve_scheduler(spec_.scheduler);
-  if (kind == SchedulerKind::Threads && n > threads_scheduler_capacity())
-    throw SchedulerCapacityError(n, threads_scheduler_capacity());
   {
     core::MutexLock lock(mutex_);
     aborted_ = false;
@@ -468,7 +465,6 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     red_.arrived_mask.assign(static_cast<std::size_t>(n), 0);
     recovery_ = RecoverySync{};
   }
-  sched_ = make_scheduler(kind);
   // tracing turns on via the spec or the QUDA_SIM_TRACE environment variable
   // (whose value doubles as the Chrome JSON export path)
   const char* env_trace = std::getenv("QUDA_SIM_TRACE");
@@ -498,11 +494,10 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   std::exception_ptr first_error;
   core::Mutex error_mutex;
 
-  // The body every scheduler drives, once per rank: run fn and convert any
+  // The body the scheduler drives, once per rank: run fn and convert any
   // escape into cluster poison + first-error capture.  Bodies never throw
-  // past the scheduler (the fiber/thread boundary).  The scheduler binds
-  // each rank's tracer as the thread-local trace::current() while that
-  // rank executes (per resume under seq).
+  // past the scheduler (the fiber boundary).  The scheduler binds each
+  // rank's tracer as the thread-local trace::current() on every resume.
   const auto body = [&](RankContext& ctx) {
     try {
       fn(ctx);
@@ -531,7 +526,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
       poison(AbortKind::Error);
     }
   };
-  sched_->run(rank_ptrs, trace_on, body);
+  sched_.run(rank_ptrs, trace_on, body);
 
   // fault/recovery and scheduler accounting survives even a failed run --
   // tests assert on counters after catching CommTimeout
@@ -552,8 +547,7 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
 
   // the trace likewise survives a failed run (partial timelines are exactly
   // what one wants when diagnosing a CommTimeout)
-  const std::string provenance =
-      core::provenance_json(scheduler_name(kind), core::cluster_summary_json(spec_));
+  const std::string provenance = core::provenance_json(spec_);
   trace_report_ = trace::TraceReport{};
   trace_report_.enabled = trace_on;
   trace_report_.gpus_per_node = spec_.gpus_per_node;
@@ -585,7 +579,6 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
                              provenance);
   }
 
-  sched_.reset();
   if (first_error) std::rethrow_exception(first_error);
   channels_.clear();
 }

@@ -2,17 +2,18 @@
 // Conservative discrete-event simulation of an SPMD message-passing program.
 //
 // Each simulated rank executes *real* program logic (including real
-// numerics when desired) under a pluggable RankScheduler (sim/scheduler.h):
-// one OS thread per rank (`threads`, the default) or one cooperative event
-// loop resuming stackful fibers (`seq`, which scales to O(1000) ranks).
-// Each rank owns a SimClock; local work advances it by modeled durations.
-// Ranks interact only through the message channels and collective
-// operations below, whose completion times are pure functions of the
-// participants' clocks and the network model -- so simulated timings are
-// deterministic regardless of OS scheduling, and bit-identical across the
-// two schedulers (tests/test_scheduler_equivalence.cpp).  A blocked rank
-// parks on a slot of its own and is woken only by the operation that
-// satisfies its wait; failures wake everyone (DESIGN.md §12).
+// numerics when desired) as a fiber of the RankScheduler (sim/scheduler.h),
+// which runs the fibers on one OS worker per rank when the ranks fit in the
+// host thread budget and on a single worker otherwise, so rank count scales
+// to O(1000).  Each rank owns a SimClock; local work advances it by modeled
+// durations.  Ranks interact only through the message channels and
+// collective operations below, whose completion times are pure functions of
+// the participants' clocks and the network model -- so simulated timings are
+// deterministic regardless of OS scheduling, and bit-identical at any worker
+// count (tests/test_scheduler_equivalence.cpp).  A blocked rank parks on a
+// slot of its own and is woken only by the operation that satisfies its
+// wait; failures wake everyone, and a cluster whose ranks are all parked
+// raises CommTimeout (DESIGN.md §12).
 //
 // Semantics mirror the MPI subset that QMP exposes and the paper uses:
 // point-to-point non-blocking send/receive with handles, and all-reduce.
@@ -71,8 +72,8 @@ struct RecoveryEpoch {
 };
 
 // Per-rank scheduler counters of one run(), counted in the transport's wait
-// loops.  Under seq they are a pure function of the configuration; under
-// threads the OS may add spurious wakeups.
+// loops.  On one worker they are a pure function of the configuration; with
+// more workers a wake meant for an earlier wait may add a spurious resume.
 struct SchedCounters {
   std::int64_t parks = 0;    // times the rank blocked in a transport wait
   std::int64_t wakes = 0;    // times it resumed from one
@@ -171,12 +172,11 @@ public:
   };
   PendingRecv irecv(int src, int tag);
 
-  // Blocks (in wall time) until the message arrives.  Dropped-attempt
-  // tombstones are skipped silently; a failed tombstone (sender gave up)
-  // raises CommTimeout.  wall_timeout_ms > 0 bounds the wall-clock wait as
-  // a last-ditch deadlock guard (also CommTimeout).  Waiting twice on the
-  // same PendingRecv is a hard error.
-  RecvHandle wait(PendingRecv& pending, double wall_timeout_ms = 0);
+  // Blocks until the message arrives.  Dropped-attempt tombstones are
+  // skipped silently; a failed tombstone (sender gave up) raises
+  // CommTimeout, as does a wait no rank is left to satisfy.  Waiting twice
+  // on the same PendingRecv is a hard error.
+  RecvHandle wait(PendingRecv& pending);
 
   // blocking receive: irecv + wait
   RecvHandle recv(int src, int tag);
@@ -232,10 +232,8 @@ public:
 
   const ClusterSpec& spec() const { return spec_; }
 
-  // Run fn on every rank under the spec's scheduler (threads: one OS thread
-  // each; seq: one cooperative event loop); rethrows the first exception.
-  // Raises SchedulerCapacityError when the resolved scheduler is `threads`
-  // and the rank count exceeds threads_scheduler_capacity().
+  // Run fn on every rank, each a fiber on rank_workers(ranks,
+  // exec::thread_budget()) OS workers; rethrows the first exception.
   void run(const std::function<void(RankContext&)>& fn);
 
   // maximum simulated completion time over all ranks of the last run()
@@ -302,11 +300,11 @@ private:
   };
 
   // Park ctx's rank until the op that satisfies `target` wakes it (or a
-  // failure path wakes everyone); returns the scheduler's watchdog verdict.
-  // Counts the park and the resume, plus a spurious re-park when `again`
-  // (the previous wake left the wait unmet).
-  bool park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target, bool again,
-            double wall_timeout_ms = 0) QUDA_REQUIRES(mutex_);
+  // failure path wakes everyone).  Counts the park and the resume, plus a
+  // spurious re-park when `again` (the previous wake left the wait unmet).
+  // Raises CommTimeout when the scheduler finds every rank parked.
+  void park(RankContext& ctx, core::MutexLock& lock, const WaitTarget& target, bool again)
+      QUDA_REQUIRES(mutex_);
   // when `rank` is parked on `target`, clear its slot and return true: the
   // caller must then wake it
   bool claim_waiter(int rank, const WaitTarget& target) QUDA_REQUIRES(mutex_);
@@ -371,12 +369,9 @@ private:
     RecoveryEpoch last; // published by the completing arrival
   } recovery_ QUDA_GUARDED_BY(mutex_);
 
-  // Execution engine of the current run() (threads or seq, resolved from
-  // ClusterSpec::scheduler / QUDA_SIM_SCHED).  Created at run() entry and
-  // torn down at exit; stable for the whole run, so ranks dereference it
-  // without holding mutex_ (only park's internals touch shared scheduler
-  // state, under their own discipline).
-  std::unique_ptr<RankScheduler> sched_;
+  // runs the rank fibers; its state has a lock of its own, taken after
+  // mutex_ when both are held
+  RankScheduler sched_;
 
   double makespan_us_ = 0;
   FaultCounters fault_totals_;

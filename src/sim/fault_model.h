@@ -133,9 +133,6 @@ struct RetryPolicy {
   // hosts streams at memory bandwidth)
   bool checksums = false;
   double checksum_bw_gbs = 20.0;
-  // wall-clock guard on wait(): a receiver stuck this long with no arrival
-  // raises CommTimeout instead of hanging CI forever (0 disables)
-  double wall_timeout_ms = 20000;
 };
 
 // per-rank fault/recovery accounting; aggregated by VirtualCluster::run

@@ -1,114 +1,113 @@
 #pragma once
-// Pluggable rank schedulers for the discrete-event cluster simulator
-// (DESIGN.md §12).  VirtualCluster::run hands every rank body to one of
-// these; the RankContext SPMD API is identical under both:
+// The rank scheduler of the discrete-event cluster simulator (DESIGN.md §12).
+// VirtualCluster::run hands every rank body to it, and the RankContext SPMD
+// API sits on top of its park/wake protocol.
 //
-//   ThreadsScheduler -- one OS thread per simulated rank, each parked on a
-//     condition variable of its own (the historical execution mode).
-//     Capacity-limited: thread stacks and kernel scheduling make O(1000)
-//     ranks impractical, so exceeding threads_scheduler_capacity() raises
-//     a typed SchedulerCapacityError naming the escape hatch.
-//
-//   SeqScheduler -- one cooperative event loop on the calling thread,
-//     running each rank as a stackful fiber (ucontext) with a lazily
-//     committed guard-paged stack.  The loop always resumes the runnable
-//     fiber with the smallest (simulated clock, rank) pair, kept in a
-//     min-heap, so execution order is a pure function of the simulation
-//     state -- there is no OS interleaving left to be nondeterministic
-//     about.  Rank count becomes a parameter: 1024 ranks are 1024 fibers,
-//     not 1024 threads.
+// Each rank runs as a stackful fiber (ucontext) with a lazily committed
+// guard-paged stack.  K OS workers resume the fibers, and every worker takes
+// the runnable fiber with the smallest (simulated clock, rank) pair from one
+// shared min-heap.  K is rank_workers(ranks, exec::thread_budget()):
+//   * one worker per rank when the ranks fit in the thread budget, so
+//     Real-mode ranks overlap their serial host work the way one MPI process
+//     per GPU does;
+//   * one worker otherwise.  Its resume order is then a pure function of the
+//     simulation state, and rank count is a parameter: 1024 ranks are 1024
+//     fibers, not 1024 threads.
 //
 // Wakeups are targeted: the transport records what each parked rank waits
 // for and wakes only the rank whose wait it satisfies (wake); wake_all is
 // reserved for failure paths, where every parked rank must re-check.
 //
+// Deadlock is exact at any K: when live fibers remain, none is running and
+// none is runnable, no wakeup can ever come.  The lowest-ranked parked fiber
+// is then resumed with park() returning true, and its rank raises the typed
+// CommTimeout.
+//
 // Because message/collective completion times are pure functions of the
-// participants' clocks (conservative DES), the two schedulers produce
-// bit-identical simulated timelines; tests/test_scheduler_equivalence.cpp
-// pins that equivalence differentially.
+// participants' clocks (conservative DES), the simulated timeline does not
+// depend on K; tests/test_scheduler_equivalence.cpp pins K = 1 against
+// K = ranks bitwise.
 
 #include "core/sync.h"
-#include "sim/cluster_spec.h"
 
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <string>
+#include <queue>
+#include <utility>
 #include <vector>
 
 namespace quda::sim {
 
 class RankContext;
 
-// Raised by VirtualCluster::run when the requested rank count exceeds what
-// the threads scheduler can service, instead of dying inside std::thread
-// construction.  The message names the escape hatch.
-class SchedulerCapacityError : public std::runtime_error {
-public:
-  SchedulerCapacityError(int requested, int capacity)
-      : std::runtime_error(
-            "simulated cluster of " + std::to_string(requested) +
-            " ranks exceeds the threads scheduler's capacity of " + std::to_string(capacity) +
-            " OS threads; use the cooperative event-loop scheduler instead "
-            "(QUDA_SIM_SCHED=seq, or ClusterSpec::scheduler = SchedulerKind::Seq)"),
-        requested_(requested), capacity_(capacity) {}
+// The K rule: OS workers that run `ranks` rank fibers under a host thread
+// budget of `budget` -- ranks when they fit, one otherwise (never zero).
+int rank_workers(int ranks, int budget);
 
-  int requested() const { return requested_; }
-  int capacity() const { return capacity_; }
-
-private:
-  int requested_;
-  int capacity_;
-};
-
-// canonical name of a resolved scheduler kind ("threads" | "seq")
-const char* scheduler_name(SchedulerKind kind);
-
-// Resolve Auto: the QUDA_SIM_SCHED environment variable (threads|seq; any
-// other value is an std::invalid_argument), defaulting to Threads.  An
-// explicit ClusterSpec::scheduler setting wins over the environment.
-SchedulerKind resolve_scheduler(SchedulerKind requested);
-
-// rank count the threads scheduler accepts before raising a typed
-// SchedulerCapacityError (QUDA_SIM_MAX_RANK_THREADS overrides; >= 1)
-int threads_scheduler_capacity();
-
-// Execution engine behind VirtualCluster::run.  run() drives every rank
-// body to completion; bodies must not throw (VirtualCluster wraps them).
-// park/wake/wake_all implement the blocking protocol of the transport: the
-// cluster mutex is held on entry to and on return from park, and released
-// while parked.  Each rank parks on a slot of its own, so a wake reaches
-// exactly one rank.
 class RankScheduler {
 public:
-  virtual ~RankScheduler() = default;
+  RankScheduler();
+  ~RankScheduler();
+  RankScheduler(const RankScheduler&) = delete;
+  RankScheduler& operator=(const RankScheduler&) = delete;
 
-  // run body(*ranks[r]) once per rank (ranks[r] must be rank r); returns
-  // when every rank finished.  trace_on binds each rank's tracer as the
-  // thread-local trace::current() for the duration of that rank's execution
-  // (per resume under seq).
-  virtual void run(const std::vector<RankContext*>& ranks, bool trace_on,
-                   const std::function<void(RankContext&)>& body) = 0;
+  // Run body(*ranks[r]) once per rank (ranks[r] must be rank r) on
+  // rank_workers(ranks, exec::thread_budget()) OS workers, the calling
+  // thread among them; returns when every rank finished.  Bodies must not
+  // throw (VirtualCluster wraps them).  trace_on binds each rank's tracer as
+  // the thread-local trace::current() on every resume, since a fiber may
+  // resume on any worker.
+  void run(const std::vector<RankContext*>& ranks, bool trace_on,
+           const std::function<void(RankContext&)>& body);
 
-  // Park the calling rank (`rank`) until wake(rank) or wake_all().  Returns
-  // true when the caller armed a watchdog (wall_timeout_ms > 0) and it fired
-  // with no wakeup: under threads that is a real wall-clock cv timeout;
-  // under seq it is the deterministic equivalent -- every rank is parked, so
-  // no wakeup can ever come.  A seq-mode deadlock with no watchdog armed
-  // anywhere throws std::runtime_error from the lowest-ranked parked fiber.
-  // Callers re-check their wait condition on return: threads may also wake
-  // spuriously.
-  virtual bool park(int rank, core::MutexLock& lock, double wall_timeout_ms) = 0;
+  // Park the calling rank until wake(rank) or wake_all().  The cluster
+  // mutex (`lock`) is held on entry and on return, and released while
+  // parked.  Returns true when the rank was resumed by the deadlock rule
+  // instead of a wakeup.  Callers re-check their wait condition otherwise:
+  // with K > 1 a wake meant for an earlier wait can arrive late.
+  bool park(int rank, core::MutexLock& lock);
 
-  // wake one parked rank; a no-op under seq when the rank is not parked
-  virtual void wake(int rank) = 0;
+  // wake one parked rank; a no-op when the rank is not parked
+  void wake(int rank);
 
   // wake every parked rank so it re-checks its wait condition (failure
   // paths only: poison, deaths, recovery)
-  virtual void wake_all() = 0;
-};
+  void wake_all();
 
-// construct the scheduler for a resolved (non-Auto) kind
-std::unique_ptr<RankScheduler> make_scheduler(SchedulerKind kind);
+private:
+  struct Fiber;
+  struct Worker;
+
+  static void trampoline(unsigned hi, unsigned lo);
+  void work(Worker& w);
+  // worker -> fiber, and back once the fiber parks or finishes
+  void resume(Worker& w, Fiber& f);
+  // fiber -> the worker running it; the fiber holds mutex_, which the
+  // worker then owns
+  void suspend(Fiber& f);
+  void make_runnable(Fiber& f) QUDA_REQUIRES(mutex_);
+
+  // The scheduler lock.  A fiber takes it before switching out and the
+  // worker it switched to releases it, so no other worker can resume the
+  // fiber before its context is saved.
+  core::Mutex mutex_;
+  core::CondVar idle_ QUDA_CV_WAITS_WITH(mutex_); // workers with nothing runnable
+  // Indexed by rank and fixed for a run; each fiber's state fields are
+  // guarded by mutex_.
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  // The runnable fibers keyed by (simulated clock, rank); a worker resumes
+  // the smallest, so with one worker the order is a pure function of
+  // simulation state, with rank as the deterministic tie-break.  A key is
+  // exact until its fiber runs: a runnable fiber's clock cannot change
+  // before it is resumed, and no rank writes another rank's clock.
+  std::priority_queue<std::pair<double, int>, std::vector<std::pair<double, int>>,
+                      std::greater<>>
+      runnable_ QUDA_GUARDED_BY(mutex_);
+  int live_ QUDA_GUARDED_BY(mutex_) = 0;    // fibers not yet done
+  int running_ QUDA_GUARDED_BY(mutex_) = 0; // fibers on a worker right now
+  int idle_workers_ QUDA_GUARDED_BY(mutex_) = 0;
+  const std::function<void(RankContext&)>* body_ = nullptr;
+  bool trace_on_ = false;
+};
 
 } // namespace quda::sim

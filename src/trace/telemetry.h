@@ -5,8 +5,8 @@
 // purely observational.  A recorder hook never reads-and-advances a
 // SimClock -- it only samples the bound clock pointer -- so a
 // telemetry-enabled run is bit-identical in solution, makespan and trace
-// digests to a disabled one, at any QUDA_SIM_THREADS / QUDA_SIM_SCHED
-// (tests/test_telemetry.cpp pins this).
+// digests to a disabled one, at any QUDA_SIM_THREADS budget and so at any
+// rank-worker count (tests/test_telemetry.cpp pins this).
 //
 // Four pieces:
 //  * a typed metric Registry per rank (counters, gauges, fixed-bucket
@@ -257,11 +257,11 @@ private:
 };
 
 // thread-local recorder of the simulated rank running on this OS thread;
-// null off a rank thread.  The returned recorder may be disabled -- hooks
-// on a disabled recorder are no-ops -- so schedulers bind unconditionally.
+// null off a rank fiber.  The returned recorder may be disabled -- hooks on
+// a disabled recorder are no-ops -- so the scheduler binds unconditionally.
 RankRecorder* current();
 
-// RAII binding of current() for the lifetime of a rank thread's workload
+// RAII binding of current() while a rank's fiber runs on this thread
 class ScopedRecorder {
 public:
   explicit ScopedRecorder(RankRecorder* recorder);

@@ -10,11 +10,11 @@
 // invariant tests/test_exec.cpp pins).
 //
 // Ownership and threading: each RankContext owns one RankTracer, written
-// only from that rank's thread, so no synchronization is needed on the hot
+// only from that rank's fiber, so no synchronization is needed on the hot
 // path.  Layers that cannot see the RankContext (the device model, the
-// solvers) emit through the thread-local current() pointer, which
-// VirtualCluster::run binds for the duration of each rank thread -- and
-// only when tracing is enabled, so the disabled cost is one null check.
+// solvers) emit through the thread-local current() pointer, which the rank
+// scheduler binds on every resume of the rank's fiber -- and only when
+// tracing is enabled, so the disabled cost is one null check.
 //
 // Two sinks consume the recorded events after a run:
 //  * trace_export.h turns them into a Chrome/Perfetto trace_event JSON
@@ -163,10 +163,10 @@ private:
 };
 
 // thread-local tracer of the simulated rank running on this OS thread;
-// null when tracing is disabled (or off a rank thread entirely)
+// null when tracing is disabled (or off a rank fiber entirely)
 RankTracer* current();
 
-// RAII binding of current() for the lifetime of a rank thread's workload
+// RAII binding of current() while a rank's fiber runs on this thread
 class ScopedTracer {
 public:
   explicit ScopedTracer(RankTracer* tracer);

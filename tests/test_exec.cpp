@@ -284,7 +284,7 @@ TEST(HostEngineKernels, FusedBlasMatchesUnfusedComposition) {
 // field -- to the same solve with recording off, at every worker budget.
 // This pins two contracts at once: the tracer is purely observational
 // (emission never advances a clock), and it is safe under QUDA_SIM_THREADS
-// worker parallelism (events are written only from rank threads; worker
+// worker parallelism (events are written only from rank fibers; worker
 // chunks never emit).
 TEST(HostEngineTrace, TracedSolveBitIdenticalAcrossBudgetsAndTraceState) {
   Geometry g{LatticeDims{4, 4, 4, 8}};

@@ -1,19 +1,16 @@
-// Scheduler equivalence suite (DESIGN.md §12): the cooperative event-loop
-// scheduler (QUDA_SIM_SCHED=seq, rank-per-fiber) must be observationally
-// indistinguishable from the historical thread-per-rank scheduler.  Because
+// Scheduler equivalence suite (DESIGN.md §12): the rank fibers must walk
+// the same timeline on one OS worker as on one worker per rank.  Because
 // the DES is conservative -- message and collective completion times are
-// pure functions of the participants' simulated clocks -- both schedulers
-// walk the same timeline, and every observable must match *bitwise*:
+// pure functions of the participants' simulated clocks -- no interleaving
+// of the workers can change it, and every observable must match *bitwise*:
 // solution vectors, makespans, FaultReport/RecoveryReport (checkpoint
 // digests included), per-rank FNV-1a trace digests, and exported trace
-// files with timestamps.  The sweep runs each scenario under both
-// schedulers at QUDA_SIM_THREADS budgets {1, 2, 8}: the budget throttles
-// host-side parallel_for work and must not perturb the timeline either.
+// files with timestamps.  Each scenario runs at QUDA_SIM_THREADS budget 1
+// (one worker) against budgets {2, ranks}: budget = ranks gives every rank
+// a worker of its own, and the budget also throttles host-side
+// parallel_for work, which must not perturb the timeline either.
 //
-// Also pinned here: the typed SchedulerCapacityError raised when the
-// threads scheduler is asked for more ranks than it can service, and the
-// QUDA_SIM_SCHED resolution rules (explicit spec beats environment,
-// unknown values are a loud std::invalid_argument).
+// Also pinned here: the rule that picks the worker count.
 
 #include "core/quda_api.h"
 #include "dirac/gauge_init.h"
@@ -30,7 +27,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,15 +36,28 @@ namespace {
 using parallel::ModeledSolverConfig;
 using parallel::ModeledSolverResult;
 
-// the suite drives the scheduler and capacity knobs itself; scrub any
-// ambient values so every run starts from the documented defaults
+// the suite drives the recording switches itself; scrub any ambient values
+// so every run starts from the documented defaults
 const bool g_env_cleared = [] {
   ::unsetenv("QUDA_SIM_TRACE");
   ::unsetenv("QUDA_SIM_TELEMETRY");
-  ::unsetenv("QUDA_SIM_SCHED");
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
   return true;
 }();
+
+// the budgets every scenario runs at against the budget-1 baseline: a
+// budget below the rank count keeps one worker, budget = ranks gives each
+// rank its own
+std::vector<int> other_budgets(int ranks) { return {2, ranks}; }
+
+TEST(RankWorkers, OnePerRankWithinTheBudgetOtherwiseOne) {
+  EXPECT_EQ(sim::rank_workers(0, 4), 1);
+  EXPECT_EQ(sim::rank_workers(1, 1), 1);
+  EXPECT_EQ(sim::rank_workers(2, 4), 2);
+  EXPECT_EQ(sim::rank_workers(4, 4), 4);
+  EXPECT_EQ(sim::rank_workers(5, 4), 1);
+  EXPECT_EQ(sim::rank_workers(4, 1), 1);
+  EXPECT_EQ(sim::rank_workers(1024, 8), 1);
+}
 
 // --- modeled-solver scenarios ------------------------------------------------
 
@@ -70,10 +79,9 @@ struct ModeledObs {
   std::vector<std::uint64_t> digests; // per-rank trace sequence digests
 };
 
-ModeledObs run_modeled(sim::SchedulerKind kind, int ranks, const ModeledSolverConfig& cfg,
+ModeledObs run_modeled(int ranks, const ModeledSolverConfig& cfg,
                        const sim::FaultConfig& faults = {}) {
   sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.scheduler = kind;
   spec.trace.enabled = true;
   spec.faults = faults;
   sim::VirtualCluster cluster(spec);
@@ -88,7 +96,7 @@ ModeledObs run_modeled(sim::SchedulerKind kind, int ranks, const ModeledSolverCo
 void expect_same_modeled(const ModeledObs& a, const ModeledObs& b, const std::string& label) {
   EXPECT_EQ(a.result.fits, b.result.fits) << label;
   EXPECT_EQ(a.result.iterations, b.result.iterations) << label;
-  // EXPECT_EQ on doubles is exact comparison on purpose: the schedulers
+  // EXPECT_EQ on doubles is exact comparison on purpose: the worker counts
   // must agree bitwise, not to a tolerance
   EXPECT_EQ(a.result.time_us, b.result.time_us) << label;
   EXPECT_EQ(a.result.effective_gflops, b.result.effective_gflops) << label;
@@ -98,24 +106,19 @@ void expect_same_modeled(const ModeledObs& a, const ModeledObs& b, const std::st
     EXPECT_EQ(a.digests[r], b.digests[r]) << label << " rank " << r << " trace digest";
 }
 
-// run one scenario under every (scheduler, thread budget) combination and
-// require each run to match the threads/budget-1 baseline bitwise
+// run one scenario at budget 1 and at the other budgets, and require each
+// run to match the budget-1 baseline bitwise
 void sweep_modeled(int ranks, const ModeledSolverConfig& cfg,
                    const sim::FaultConfig& faults = {}) {
   exec::set_thread_budget(1);
-  const ModeledObs base = run_modeled(sim::SchedulerKind::Threads, ranks, cfg, faults);
+  const ModeledObs base = run_modeled(ranks, cfg, faults);
   ASSERT_TRUE(base.result.fits);
   ASSERT_EQ(base.digests.size(), static_cast<std::size_t>(ranks));
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      exec::set_thread_budget(budget);
-      const ModeledObs other = run_modeled(kind, ranks, cfg, faults);
-      expect_same_modeled(base, other,
-                          std::string(sim::scheduler_name(kind)) + " budget " +
-                              std::to_string(budget));
-    }
+  for (const int budget : other_budgets(ranks)) {
+    exec::set_thread_budget(budget);
+    const ModeledObs other = run_modeled(ranks, cfg, faults);
+    expect_same_modeled(base, other, "budget " + std::to_string(budget));
   }
   exec::set_thread_budget(0); // back to the environment default
 }
@@ -129,7 +132,7 @@ TEST(SchedulerEquivalence, ModeledSolveNoOverlap) {
 }
 
 // a 1x2x2x2 grid exercises the multi-dimensional halo exchange paths (six
-// neighbors per rank instead of two) under both schedulers
+// neighbors per rank instead of two) at both worker counts
 TEST(SchedulerEquivalence, ModeledSolveMultiDimGrid) {
   ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
   cfg.topology = comm::GridTopology{{1, 2, 2, 2}};
@@ -137,8 +140,8 @@ TEST(SchedulerEquivalence, ModeledSolveMultiDimGrid) {
 }
 
 // the fig5(a) 32-GPU point (32^3 x 256 time-sliced over 32 GPUs, single/half
-// with overlap): 32 rank threads, so a wakeup that reached the wrong rank,
-// or none, would show here first
+// with overlap): 32 ranks on 32 workers, so a wakeup that reached the wrong
+// rank, or none, would show here first
 TEST(SchedulerEquivalence, ModeledSolve32RankFig5Point) {
   ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
   cfg.local = LatticeDims{32, 32, 32, 8};
@@ -147,7 +150,7 @@ TEST(SchedulerEquivalence, ModeledSolve32RankFig5Point) {
 
 // message faults (drops, degraded links, transient stalls) perturb the
 // timeline through the retry machinery; the injected schedule is a pure
-// function of the seed, so both schedulers must replay it exactly
+// function of the seed, so every worker count must replay it exactly
 TEST(SchedulerEquivalence, ModeledSolveWithMessageFaults) {
   sim::FaultConfig faults;
   faults.seed = 20260808;
@@ -185,9 +188,9 @@ struct RealObs {
   std::string trace_json; // exported Chrome trace, timestamps included
 };
 
-// Exports carry a one-line provenance stamp naming the scheduler and thread
-// budget -- exactly what these tests vary -- so strip those lines before the
-// bitwise comparison.  Everything else must match to the last bit.
+// Exports carry a one-line provenance stamp naming the thread budget --
+// exactly what these tests vary -- so strip those lines before the bitwise
+// comparison.  Everything else must match to the last bit.
 std::string strip_provenance(const std::string& text) {
   std::string out;
   std::size_t pos = 0;
@@ -219,10 +222,8 @@ std::string slurp_export(const std::string& base) {
   return "";
 }
 
-RealObs run_real(const RealFixture& f, sim::ClusterSpec spec, sim::SchedulerKind kind,
-                 int budget, int run_index) {
+RealObs run_real(const RealFixture& f, sim::ClusterSpec spec, int budget, int run_index) {
   exec::set_thread_budget(budget);
-  spec.scheduler = kind;
   spec.trace.enabled = true;
   const std::string trace_path =
       "sched_equiv_" + std::to_string(run_index) + ".trace.json";
@@ -270,7 +271,7 @@ void expect_same_real(const RealObs& a, const RealObs& b, const Geometry& g,
 
 // CG on the normal equations with a seeded message-fault environment: the
 // full reliable-messaging story (retries, degraded links, rollbacks) must
-// replay identically under the fiber scheduler
+// replay identically at every worker count
 TEST(SchedulerEquivalence, RealCGWithMessageFaults) {
   RealFixture f;
   // uniform-precision CG: the mixed-precision path is BiCGstab-only
@@ -285,27 +286,22 @@ TEST(SchedulerEquivalence, RealCGWithMessageFaults) {
   spec.faults.corrupt_rate = 0.01;
 
   int run_index = 0;
-  const RealObs base = run_real(f, spec, sim::SchedulerKind::Threads, 1, run_index++);
+  const RealObs base = run_real(f, spec, 1, run_index++);
   ASSERT_TRUE(base.r.stats.converged) << base.r.stats.summary();
   ASSERT_FALSE(base.r.faults.clean()) << "the fault injection must actually fire";
   ASSERT_FALSE(base.trace_json.empty());
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      const RealObs other = run_real(f, spec, kind, budget, run_index++);
-      expect_same_real(base, other, f.g,
-                       std::string(sim::scheduler_name(kind)) + " budget " +
-                           std::to_string(budget));
-    }
+  for (const int budget : other_budgets(spec.num_ranks())) {
+    const RealObs other = run_real(f, spec, budget, run_index++);
+    expect_same_real(base, other, f.g, "budget " + std::to_string(budget));
   }
   exec::set_thread_budget(0);
 }
 
 // rank crashes, heartbeat detection, and coordinated checkpoint/restart:
-// the hardest scenario for the seq scheduler's deterministic deadlock
-// protocol (survivors park on a dead peer, the watchdog must fire in
-// simulated order, and the recovery rendezvous must reconverge)
+// the hardest scenario for the wakeup protocol (survivors park on a dead
+// peer, the death must wake them in simulated order, and the recovery
+// rendezvous must reconverge)
 TEST(SchedulerEquivalence, RealCrashRecoveryCheckpointRestart) {
   RealFixture f;
 
@@ -321,99 +317,17 @@ TEST(SchedulerEquivalence, RealCrashRecoveryCheckpointRestart) {
   spec.faults.crash_window_us = 0.5 * clean.simulated_time_us;
 
   int run_index = 100;
-  const RealObs base = run_real(f, spec, sim::SchedulerKind::Threads, 1, run_index++);
+  const RealObs base = run_real(f, spec, 1, run_index++);
   ASSERT_TRUE(base.r.stats.converged) << base.r.stats.summary();
   ASSERT_GT(base.r.faults.recovery.crashes, 0) << "the crash injection must actually fire";
   ASSERT_GT(base.r.faults.recovery.restores, 0);
   ASSERT_NE(base.r.faults.recovery.checkpoint_digest, 0u);
   ASSERT_FALSE(base.trace_json.empty());
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      const RealObs other = run_real(f, spec, kind, budget, run_index++);
-      expect_same_real(base, other, f.g,
-                       std::string(sim::scheduler_name(kind)) + " budget " +
-                           std::to_string(budget));
-    }
+  for (const int budget : other_budgets(spec.num_ranks())) {
+    const RealObs other = run_real(f, spec, budget, run_index++);
+    expect_same_real(base, other, f.g, "budget " + std::to_string(budget));
   }
-  exec::set_thread_budget(0);
-}
-
-// --- scheduler selection and capacity ----------------------------------------
-
-TEST(SchedulerCapacity, DefaultCapacityAndOverride) {
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "3", 1);
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 3);
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "0", 1); // below the >= 1 floor: ignored
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
-  EXPECT_EQ(sim::threads_scheduler_capacity(), 512);
-}
-
-TEST(SchedulerCapacity, ThreadsOverCapacityRaisesTypedError) {
-  ::setenv("QUDA_SIM_MAX_RANK_THREADS", "3", 1);
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
-  spec.scheduler = sim::SchedulerKind::Threads;
-  sim::VirtualCluster cluster(spec);
-  const ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
-  bool threw = false;
-  try {
-    parallel::run_modeled_solver(cluster, cfg);
-  } catch (const sim::SchedulerCapacityError& e) {
-    threw = true;
-    EXPECT_EQ(e.requested(), 4);
-    EXPECT_EQ(e.capacity(), 3);
-    // the message must name the escape hatch
-    EXPECT_NE(std::string(e.what()).find("QUDA_SIM_SCHED=seq"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_TRUE(threw) << "4 ranks over a 3-thread capacity must refuse to run";
-
-  // the same cluster size sails through under the cooperative scheduler
-  sim::ClusterSpec seq_spec = sim::ClusterSpec::jlab_9g(4);
-  seq_spec.scheduler = sim::SchedulerKind::Seq;
-  sim::VirtualCluster seq_cluster(seq_spec);
-  const ModeledSolverResult r = parallel::run_modeled_solver(seq_cluster, cfg);
-  EXPECT_TRUE(r.fits);
-  EXPECT_GT(r.effective_gflops, 0.0);
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
-}
-
-TEST(SchedulerResolve, ExplicitSpecBeatsEnvironment) {
-  ::setenv("QUDA_SIM_SCHED", "seq", 1);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Threads),
-            sim::SchedulerKind::Threads);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Seq), sim::SchedulerKind::Seq);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Seq);
-  ::setenv("QUDA_SIM_SCHED", "threads", 1);
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
-  ::unsetenv("QUDA_SIM_SCHED");
-  EXPECT_EQ(sim::resolve_scheduler(sim::SchedulerKind::Auto), sim::SchedulerKind::Threads);
-}
-
-TEST(SchedulerResolve, UnknownEnvValueIsLoud) {
-  ::setenv("QUDA_SIM_SCHED", "fibers", 1);
-  EXPECT_THROW(sim::resolve_scheduler(sim::SchedulerKind::Auto), std::invalid_argument);
-  ::unsetenv("QUDA_SIM_SCHED");
-}
-
-TEST(SchedulerResolve, SchedulerNames) {
-  EXPECT_STREQ(sim::scheduler_name(sim::SchedulerKind::Threads), "threads");
-  EXPECT_STREQ(sim::scheduler_name(sim::SchedulerKind::Seq), "seq");
-}
-
-// the environment path end-to-end: Auto + QUDA_SIM_SCHED=seq runs the
-// fiber scheduler and lands on the threads timeline bitwise
-TEST(SchedulerResolve, EnvSelectedSeqMatchesThreads) {
-  exec::set_thread_budget(2);
-  const ModeledSolverConfig cfg = modeled_config(CommPolicy::Overlap);
-  const ModeledObs threads = run_modeled(sim::SchedulerKind::Threads, 4, cfg);
-  ::setenv("QUDA_SIM_SCHED", "seq", 1);
-  const ModeledObs env_seq = run_modeled(sim::SchedulerKind::Auto, 4, cfg);
-  ::unsetenv("QUDA_SIM_SCHED");
-  expect_same_modeled(threads, env_seq, "env-selected seq");
   exec::set_thread_budget(0);
 }
 

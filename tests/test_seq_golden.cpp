@@ -1,10 +1,10 @@
 // Pinned 256-rank golden run (DESIGN.md §12): a quick-lattice modeled
-// solve on a 4x4x4x4 process grid (256 simulated GPUs, global 16^4) under
-// the cooperative seq scheduler on the default fat-tree cluster.  The seq
-// scheduler makes rank count a parameter instead of an OS thread budget,
-// so this runs on one CPU in well under the suite timeout -- and because
-// the DES is conservative, every number below is a pure function of the
-// configuration.  The goldens pin:
+// solve on a 4x4x4x4 process grid (256 simulated GPUs, global 16^4) on the
+// default fat-tree cluster, its 256 rank fibers on one worker (thread
+// budget 1).  Fibers make rank count a parameter instead of an OS thread
+// count, so this runs on one CPU in well under the suite timeout -- and
+// because the DES is conservative, every number below is a pure function
+// of the configuration.  The goldens pin:
 //
 //   - the simulated makespan, bitwise (the full hierarchical-interconnect
 //     cost model: intra-node shm, leaf-switch IB, cross-switch hops with
@@ -16,8 +16,9 @@
 //     split, what-if projections, walk shape) pinned bitwise;
 //   - the per-link-class traffic split (shm/ib/xswitch bytes), pinning the
 //     topology classification of every message;
-//   - the scheduler counters: how often the ranks block (parks, wakes),
-//     and that no wake leaves a rank to park again (zero spurious).
+//   - the scheduler counters on one worker: how often the ranks block
+//     (parks, wakes), and that no wake leaves a rank to park again (zero
+//     spurious).
 //
 // Any change to the scheduler, the interconnect model, or the halo pipeline
 // that moves the 256-rank timeline fails here loudly.  The exported trace
@@ -54,11 +55,12 @@ void scrub_trace_exports() {
 }
 
 TEST(SeqGolden, Pinned256RankModeledSolve) {
-  exec::set_thread_budget(1); // goldens are budget-invariant; 1 is cheapest
+  // the timeline goldens are budget-invariant; budget 1 keeps the fibers
+  // on one worker, where the scheduler counters are pinned too
+  exec::set_thread_budget(1);
   scrub_trace_exports();
 
   sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(256);
-  spec.scheduler = sim::SchedulerKind::Seq;
   spec.trace.enabled = true;
   spec.trace.path = kTracePath;
   // the flight recorder runs on top: the goldens below must survive it

@@ -3,7 +3,7 @@
 // isolation, and targeted wakeups.
 
 #include "comm/qmp.h"
-#include "core/wallclock.h"
+#include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
 #include "sim/event_sim.h"
 
@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace quda::sim {
@@ -181,40 +183,54 @@ TEST(EventSim, RankFailurePropagatesWithoutDeadlock) {
                std::runtime_error);
 }
 
-TEST(WallClock, WatchdogClockIsInjectableAndRestorable) {
-  const auto fake = core::WallClock::time_point{} + std::chrono::seconds(5);
-  const core::WallClockFn prev = core::set_watchdog_clock_for_testing(
-      +[] { return core::WallClock::time_point{} + std::chrono::seconds(5); });
-  EXPECT_EQ(core::now_for_watchdog(), fake);
-  // restoring hands the watchdog back to the real monotonic clock
-  core::set_watchdog_clock_for_testing(prev);
-  const auto a = core::now_for_watchdog();
-  const auto b = core::now_for_watchdog();
-  EXPECT_LE(a, b);
-  EXPECT_NE(a, fake);
+// --- deadlock (DESIGN.md §12) -----------------------------------------------
+// A cluster whose live ranks are all parked can never move again.  The
+// scheduler sees that exactly, on one worker or one per rank, and the
+// lowest-ranked parked rank raises CommTimeout naming what it waits for.
+
+// the CommTimeout message of one run of body on `ranks` ranks under thread
+// budget `budget` ("" when the run raised nothing)
+std::string deadlock_message(int ranks, int budget,
+                             const std::function<void(RankContext&)>& body) {
+  exec::set_thread_budget(budget);
+  ClusterSpec spec;
+  spec.nodes = ranks;
+  spec.gpus_per_node = 1;
+  VirtualCluster cluster(spec);
+  std::string what;
+  try {
+    cluster.run(body);
+  } catch (const CommTimeout& e) {
+    what = e.what();
+  }
+  exec::set_thread_budget(0);
+  return what;
 }
 
-TEST(EventSim, WatchdogUsesInjectableClock) {
-  // The deadlock watchdog is the one real-time read in the simulator, and it
-  // goes through core::now_for_watchdog().  Injecting a clock stuck in the
-  // far past makes any deadline appear already expired, so the wait below
-  // must raise CommTimeout immediately -- despite the generous 60 s budget
-  // -- proving the watchdog reads the shim, not the real clock (and keeping
-  // this test instant and scheduler-independent).
-  const core::WallClockFn prev = core::set_watchdog_clock_for_testing(
-      +[] { return core::WallClock::time_point::min(); });
-  EXPECT_THROW(
-      {
-        VirtualCluster cluster(two_ranks_one_node());
-        cluster.run([](RankContext& ctx) {
-          if (ctx.rank() == 0) {
-            RankContext::PendingRecv p = ctx.irecv(1, 0);
-            (void)ctx.wait(p, /*wall_timeout_ms=*/60000.0); // rank 1 never sends
-          }
-        });
-      },
-      CommTimeout);
-  core::set_watchdog_clock_for_testing(prev);
+TEST(EventSim, MissingSendRaisesCommTimeout) {
+  // rank 0 waits for a message rank 1 never sends; rank 1 waits on rank 2,
+  // which returns.  Both end parked, and the lower one raises.
+  const auto body = [](RankContext& ctx) {
+    if (ctx.rank() == 0) (void)ctx.recv(1, 5);
+    if (ctx.rank() == 1) (void)ctx.recv(2, 6);
+  };
+  for (const int budget : {1, 3}) {
+    const std::string what = deadlock_message(3, budget, body);
+    EXPECT_NE(what.find("rank 0 waits for a message from rank 1 on tag 5"), std::string::npos)
+        << "budget " << budget << ": '" << what << "'";
+  }
+}
+
+TEST(EventSim, SkippedAllreduceRaisesCommTimeout) {
+  // rank 1 returns without joining the barrier ranks 0 and 2 wait in
+  const auto body = [](RankContext& ctx) {
+    if (ctx.rank() != 1) ctx.barrier();
+  };
+  for (const int budget : {1, 3}) {
+    const std::string what = deadlock_message(3, budget, body);
+    EXPECT_NE(what.find("rank 0 waits for allreduce generation 0"), std::string::npos)
+        << "budget " << budget << ": '" << what << "'";
+  }
 }
 
 TEST(EventSim, RecvHandleExposesArrivalAndSendTime) {
@@ -280,11 +296,42 @@ TEST(EventSim, DoubleWaitOnPendingRecvIsHardError) {
   });
 }
 
+TEST(EventSim, ParkInsideACatchHandlerKeepsTheRanksOwnException) {
+  // Both ranks park inside a catch handler, then rethrow.  The runtime's
+  // list of exceptions being handled is per OS thread, so it must follow
+  // each rank's fiber, or a rank rethrows its peer's exception.
+  for (const int budget : {1, 2}) {
+    exec::set_thread_budget(budget);
+    std::vector<std::string> seen(2);
+    VirtualCluster cluster(two_ranks_one_node());
+    cluster.run([&](RankContext& ctx) {
+      try {
+        try {
+          throw std::runtime_error("rank " + std::to_string(ctx.rank()));
+        } catch (const std::runtime_error&) {
+          ctx.barrier();
+          if (ctx.rank() == 0)
+            ctx.isend(1, 0, {}, 8);
+          else
+            (void)ctx.recv(0, 0);
+          throw;
+        }
+      } catch (const std::runtime_error& e) {
+        seen[static_cast<std::size_t>(ctx.rank())] = e.what();
+      }
+    });
+    exec::set_thread_budget(0);
+    EXPECT_EQ(seen[0], "rank 0") << "budget " << budget;
+    EXPECT_EQ(seen[1], "rank 1") << "budget " << budget;
+  }
+}
+
 // --- targeted wakeups (DESIGN.md §12) ---------------------------------------
 // A parked rank is woken only by the operation that satisfies its wait.
-// Under seq the scheduler counters are a pure function of the run, so the
-// tests pin them; under threads the OS may wake a thread spuriously, so no
-// counter value is asserted there.
+// On one worker (thread budget 1) the scheduler counters are a pure
+// function of the run, so the tests pin them there; with a worker per rank
+// a wake meant for an earlier wait may add a spurious resume, so only the
+// timelines are compared.
 
 constexpr int kNoiseMessages = 1000;
 
@@ -329,17 +376,23 @@ void late_reduction(RankContext& ctx) {
   ctx.barrier();
 }
 
-ClusterSpec three_ranks(SchedulerKind kind) {
+ClusterSpec three_ranks() {
   ClusterSpec s;
   s.nodes = 3;
   s.gpus_per_node = 1;
-  s.scheduler = kind;
   return s;
 }
 
+// run body on three ranks under thread budget `budget`
+void run_three(VirtualCluster& cluster, int budget, void (*body)(RankContext&)) {
+  exec::set_thread_budget(budget);
+  cluster.run(body);
+  exec::set_thread_budget(0);
+}
+
 TEST(EventSimWakeups, SeqResumesReceiverOnlyForItsChannel) {
-  VirtualCluster cluster(three_ranks(SchedulerKind::Seq));
-  cluster.run(noisy_neighbour);
+  VirtualCluster cluster(three_ranks());
+  run_three(cluster, 1, noisy_neighbour);
   const std::vector<SchedCounters>& per_rank = cluster.per_rank_sched_counters();
   ASSERT_EQ(per_rank.size(), 3u);
   EXPECT_EQ(per_rank[0].parks, 1);
@@ -355,8 +408,8 @@ TEST(EventSimWakeups, SeqResumesReceiverOnlyForItsChannel) {
 }
 
 TEST(EventSimWakeups, SeqResumesReductionWaiterOnlyOnCompletion) {
-  VirtualCluster cluster(three_ranks(SchedulerKind::Seq));
-  cluster.run(late_reduction);
+  VirtualCluster cluster(three_ranks());
+  run_three(cluster, 1, late_reduction);
   const SchedCounters& r0 = cluster.per_rank_sched_counters()[0];
   EXPECT_EQ(r0.parks, 1);
   EXPECT_EQ(r0.wakes, 1) << "only the completing arrival may resume rank 0";
@@ -368,26 +421,27 @@ TEST(EventSimWakeups, SeqResumesReductionWaiterOnlyOnCompletion) {
 
 TEST(EventSimWakeups, ThreadsDeliverTheSameTimelines) {
   for (const auto body : {noisy_neighbour, late_reduction}) {
-    VirtualCluster seq(three_ranks(SchedulerKind::Seq));
-    seq.run(body);
-    VirtualCluster threads(three_ranks(SchedulerKind::Threads));
-    threads.run(body);
-    EXPECT_EQ(threads.makespan_us(), seq.makespan_us());
+    VirtualCluster one_worker(three_ranks());
+    run_three(one_worker, 1, body);
+    VirtualCluster worker_per_rank(three_ranks());
+    run_three(worker_per_rank, 3, body);
+    EXPECT_EQ(worker_per_rank.makespan_us(), one_worker.makespan_us());
   }
 }
 
 TEST(EventSimWakeups, FaultFree32RankModeledSolveHasNoSpuriousReparks) {
   // no wake of a fault-free run -- halo receives and allreduce
   // generations -- leaves a rank to park again
-  ClusterSpec spec = ClusterSpec::jlab_9g(32);
-  spec.scheduler = SchedulerKind::Seq;
-  VirtualCluster cluster(spec);
+  VirtualCluster cluster(ClusterSpec::jlab_9g(32));
   parallel::ModeledSolverConfig cfg;
   cfg.local = LatticeDims{32, 32, 32, 8}; // the fig5(a) 32-GPU point
   cfg.sloppy = Precision::Half;
   cfg.iterations = 10;
   cfg.reliable_interval = 5;
-  ASSERT_TRUE(parallel::run_modeled_solver(cluster, cfg).fits);
+  exec::set_thread_budget(1);
+  const bool fits = parallel::run_modeled_solver(cluster, cfg).fits;
+  exec::set_thread_budget(0);
+  ASSERT_TRUE(fits);
   const SchedCounters& total = cluster.sched_totals();
   EXPECT_GT(total.parks, 0);
   EXPECT_EQ(total.wakes, total.parks);

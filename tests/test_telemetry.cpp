@@ -3,17 +3,16 @@
 // anomaly monitors.  The load-bearing property is observational purity: a
 // telemetry-enabled run must be bit-identical -- solution vector, makespan,
 // per-rank trace digests -- to a disabled one, at any QUDA_SIM_THREADS
-// budget and under both QUDA_SIM_SCHED schedulers, including a faulted
+// budget and so at one rank worker or one per rank, including a faulted
 // crash/recovery run.  Telemetry itself must also be deterministic: the
 // ledger, anomaly stream, and merged registry replay bitwise across
-// schedulers and budgets.
+// budgets.
 
 #include "core/quda_api.h"
 #include "dirac/gauge_init.h"
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
 #include "sim/event_sim.h"
-#include "sim/scheduler.h"
 #include "trace/telemetry.h"
 #include "trace/trace.h"
 
@@ -34,12 +33,10 @@ using telemetry::AnomalyKind;
 using telemetry::RankRecorder;
 using telemetry::TelemetryReport;
 
-// the suite drives the telemetry/scheduler knobs itself; scrub ambient state
+// the suite drives the telemetry knobs itself; scrub ambient state
 const bool g_env_cleared = [] {
   ::unsetenv("QUDA_SIM_TRACE");
   ::unsetenv("QUDA_SIM_TELEMETRY");
-  ::unsetenv("QUDA_SIM_SCHED");
-  ::unsetenv("QUDA_SIM_MAX_RANK_THREADS");
   return true;
 }();
 
@@ -220,11 +217,9 @@ struct ModeledObs {
   std::vector<std::uint64_t> digests;
 };
 
-ModeledObs run_modeled(sim::SchedulerKind kind, int ranks, bool telemetry_on,
-                       const sim::FaultConfig& faults = {},
+ModeledObs run_modeled(int ranks, bool telemetry_on, const sim::FaultConfig& faults = {},
                        const telemetry::MonitorConfig& monitors = {}) {
   sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.scheduler = kind;
   spec.trace.enabled = true;
   spec.telemetry.enabled = telemetry_on;
   spec.telemetry.monitors = monitors;
@@ -239,8 +234,9 @@ ModeledObs run_modeled(sim::SchedulerKind kind, int ranks, bool telemetry_on,
 }
 
 // acceptance: switching the flight recorder on perturbs nothing -- makespan,
-// Gflops, and every per-rank trace digest stay bitwise identical under both
-// schedulers at thread budgets {1, 2, 8}, with message faults in play
+// Gflops, and every per-rank trace digest stay bitwise identical at thread
+// budgets {1, 2, ranks} (one rank worker, then one per rank), with message
+// faults in play
 TEST(TelemetryPurity, ModeledSolveUnperturbedAcrossSchedulersAndBudgets) {
   sim::FaultConfig faults;
   faults.seed = 20260808;
@@ -248,28 +244,24 @@ TEST(TelemetryPurity, ModeledSolveUnperturbedAcrossSchedulersAndBudgets) {
   faults.delay_rate = 0.05;
 
   exec::set_thread_budget(1);
-  const ModeledObs off = run_modeled(sim::SchedulerKind::Threads, 4, false, faults);
+  const ModeledObs off = run_modeled(4, false, faults);
   ASSERT_TRUE(off.result.fits);
   EXPECT_FALSE(off.result.telemetry.enabled);
 
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      exec::set_thread_budget(budget);
-      const ModeledObs on = run_modeled(kind, 4, true, faults);
-      const std::string label = std::string(sim::scheduler_name(kind)) + " budget " +
-                                std::to_string(budget);
-      EXPECT_EQ(off.result.time_us, on.result.time_us) << label;
-      EXPECT_EQ(off.result.effective_gflops, on.result.effective_gflops) << label;
-      EXPECT_EQ(off.makespan, on.makespan) << label;
-      ASSERT_EQ(off.digests.size(), on.digests.size()) << label;
-      for (std::size_t r = 0; r < off.digests.size(); ++r)
-        EXPECT_EQ(off.digests[r], on.digests[r]) << label << " rank " << r;
-      // telemetry itself is deterministic: the report replays bitwise
-      EXPECT_TRUE(on.result.telemetry.enabled) << label;
-      EXPECT_EQ(on.result.telemetry.iterations(), 25) << label;
-      EXPECT_TRUE(on.result.telemetry.ledger_symmetric) << label;
-    }
+  for (const int budget : {1, 2, 4}) {
+    exec::set_thread_budget(budget);
+    const ModeledObs on = run_modeled(4, true, faults);
+    const std::string label = "budget " + std::to_string(budget);
+    EXPECT_EQ(off.result.time_us, on.result.time_us) << label;
+    EXPECT_EQ(off.result.effective_gflops, on.result.effective_gflops) << label;
+    EXPECT_EQ(off.makespan, on.makespan) << label;
+    ASSERT_EQ(off.digests.size(), on.digests.size()) << label;
+    for (std::size_t r = 0; r < off.digests.size(); ++r)
+      EXPECT_EQ(off.digests[r], on.digests[r]) << label << " rank " << r;
+    // telemetry itself is deterministic: the report replays bitwise
+    EXPECT_TRUE(on.result.telemetry.enabled) << label;
+    EXPECT_EQ(on.result.telemetry.iterations(), 25) << label;
+    EXPECT_TRUE(on.result.telemetry.ledger_symmetric) << label;
   }
   exec::set_thread_budget(0);
 }
@@ -277,7 +269,7 @@ TEST(TelemetryPurity, ModeledSolveUnperturbedAcrossSchedulersAndBudgets) {
 // a clean symmetric modeled run keeps every monitor silent (the anomaly
 // thresholds are calibrated to the repo's own baselines)
 TEST(TelemetryModeled, CleanRunMonitorsStaySilent) {
-  const ModeledObs o = run_modeled(sim::SchedulerKind::Threads, 4, true);
+  const ModeledObs o = run_modeled(4, true);
   ASSERT_TRUE(o.result.fits);
   const TelemetryReport& t = o.result.telemetry;
   ASSERT_TRUE(t.enabled);
@@ -303,7 +295,7 @@ TEST(TelemetryModeled, SeededRetryStormFiresMonitor) {
   faults.drop_rate = 0.08; // heavy but deliverable within the retry budget
   telemetry::MonitorConfig mon;
   mon.retry_spike = 0; // any retransmission between boundaries fires
-  const ModeledObs o = run_modeled(sim::SchedulerKind::Threads, 4, true, faults, mon);
+  const ModeledObs o = run_modeled(4, true, faults, mon);
   ASSERT_TRUE(o.result.fits);
   const TelemetryReport& t = o.result.telemetry;
   ASSERT_GT(t.anomaly_count(), 0) << "seeded retry storm stayed invisible";
@@ -438,7 +430,7 @@ struct RealObs {
 };
 
 // strip the lines telemetry is *allowed* to change in a trace export: the
-// provenance stamp (names the scheduler/budget) and the anomaly instants
+// provenance stamp (names the thread budget) and the anomaly instants
 // (monitor findings, excluded from digests by design)
 std::string strip_observational_lines(const std::string& text) {
   std::string out;
@@ -471,9 +463,9 @@ std::string slurp_export(const std::string& base) {
 }
 
 // acceptance: the purity contract holds on the hardest path -- a seeded
-// mid-solve rank crash recovered via checkpoint/restart -- under both
-// schedulers at budgets {1, 2, 8}; and the respawned rank's recorder stays
-// in lockstep (symmetric per-rank ledger and recovery counts)
+// mid-solve rank crash recovered via checkpoint/restart -- at budgets
+// {1, 2, ranks}; and the respawned rank's recorder stays in lockstep
+// (symmetric per-rank ledger and recovery counts)
 TEST(TelemetryReal, CrashRecoveryPureAndDeterministic) {
   RealFixture f;
 
@@ -483,10 +475,9 @@ TEST(TelemetryReal, CrashRecoveryPureAndDeterministic) {
   ASSERT_TRUE(clean.stats.converged) << clean.stats.summary();
 
   int run_index = 0;
-  auto run_crashy = [&](sim::SchedulerKind kind, int budget, bool telemetry_on) {
+  auto run_crashy = [&](int budget, bool telemetry_on) {
     exec::set_thread_budget(budget);
     sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
-    spec.scheduler = kind;
     spec.faults.seed = 4242;
     spec.faults.crash_rate = 0.35;
     spec.faults.crash_window_us = 0.5 * clean.simulated_time_us;
@@ -501,58 +492,54 @@ TEST(TelemetryReal, CrashRecoveryPureAndDeterministic) {
     return o;
   };
 
-  const RealObs off = run_crashy(sim::SchedulerKind::Threads, 1, false);
+  const RealObs off = run_crashy(1, false);
   ASSERT_GT(off.r.faults.recovery.crashes, 0) << "the crash injection must fire";
   ASSERT_TRUE(off.r.stats.converged) << off.r.stats.summary();
   ASSERT_FALSE(off.trace_json.empty());
 
   const RealObs* base_on = nullptr;
   RealObs first_on;
-  for (const sim::SchedulerKind kind :
-       {sim::SchedulerKind::Threads, sim::SchedulerKind::Seq}) {
-    for (const int budget : {1, 2, 8}) {
-      const RealObs on = run_crashy(kind, budget, true);
-      const std::string label = std::string(sim::scheduler_name(kind)) + " budget " +
-                                std::to_string(budget);
+  for (const int budget : {1, 2, 4}) {
+    const RealObs on = run_crashy(budget, true);
+    const std::string label = "budget " + std::to_string(budget);
 
-      // purity vs. the telemetry-off run: bitwise on every observable
-      EXPECT_EQ(off.r.simulated_time_us, on.r.simulated_time_us) << label;
-      EXPECT_EQ(off.r.stats.true_residual, on.r.stats.true_residual) << label;
-      EXPECT_EQ(off.r.faults.recovery.failures, on.r.faults.recovery.failures) << label;
-      EXPECT_EQ(off.r.faults.recovery.checkpoint_digest,
-                on.r.faults.recovery.checkpoint_digest) << label;
-      EXPECT_EQ(off.trace_json, on.trace_json)
-          << label << ": trace (minus provenance/anomaly lines) must be bit-identical";
-      for (std::int64_t i = 0; i < f.g.volume(); ++i)
-        ASSERT_EQ(norm2(off.x[i] - on.x[i]), 0.0) << label << " site " << i;
+    // purity vs. the telemetry-off run: bitwise on every observable
+    EXPECT_EQ(off.r.simulated_time_us, on.r.simulated_time_us) << label;
+    EXPECT_EQ(off.r.stats.true_residual, on.r.stats.true_residual) << label;
+    EXPECT_EQ(off.r.faults.recovery.failures, on.r.faults.recovery.failures) << label;
+    EXPECT_EQ(off.r.faults.recovery.checkpoint_digest,
+              on.r.faults.recovery.checkpoint_digest) << label;
+    EXPECT_EQ(off.trace_json, on.trace_json)
+        << label << ": trace (minus provenance/anomaly lines) must be bit-identical";
+    for (std::int64_t i = 0; i < f.g.volume(); ++i)
+      ASSERT_EQ(norm2(off.x[i] - on.x[i]), 0.0) << label << " site " << i;
 
-      // the flight recorder stays in lockstep through death and respawn
-      const TelemetryReport& t = on.r.telemetry;
-      ASSERT_TRUE(t.enabled) << label;
-      EXPECT_TRUE(t.ledger_symmetric)
-          << label << ": respawned rank recorded a different boundary count";
-      const long epochs = t.registry.counters().at("recovery_epochs");
-      EXPECT_GT(epochs, 0) << label;
-      EXPECT_EQ(epochs % 4, 0)
-          << label << ": recovery rendezvous must be recorded by every rank";
+    // the flight recorder stays in lockstep through death and respawn
+    const TelemetryReport& t = on.r.telemetry;
+    ASSERT_TRUE(t.enabled) << label;
+    EXPECT_TRUE(t.ledger_symmetric)
+        << label << ": respawned rank recorded a different boundary count";
+    const long epochs = t.registry.counters().at("recovery_epochs");
+    EXPECT_GT(epochs, 0) << label;
+    EXPECT_EQ(epochs % 4, 0)
+        << label << ": recovery rendezvous must be recorded by every rank";
 
-      // telemetry determinism: every enabled run reports the same story
-      if (base_on == nullptr) {
-        first_on = on;
-        base_on = &first_on;
-        continue;
-      }
-      EXPECT_EQ(base_on->r.telemetry.iterations(), t.iterations()) << label;
-      EXPECT_EQ(base_on->r.telemetry.anomaly_count(), t.anomaly_count()) << label;
-      EXPECT_EQ(base_on->r.telemetry.load_imbalance, t.load_imbalance) << label;
-      EXPECT_EQ(base_on->r.telemetry.registry.counters(), t.registry.counters()) << label;
-      ASSERT_EQ(base_on->r.telemetry.ledger.size(), t.ledger.size()) << label;
-      for (std::size_t i = 0; i < t.ledger.size(); ++i) {
-        EXPECT_EQ(base_on->r.telemetry.ledger[i].iter, t.ledger[i].iter) << label;
-        EXPECT_EQ(base_on->r.telemetry.ledger[i].epoch, t.ledger[i].epoch) << label;
-        EXPECT_EQ(base_on->r.telemetry.ledger[i].r2, t.ledger[i].r2) << label;
-        EXPECT_EQ(base_on->r.telemetry.ledger[i].flags, t.ledger[i].flags) << label;
-      }
+    // telemetry determinism: every enabled run reports the same story
+    if (base_on == nullptr) {
+      first_on = on;
+      base_on = &first_on;
+      continue;
+    }
+    EXPECT_EQ(base_on->r.telemetry.iterations(), t.iterations()) << label;
+    EXPECT_EQ(base_on->r.telemetry.anomaly_count(), t.anomaly_count()) << label;
+    EXPECT_EQ(base_on->r.telemetry.load_imbalance, t.load_imbalance) << label;
+    EXPECT_EQ(base_on->r.telemetry.registry.counters(), t.registry.counters()) << label;
+    ASSERT_EQ(base_on->r.telemetry.ledger.size(), t.ledger.size()) << label;
+    for (std::size_t i = 0; i < t.ledger.size(); ++i) {
+      EXPECT_EQ(base_on->r.telemetry.ledger[i].iter, t.ledger[i].iter) << label;
+      EXPECT_EQ(base_on->r.telemetry.ledger[i].epoch, t.ledger[i].epoch) << label;
+      EXPECT_EQ(base_on->r.telemetry.ledger[i].r2, t.ledger[i].r2) << label;
+      EXPECT_EQ(base_on->r.telemetry.ledger[i].flags, t.ledger[i].flags) << label;
     }
   }
   exec::set_thread_budget(0);

@@ -6,11 +6,15 @@ every string-valued field plus the small-integer axes ("gpus", "bytes") --
 so reordering points or adding new ones never produces a spurious failure;
 only points present in BOTH files are gated.
 
-Each gated metric has a direction.  A point regresses when the current
-value is worse than the baseline by more than the metric's relative
-threshold (default 10%).  Near-zero baselines are compared against an
-absolute floor instead (a 0.0 -> 0.3 us jitter on an empty category is
-not a regression).
+Every gated metric is a deterministic output of the simulated cluster, so
+the default gate is exact: a point fails when any gated value differs from
+the baseline at all, in either direction and near-zero baselines included.
+The benches print them with %.17g, so the JSON carries every bit.  An
+intended model change is rebaselined; to compare across one, give a
+relative threshold (--threshold, or --gate per metric).  A metric with a
+threshold above zero fails only when it got worse by more than that
+percentage, and near-zero baselines are then compared against an absolute
+floor instead (a 0.0 -> 0.3 us shift on an empty category passes).
 
 On failure the tool prints, for every regressed point, the critical-path
 attribution carried in the JSON (crit_* fields) so the report names the
@@ -21,8 +25,8 @@ Usage:
                 [--gate metric=PCT ...]
   bench_diff.py --self-test
 
-Exit status 0 when no gated metric regressed, 1 otherwise (2 on usage or
-file errors).
+Exit status 0 when no gated metric changed (exact) or regressed beyond its
+threshold, 1 otherwise (2 on usage or file errors).
 """
 
 import argparse
@@ -53,8 +57,9 @@ GATED_METRICS = {
 # numeric fields that are axes, not measurements -- part of the join key
 AXIS_FIELDS = ("gpus", "bytes")
 
-# baselines smaller than this are gated by absolute difference instead of
-# ratio (relative thresholds explode as the denominator approaches zero)
+# under a relative threshold, baselines smaller than this are gated by
+# absolute difference instead of ratio (relative thresholds explode as the
+# denominator approaches zero); the exact gate has no floor
 ABS_FLOOR = 1.0
 
 ATTRIBUTION_FIELDS = (
@@ -116,7 +121,10 @@ def compare(baseline, current, thresholds):
             compared += 1
             pct = thresholds[metric]
             worse = cur - base if direction == "lower" else base - cur
-            if abs(base) < ABS_FLOOR:
+            if pct == 0:
+                regressed = cur != base
+                change = f"{base!r} -> {cur!r}"
+            elif abs(base) < ABS_FLOOR:
                 regressed = worse > ABS_FLOOR
                 change = f"{base:g} -> {cur:g} (abs)"
             else:
@@ -142,8 +150,10 @@ def print_report(regressions, compared, out=sys.stderr):
           f"across {compared} metric comparisons", file=out)
     shown = set()
     for r in regressions:
-        print(f"  [{describe_key(r['key'])}] {r['metric']}: {r['change']} "
-              f"exceeds {r['threshold']:g}% threshold", file=out)
+        gate = (f"exceeds {r['threshold']:g}% threshold" if r["threshold"] > 0
+                else "differs under the exact gate")
+        print(f"  [{describe_key(r['key'])}] {r['metric']}: {r['change']} {gate}",
+              file=out)
         if r["key"] in shown:
             continue
         shown.add(r["key"])
@@ -169,8 +179,9 @@ def parse_gates(args):
 
 
 def self_test():
-    """Synthetic baseline/current pair: the gate must fire on an injected
-    regression and stay silent on identical inputs."""
+    """Synthetic baseline/current pairs: the exact default gate must fire on
+    any change, the relative gate on a regression past its threshold, and
+    both must stay silent on identical inputs."""
     def doc(time_us, gflops, gauge_bytes=1.0e6, iterations=200.0,
             imbalance=1.05, anomalies=0.0):
         return {
@@ -187,13 +198,31 @@ def self_test():
             ],
         }
 
+    exact = {m: 0.0 for m in GATED_METRICS}
     thresholds = {m: 10.0 for m in GATED_METRICS}
 
     base = index_points(doc(1000.0, 40.0), "base")
     same = index_points(doc(1000.0, 40.0), "same")
-    regressions, compared = compare(base, same, thresholds)
-    assert compared > 0, "self-test compared nothing"
-    assert not regressions, f"identical inputs flagged: {regressions}"
+    for gate in (exact, thresholds):
+        regressions, compared = compare(base, same, gate)
+        assert compared > 0, "self-test compared nothing"
+        assert not regressions, f"identical inputs flagged: {regressions}"
+
+    # the exact default: a change of one part in 10^12 fires, an improvement
+    # as much as a regression, and so does a near-zero baseline moving off 0
+    nudged = index_points(doc(1000.0 * (1 + 1e-12), 40.0), "nudged")
+    regressions, _ = compare(base, nudged, exact)
+    metrics = sorted(r["metric"] for r in regressions)
+    assert metrics == ["crit_exposed_comm_us", "crit_path_us", "time_us"], metrics
+    faster = index_points(doc(1000.0, 40.0 * (1 + 1e-12)), "faster")
+    regressions, _ = compare(base, faster, exact)
+    assert [r["metric"] for r in regressions] == ["gflops"], regressions
+    off_zero = index_points(doc(1000.0, 40.0, anomalies=1e-300), "off_zero")
+    regressions, _ = compare(base, off_zero, exact)
+    assert [r["metric"] for r in regressions] == ["anomaly_count"], regressions
+    # ... while a relative threshold lets the same nudge through
+    regressions, _ = compare(base, nudged, thresholds)
+    assert not regressions, f"1e-12 nudge flagged at 10% threshold: {regressions}"
 
     # 15% slower and proportionally fewer flops: every scaled metric of the
     # first point fires; the untouched second point stays silent
@@ -241,6 +270,7 @@ def self_test():
 
     # the failure path renders (attribution included) without crashing
     print_report(compare(base, bad, thresholds)[0], 6, out=sys.stdout)
+    print_report(compare(base, nudged, exact)[0], 6, out=sys.stdout)
     print("bench_diff: self-test OK")
     return 0
 
@@ -249,8 +279,9 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", nargs="?", help="baseline BENCH_<name>.json")
     ap.add_argument("current", nargs="?", help="current BENCH_<name>.json")
-    ap.add_argument("--threshold", type=float, default=10.0,
-                    help="default relative regression threshold in percent")
+    ap.add_argument("--threshold", type=float, default=0.0,
+                    help="relative regression threshold in percent for every "
+                         "metric (default 0: exact match)")
     ap.add_argument("--gate", action="append", default=[], metavar="METRIC=PCT",
                     help="per-metric threshold override (repeatable)")
     ap.add_argument("--self-test", action="store_true",

@@ -8,24 +8,27 @@
 #      self-test; a failure prints the offending file:line rule table and
 #      a one-line per-rule summary ("<tool>: rule summary -- rule:count");
 #   3. the fast test subset (ctest -LE slow), which includes the trace
-#      acceptance test that exports a fig5-sized Chrome trace;
+#      acceptance test that exports a fig5-sized Chrome trace; under
+#      --sanitize address also the slow Real-mode scheduler-equivalence and
+#      telemetry suites, whose fibers run on one worker and on one per rank;
 #   4. trace-lint every file that acceptance run produced against
 #      tools/trace_schema.json;
 #   5. crash-recovery smoke: a seeded mid-solve rank crash must be detected,
 #      rolled back to the last committed checkpoint, and still converge; its
 #      exported trace must satisfy the recovery pairing rules
 #      (rank_failure -> rollback, checkpoint -> ckpt_commit/ckpt_abort);
-#   6. flight-recorder smoke: the 256-rank seq golden runs with
+#   6. flight-recorder smoke: the 256-rank golden runs with
 #      QUDA_SIM_TELEMETRY on (goldens must survive telemetry bit-for-bit)
 #      and tools/report.py renders its JSONL + trace into the
 #      self-contained HTML run report;
 #   7. perf gate: run the quick fig5 sweep and diff its BENCH JSON against
 #      the stored baseline with tools/bench_diff.py.  The first run seeds
 #      the baseline ($BUILD/bench_baseline_fig5_strong.json); later runs
-#      fail on >10% regressions in time/gflops/critical-path metrics, and
-#      bench_diff prints the per-category attribution of every regressed
-#      point.  After an intentional perf change, delete the baseline file
-#      (or re-run with QUICK_GATE_REBASELINE=1) to accept the new numbers.
+#      fail when any gated modeled metric (time, gflops, critical path, ...)
+#      differs from it at all -- the exact default of bench_diff, which
+#      prints the per-category attribution of every changed point.  After
+#      an intentional model change, delete the baseline file (or re-run
+#      with QUICK_GATE_REBASELINE=1) to accept the new numbers.
 # Usage: tools/quick_gate.sh [--sanitize [thread|address]] [build-dir]
 #   default build-dir: build (or build-<sanitizer> under --sanitize).
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
@@ -61,6 +64,10 @@ python3 tools/semantic_check.py
 python3 tools/semantic_check.py --self-test
 
 ctest --test-dir "$BUILD" -LE slow --output-on-failure -j"$(nproc)"
+if [ "$SANITIZE" = "address" ]; then
+  ctest --test-dir "$BUILD" -L slow -R '^(SchedulerEquivalence\.Real|TelemetryReal\.)' \
+    --output-on-failure -j"$(nproc)"
+fi
 
 shopt -s nullglob
 traces=("$BUILD"/tests/trace_fig5_acceptance.json*)
@@ -82,14 +89,14 @@ if [ "${#rf_traces[@]}" -eq 0 ]; then
 fi
 python3 tools/trace_lint.py "${rf_traces[@]}"
 
-# 256-rank seq-scheduler smoke: the pinned golden run (4x4x4x4 grid of
-# fibers on one event loop, fat-tree interconnect) runs with the flight
+# 256-rank smoke: the pinned golden run (4x4x4x4 grid of fibers on one
+# worker, fat-tree interconnect) runs with the flight
 # recorder on in-spec -- the goldens must survive telemetry bit-for-bit
 # (observational purity); its exported 256-rank trace must pass the
 # link-class and topology rules in tools/trace_schema.json, and the
 # telemetry JSONL it leaves behind must render into the HTML run report.
 (cd "$BUILD/tests" && ./quda_tests \
-  --gtest_filter='SeqGolden.*:SchedulerCapacity.*:SchedulerResolve.*' \
+  --gtest_filter='SeqGolden.*' \
   > /dev/null)
 seq_traces=("$BUILD"/tests/trace_seq256_golden.json*)
 if [ "${#seq_traces[@]}" -eq 0 ]; then

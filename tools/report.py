@@ -10,7 +10,7 @@ breakdown.  The output is a single HTML file with inline SVG -- no external
 assets, so it can be attached to a CI run or mailed around as-is.
 
 Sections:
-  * provenance        -- commit, build, scheduler, thread budget, cluster
+  * provenance        -- commit, build, thread budget, cluster
   * run summary       -- ranks, makespan, iterations, load imbalance
   * convergence curve -- log10 residual vs iteration, reliable updates and
                          restarts marked, true-residual points overlaid
@@ -324,7 +324,7 @@ def render_html(tele, attribution=None, trace_prov=None):
 
 SYNTHETIC = [
     '{"type": "provenance", "provenance": {"git": "deadbeef", "build": "Release", '
-    '"scheduler": "seq", "threads": 1}}',
+    '"threads": 1}}',
     '{"type": "run", "ranks": 2, "makespan_us": 4000, "bucket_us": 62.5, '
     '"iterations": 6, "load_imbalance": 1.25, "anomaly_count": 1, '
     '"ledger_symmetric": true}',

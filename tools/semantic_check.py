@@ -15,9 +15,9 @@ and runs whole-program rule families the per-file rules cannot see:
                         upward #include, any include cycle, and any
                         scanned file the manifest does not cover is a
                         finding
-  sim-wallclock-taint   functions reaching core::wall_now() /
-                        now_for_watchdog() / std::random_device through
-                        the call graph are tainted; calling one from
+  sim-wallclock-taint   functions reaching core::wall_now() or
+                        std::random_device through the call graph are
+                        tainted; calling one from
                         sim-time code is a finding unless the exact
                         (file, callee) edge is allowlisted in the
                         manifest with a reason
@@ -30,7 +30,7 @@ and runs whole-program rule families the per-file rules cannot see:
                         RankDeath that grows a base class is also a
                         finding (it would become catchable upstream)
   sim-fiber-stack       rank bodies run on 1 MiB guard-paged ucontext
-                        fiber stacks (SeqScheduler); function frames
+                        fiber stacks (RankScheduler); function frames
                         estimated over frame_limit_bytes from local
                         array declarations, and call-graph recursion
                         cycles, are findings
