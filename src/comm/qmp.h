@@ -148,16 +148,15 @@ public:
         // detection by another name)
         const std::uint32_t seq = expected_seq++;
         frame.erase(frame.begin(), frame.begin() + kHeaderBytes);
-        tracer.span(trace::Cat::Comm, "recv_frame", trace::kTrackHost, recv_begin_us,
-                    ctx_.clock().now_us, h.modeled_bytes(), pending.src, pending.tag, seq);
+        tracer.span(trace::Kind::RecvFrame, recv_begin_us, ctx_.clock().now_us, h.modeled_bytes(),
+                    pending.src, pending.tag, seq);
         return frame;
       }
       // damaged frame: count it, drop it, and re-arm for the sender's
       // retransmission of the same sequence number
       ++counters.checksum_errors;
-      tracer.instant(trace::Cat::Fault, "checksum_error", trace::kTrackHost,
-                     ctx_.clock().now_us, h.modeled_bytes(), pending.src, pending.tag,
-                     expected_seq);
+      tracer.instant(trace::Kind::ChecksumError, ctx_.clock().now_us, h.modeled_bytes(),
+                     pending.src, pending.tag, expected_seq);
       pending = ctx_.irecv(pending.src, pending.tag);
     }
   }
@@ -263,12 +262,11 @@ private:
       ctx_.clock().advance(wait_us);
       counters.recovery_us += wait_us;
       backoff *= policy_.backoff_factor;
-      tracer.instant(trace::Cat::Fault, "retry", trace::kTrackHost, ctx_.clock().now_us,
-                     framed_bytes, dst, tag, seq);
+      tracer.instant(trace::Kind::Retry, ctx_.clock().now_us, framed_bytes, dst, tag, seq);
     }
     if (attempts > 1) ++counters.recovered_messages;
-    tracer.span(trace::Cat::Comm, "send_frame", trace::kTrackHost, send_begin_us,
-                ctx_.clock().now_us, framed_bytes, dst, tag, seq);
+    tracer.span(trace::Kind::SendFrame, send_begin_us, ctx_.clock().now_us, framed_bytes, dst, tag,
+                seq);
   }
 
   sim::RankContext& ctx_;

@@ -158,15 +158,13 @@ int recover_rank(RankContext& ctx, comm::QmpGrid& grid, CheckpointManager<POuter
     // spare spinning up in its place
     const double latency =
         death->kind == sim::DeathKind::Hang ? fc.hang_timeout_us : fc.heartbeat_interval_us;
-    tracer.span(trace::Cat::Fault, "detect", trace::kTrackHost, ctx.clock().now_us,
-                ctx.clock().now_us + latency);
+    tracer.span(trace::Kind::Detect, ctx.clock().now_us, ctx.clock().now_us + latency);
     ctx.clock().advance(latency);
     counters.detection_us += latency;
     const double respawn_begin = ctx.clock().now_us;
     ctx.clock().advance(fc.respawn_us);
     ++counters.respawns;
-    tracer.span(trace::Cat::Fault, "respawn", trace::kTrackHost, respawn_begin,
-                ctx.clock().now_us);
+    tracer.span(trace::Kind::Respawn, respawn_begin, ctx.clock().now_us);
     // the new incarnation draws its own death schedule, relative to now
     grid.arm_failure_detector();
   } else {
@@ -175,27 +173,26 @@ int recover_rank(RankContext& ctx, comm::QmpGrid& grid, CheckpointManager<POuter
     // the last committed checkpoint)
     ctx.enter_recovery();
     ++counters.rank_failures_detected;
-    tracer.instant(trace::Cat::Fault, "rank_failure", trace::kTrackHost, ctx.clock().now_us);
+    tracer.instant(trace::Kind::RankFailure, ctx.clock().now_us);
     const double rb_begin = ctx.clock().now_us;
     ctx.clock().advance(fc.rollback_us);
     counters.restore_us += fc.rollback_us;
-    tracer.span(trace::Cat::Fault, "rollback", trace::kTrackHost, rb_begin, ctx.clock().now_us);
+    tracer.span(trace::Kind::Rollback, rb_begin, ctx.clock().now_us);
   }
 
   // roll the iterate back to the last committed checkpoint, or restart from
   // the initial (zero) guess when nothing committed yet
   const double restore_begin = ctx.clock().now_us;
   if (ckpt.restore(x) < 0) x.zero();
-  tracer.span(trace::Cat::Fault, "restore", trace::kTrackHost, restore_begin,
-              ctx.clock().now_us);
+  tracer.span(trace::Kind::Restore, restore_begin, ctx.clock().now_us);
 
   // coordinated epoch barrier: every rank resumes at the same clock with
   // fresh channels, reduction state, and framing sequence numbers
   const double arrive_us = ctx.clock().now_us;
   const sim::RecoveryEpoch ep = ctx.recovery_rendezvous();
   grid.recovery_sync();
-  tracer.span(trace::Cat::Fault, "resume", trace::kTrackHost, arrive_us, ctx.clock().now_us);
-  tracer.instant(trace::Cat::Fault, "recovery_reset", trace::kTrackHost, ctx.clock().now_us);
+  tracer.span(trace::Kind::Resume, arrive_us, ctx.clock().now_us);
+  tracer.instant(trace::Kind::RecoveryReset, ctx.clock().now_us);
   if (auto* rec = telemetry::current()) rec->recovery(ep.epoch);
   // the epoch index is cluster-global, so every rank takes this branch (or
   // none does) -- a deterministic abort instead of a poison race
@@ -311,10 +308,8 @@ RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometr
   out.solve_done_us = ctx.clock().now_us;
   out.ckpt_digest = ckpt.committed_digest();
   out.ckpt_log = ckpt.log();
-  ctx.tracer().span(trace::Cat::Solver, "setup", trace::kTrackSolver, setup_begin_us,
-                    out.setup_done_us);
-  ctx.tracer().span(trace::Cat::Solver, "solve", trace::kTrackSolver, out.setup_done_us,
-                    out.solve_done_us);
+  ctx.tracer().span(trace::Kind::Setup, setup_begin_us, out.setup_done_us);
+  ctx.tracer().span(trace::Kind::Solve, out.setup_done_us, out.solve_done_us);
 
   out.x_local = HostSpinorField(lg);
   download_spinor(x_e, Parity::Even, out.x_local);
@@ -448,19 +443,20 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
   // lines (one object per write/commit/abort/restore event)
   if (const char* ckpt_env = std::getenv("QUDA_SIM_CKPT"); ckpt_env != nullptr && *ckpt_env) {
     const std::string path = trace::unique_trace_path(ckpt_env);
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      // one provenance line first, so differential tools can strip it by filter
-      std::fprintf(f, "{\"provenance\":%s}\n", core::provenance_json(cluster_spec).c_str());
-      for (int r = 0; r < n_ranks; ++r)
-        for (const CheckpointEvent& e : outcomes[static_cast<std::size_t>(r)].ckpt_log)
-          std::fprintf(f,
-                       "{\"rank\":%d,\"action\":\"%s\",\"iteration\":%d,\"time_us\":%.3f,"
-                       "\"digest\":\"%016llx\",\"bytes\":%lld}\n",
-                       r, e.action, e.iteration, e.time_us,
-                       static_cast<unsigned long long>(e.digest),
-                       static_cast<long long>(e.bytes));
-      std::fclose(f);
-    }
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) throw std::runtime_error("cannot write export " + path);
+    // one provenance line first, so differential tools can strip it by filter
+    std::fprintf(f, "{\"provenance\":%s}\n", core::provenance_json(cluster_spec).c_str());
+    for (int r = 0; r < n_ranks; ++r)
+      for (const CheckpointEvent& e : outcomes[static_cast<std::size_t>(r)].ckpt_log)
+        std::fprintf(f,
+                     "{\"rank\":%d,\"action\":\"%s\",\"iteration\":%d,\"time_us\":%.3f,"
+                     "\"digest\":\"%016llx\",\"bytes\":%lld}\n",
+                     r, e.action, e.iteration, e.time_us,
+                     static_cast<unsigned long long>(e.digest), static_cast<long long>(e.bytes));
+    const bool write_failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || write_failed)
+      throw std::runtime_error("cannot write export " + path);
   }
 
   result.traced = cluster.trace().enabled;

@@ -68,8 +68,8 @@ public:
     engine = done;
     bytes_transferred_ += bytes;
     if (trace::RankTracer* tr = trace::current()) {
-      tr->span(trace::Cat::Copy, dir == CopyDir::HostToDevice ? "memcpy_h2d" : "memcpy_d2h",
-               trace::kTrackHost, start, done, bytes);
+      tr->span(dir == CopyDir::HostToDevice ? trace::Kind::MemcpyH2D : trace::Kind::MemcpyD2H,
+               start, done, bytes);
       // edge: issued by the host at host_now (start-host_now = engine wait),
       // weight = bus occupancy of the transfer
       tr->dep(-1, host_now, done - start);
@@ -88,9 +88,9 @@ public:
     s = done;
     bytes_transferred_ += bytes;
     if (trace::RankTracer* tr = trace::current()) {
-      tr->span(trace::Cat::Copy,
-               dir == CopyDir::HostToDevice ? "memcpy_async_h2d" : "memcpy_async_d2h", stream,
-               start, done, bytes);
+      tr->span(dir == CopyDir::HostToDevice ? trace::Kind::MemcpyAsyncH2D
+                                            : trace::Kind::MemcpyAsyncD2H,
+               trace::Stream{stream}, start, done, bytes);
       tr->dep(-1, host_now, done - start);
     }
     return host_now + kAsyncIssueOverheadUs;
@@ -106,8 +106,7 @@ public:
     s = start + kernel_duration_us(cost, launch, spec_, double_precision);
     flops_executed_ += cost.flops;
     if (trace::RankTracer* tr = trace::current()) {
-      tr->span(trace::Cat::Kernel, cost.name, stream, start, s,
-               static_cast<std::int64_t>(cost.bytes));
+      tr->span(cost.kind, trace::Stream{stream}, start, s, static_cast<std::int64_t>(cost.bytes));
       // edge: issued by the host at host_now, weight = execution duration
       // (the launch overhead sits between the gating value and `start`)
       tr->dep(-1, host_now, s - start);
@@ -120,7 +119,7 @@ public:
   double stream_synchronize(double host_now, int stream) const {
     const double t = std::max(host_now, stream_ready_.at(static_cast<std::size_t>(stream)));
     if (trace::RankTracer* tr = trace::current())
-      tr->span(trace::Cat::Sync, "stream_sync", trace::kTrackHost, host_now, t, 0, -1, stream);
+      tr->span(trace::Kind::StreamSync, host_now, t, 0, -1, stream);
     return t;
   }
 
@@ -129,7 +128,7 @@ public:
     for (double s : stream_ready_) t = std::max(t, s);
     for (double e : copy_engines_) t = std::max(t, e);
     if (trace::RankTracer* tr = trace::current())
-      tr->span(trace::Cat::Sync, "device_sync", trace::kTrackHost, host_now, t);
+      tr->span(trace::Kind::DeviceSync, host_now, t);
     return t;
   }
 
@@ -141,7 +140,7 @@ public:
     if (trace::RankTracer* tr = trace::current()) {
       // cross-stream edge: the waiter's next op is gated by the waitee's
       // ready value at insertion time (tag = waitee stream)
-      tr->instant(trace::Cat::Sync, "stream_wait", waiter, tr->now_us(), 0, -1, waitee);
+      tr->instant(trace::Kind::StreamWait, trace::Stream{waiter}, tr->now_us(), waitee);
       tr->dep(-1, src, 0);
     }
   }

@@ -13,6 +13,7 @@
 // from the analytic per-site counts in perfmodel/costs.h.
 
 #include "gpusim/device_spec.h"
+#include "trace/trace.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -29,7 +30,7 @@ struct KernelCost {
   double bytes = 0;            // device-memory traffic
   std::int64_t stride_bytes = 0; // dominant access stride, for camping; 0 = none
   double efficiency = 1.0;     // kernel-specific fraction of peak bandwidth
-  const char* name = "kernel"; // static-lifetime label for tracing/metrics
+  trace::Kind kind = trace::Kind::Kernel; // trace event kind (a Class::Kernel row)
 };
 
 inline constexpr double kKernelLaunchOverheadUs = 4.0;

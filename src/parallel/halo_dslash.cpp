@@ -98,13 +98,13 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   // ---- no cut dimensions: plain local kernel with periodic wrap -------------
   if (cuts.empty()) {
     auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
-    cost.name = "dslash_local";
+    cost.kind = trace::Kind::DslashLocal;
     dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
                 cfg.accumulate);
     clk = dev.device_synchronize(clk);
-    tracer.span(trace::Cat::Op, "halo_dslash", trace::kTrackHost, op_begin_us, clk);
+    tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
     return;
   }
 
@@ -120,8 +120,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
     for (auto& d : cuts) {
       pack_face(*f.in, local, in_parity, d.mu, 0, -1, d.send_back);
       pack_face(*f.in, local, in_parity, d.mu, local.dims()[d.mu] - 1, +1, d.send_fwd);
-      tracer.instant(trace::Cat::Op, "pack_face", trace::kTrackHost, clk, 2 * d.face_bytes, -1,
-                     d.mu);
+      tracer.instant(trace::Kind::PackFace, clk, 2 * d.face_bytes, -1, d.mu);
     }
   }
 
@@ -165,18 +164,17 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
         unpack_ghost(*f.in, local, d.mu, GhostFace::Forward, d.ghost_fwd);
       }
     }
-    tracer.span(trace::Cat::Comm, "halo_comm", trace::kTrackComm, comm_begin_us, clk,
-                halo_bytes_total);
+    tracer.span(trace::Kind::HaloComm, comm_begin_us, clk, halo_bytes_total);
 
     // one kernel over the entire local volume
     auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
-    cost.name = "dslash_local";
+    cost.kind = trace::Kind::DslashLocal;
     clk = dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
                 cfg.accumulate);
     clk = dev.device_synchronize(clk);
-    tracer.span(trace::Cat::Op, "halo_dslash", trace::kTrackHost, op_begin_us, clk);
+    tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
     return;
   }
 
@@ -185,7 +183,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   const std::int64_t n_interior = interior_sites(local, mask);
   if (n_interior > 0) {
     auto cost = perf::dslash_kernel_cost(prec, n_interior, cfg.reconstruct);
-    cost.name = "dslash_interior";
+    cost.kind = trace::Kind::DslashInterior;
     clk = dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
@@ -233,22 +231,21 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
       clk = dev.memcpy_async(clk, kForwardFaceStream, d.face_bytes / h2d_copies,
                              gpusim::CopyDir::HostToDevice);
   }
-  tracer.span(trace::Cat::Comm, "halo_comm", trace::kTrackComm, comm_begin_us, clk,
-              halo_bytes_total);
+  tracer.span(trace::Kind::HaloComm, comm_begin_us, clk, halo_bytes_total);
 
   // boundary kernel: waits (in-stream) for the interior kernel and the
   // ghost uploads, then updates every site on a cut edge
   dev.stream_wait_stream(kInteriorStream, kBackwardFaceStream);
   dev.stream_wait_stream(kInteriorStream, kForwardFaceStream);
   auto boundary_cost = perf::dslash_kernel_cost(prec, vh - n_interior, cfg.reconstruct);
-  boundary_cost.name = "dslash_boundary";
+  boundary_cost.kind = trace::Kind::DslashBoundary;
   clk = dev.launch_kernel(clk, kInteriorStream, boundary_cost, cfg.launch,
                           prec == Precision::Double);
   if (real)
     dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
               cfg.accumulate, KernelRegion::Boundary);
   clk = dev.device_synchronize(clk);
-  tracer.span(trace::Cat::Op, "halo_dslash", trace::kTrackHost, op_begin_us, clk);
+  tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
 }
 
 template <typename P>
@@ -300,7 +297,7 @@ void exchange_gauge_ghost(comm::QmpGrid& grid, const Geometry& local, GaugeField
       unpack_gauge_ghost(*gauge, local, mu, in_buf);
     }
   }
-  ctx.tracer().span(trace::Cat::Op, "gauge_exchange", trace::kTrackHost, op_begin_us, clk);
+  ctx.tracer().span(trace::Kind::GaugeExchange, op_begin_us, clk);
 }
 
 #define QUDA_INSTANTIATE_HALO(P)                                                                  \

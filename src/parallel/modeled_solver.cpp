@@ -125,8 +125,7 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
     flops += perf::effective_matrix_flops(vh);
     modeled_blas(ctx, config.outer, vh, 2, 1, flops);
     modeled_reduction(ctx);
-    tracer.span(trace::Cat::Solver, "setup", trace::kTrackSolver, setup_begin_us,
-                ctx.clock().now_us);
+    tracer.span(trace::Kind::Setup, setup_begin_us, ctx.clock().now_us);
     const double solve_begin_us = ctx.clock().now_us;
 
     int executed = 0;
@@ -150,8 +149,7 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
       modeled_reduction(ctx);
       modeled_blas(ctx, sloppy, vh, 3, 1, flops); // p update
 
-      tracer.instant(trace::Cat::Solver, "iteration", trace::kTrackSolver, ctx.clock().now_us,
-                     0, -1, -1, k);
+      tracer.instant(trace::Kind::Iteration, ctx.clock().now_us, 0, -1, -1, k);
       // modeled iterations carry no residual (arithmetic suppressed); the
       // ledger still pins the iteration cadence and precision regime
       if (auto* rec = telemetry::current())
@@ -184,23 +182,21 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
           modeled_reduction(ctx);
           modeled_blas(ctx, sloppy, vh, 4, 3, flops); // rebuild r0, p, rho
           modeled_reduction(ctx);
-          tracer.instant(trace::Cat::Solver, "rollback", trace::kTrackSolver,
-                         ctx.clock().now_us, 0, -1, -1, k);
+          tracer.instant(trace::Kind::SolverRollback, ctx.clock().now_us, 0, -1, -1, k);
           if (auto* rec = telemetry::current()) rec->flag(telemetry::kRollback);
-          tracer.span(trace::Cat::Solver, "reliable_update", trace::kTrackSolver,
-                      reliable_begin_us, ctx.clock().now_us, 0, -1, -1, k);
+          tracer.span(trace::Kind::ReliableUpdate, reliable_begin_us, ctx.clock().now_us, 0, -1, -1,
+                      k);
           k -= config.reliable_interval; // the segment is re-run
           continue;
         }
         modeled_blas(ctx, sloppy, vh, 1, 1, flops); // r_lo = convert(r)
         if (auto* rec = telemetry::current()) rec->flag(telemetry::kReliableUpdate);
-        tracer.span(trace::Cat::Solver, "reliable_update", trace::kTrackSolver,
-                    reliable_begin_us, ctx.clock().now_us, 0, -1, -1, k);
+        tracer.span(trace::Kind::ReliableUpdate, reliable_begin_us, ctx.clock().now_us, 0, -1, -1,
+                    k);
       }
     }
     ctx.barrier();
-    tracer.span(trace::Cat::Solver, "solve", trace::kTrackSolver, solve_begin_us,
-                ctx.clock().now_us);
+    tracer.span(trace::Kind::Solve, solve_begin_us, ctx.clock().now_us);
     if (ctx.rank() == 0) {
       rollbacks_rank0 = rollbacks;
       iterations_rank0 = executed;

@@ -90,7 +90,7 @@ inline gpusim::KernelCost dslash_kernel_cost(Precision p, std::int64_t sites,
   c.bytes = 0.5 * matrix_bytes_per_site(p) * static_cast<double>(sites);
   c.efficiency = dslash_efficiency(p);
   c.stride_bytes = stride_bytes;
-  c.name = "dslash";
+  c.kind = trace::Kind::Dslash;
   return c;
 }
 
@@ -113,7 +113,7 @@ inline gpusim::KernelCost blas_kernel_cost(Precision p, std::int64_t sites, int 
                                        static_cast<double>(sites) * 4.0; // norms
   c.flops = 2.0 * static_cast<double>(reads) * reals; // ~1 mul + 1 add per real read
   c.efficiency = kBlasEfficiency;
-  c.name = "blas";
+  c.kind = trace::Kind::Blas;
   return c;
 }
 

@@ -29,18 +29,16 @@ void RankContext::check_death() {
   const FaultStream::ArmedDeath d = *faults_.armed_death();
   faults_.disarm_deaths();
   auto& counters = faults_.counters();
-  const char* name;
   if (d.kind == DeathKind::Crash) {
     ++counters.crashes;
-    name = "rank_crash";
   } else {
     ++counters.hangs;
-    name = "rank_hang";
   }
   // the death is stamped at the rank's *current* clock -- the first
   // transport op at-or-after the drawn time -- which is deterministic;
   // the clock itself stays untouched
-  tracer_.instant(trace::Cat::Fault, name, trace::kTrackHost, clock_.now_us);
+  tracer_.instant(d.kind == DeathKind::Crash ? trace::Kind::RankCrash : trace::Kind::RankHang,
+                  clock_.now_us);
   cluster_.register_death(rank_, d.kind, clock_.now_us);
   throw RankDeath{rank_, d.kind, clock_.now_us};
 }
@@ -130,7 +128,7 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
       clock_.advance(f.stall_us);
       ++counters.stalls;
       counters.recovery_us += f.stall_us;
-      tracer_.instant(trace::Cat::Fault, "stall", trace::kTrackHost, clock_.now_us, 0, dst, tag);
+      tracer_.instant(trace::Kind::Stall, clock_.now_us, 0, dst, tag);
     }
     if (f.drop) {
       // the attempt never arrives; enqueue a tombstone so the receiver's
@@ -159,14 +157,11 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
   }
 
   m.send_time_us = clock_.now_us;
-  tracer_.instant(trace::Cat::Comm, "isend", trace::kTrackHost, m.send_time_us, modeled_bytes,
-                  dst, tag);
+  tracer_.instant(trace::Kind::Isend, m.send_time_us, modeled_bytes, dst, tag);
   if (m.dropped) {
-    tracer_.instant(trace::Cat::Fault, "drop", trace::kTrackHost, m.send_time_us, modeled_bytes,
-                    dst, tag);
+    tracer_.instant(trace::Kind::Drop, m.send_time_us, modeled_bytes, dst, tag);
   } else if (m.corrupt) {
-    tracer_.instant(trace::Cat::Fault, "corrupt", trace::kTrackHost, m.send_time_us,
-                    modeled_bytes, dst, tag);
+    tracer_.instant(trace::Kind::Corrupt, m.send_time_us, modeled_bytes, dst, tag);
   }
   // a dropped attempt's tombstone cannot satisfy the receiver's wait, so
   // only a real arrival wakes it
@@ -205,7 +200,7 @@ RankContext::PendingRecv RankContext::irecv(int src, int tag) {
   check_death();
   PendingRecv p{src, tag, clock_.now_us};
   clock_.advance(spec_.net.mpi_overhead_us);
-  tracer_.instant(trace::Cat::Comm, "irecv", trace::kTrackHost, p.post_time_us, 0, src, tag);
+  tracer_.instant(trace::Kind::Irecv, p.post_time_us, 0, src, tag);
   return p;
 }
 
@@ -272,11 +267,11 @@ RecvHandle RankContext::wait(PendingRecv& pending) {
     // link class it crossed), and the host-side blocking window of the wait
     // itself; the wait carries the happens-before edge back to the sender
     // (send time + network path)
-    tracer_.span(trace::Cat::Comm, "msg_flight", trace::kTrackComm, h.msg_.send_time_us,
-                 h.arrival_us_, h.msg_.modeled_bytes, pending.src, pending.tag);
+    tracer_.span(trace::Kind::MsgFlight, h.msg_.send_time_us, h.arrival_us_, h.msg_.modeled_bytes,
+                 pending.src, pending.tag);
     tracer_.link(static_cast<int>(spec_.link_class(pending.src, rank_)));
-    tracer_.span(trace::Cat::Comm, "mpi_wait", trace::kTrackHost, wait_begin_us, clock_.now_us,
-                 h.msg_.modeled_bytes, pending.src, pending.tag);
+    tracer_.span(trace::Kind::MpiWait, wait_begin_us, clock_.now_us, h.msg_.modeled_bytes,
+                 pending.src, pending.tag);
     tracer_.dep(pending.src, h.msg_.send_time_us, path);
   }
   return h;
@@ -376,8 +371,8 @@ void RankContext::allreduce_sum(double* values, int count) {
   }
   clock_.now_us = std::max(clock_.now_us, red.done_time);
   for (int i = 0; i < count; ++i) values[i] = red.result[static_cast<std::size_t>(i)];
-  tracer_.span(trace::Cat::Collective, "allreduce", trace::kTrackHost, reduce_begin_us,
-               clock_.now_us, static_cast<std::int64_t>(count) * 8);
+  tracer_.span(trace::Kind::Allreduce, reduce_begin_us, clock_.now_us,
+               static_cast<std::int64_t>(count) * 8);
   // rendezvous edge: the rank whose (latest) arrival gated this generation,
   // its arrival time, and the tree-reduction cost on top of it
   tracer_.dep(red.done_gate_rank, red.done_gate_time, tree_cost);
@@ -546,7 +541,10 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   }
 
   // the trace likewise survives a failed run (partial timelines are exactly
-  // what one wants when diagnosing a CommTimeout)
+  // what one wants when diagnosing a CommTimeout).  An export that cannot
+  // be written raises only after both reports are stored, and never in
+  // place of the run's own error.
+  std::string unwritten; // first export path that could not be written
   const std::string provenance = core::provenance_json(spec_);
   trace_report_ = trace::TraceReport{};
   trace_report_.enabled = trace_on;
@@ -556,8 +554,10 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
   if (trace_on) {
     trace_report_.per_rank.reserve(static_cast<std::size_t>(n));
     for (auto& c : contexts) trace_report_.per_rank.push_back(c->tracer().take_events());
-    if (!trace_path.empty())
-      trace::write_chrome_trace(trace::unique_trace_path(trace_path), trace_report_);
+    if (!trace_path.empty()) {
+      const std::string path = trace::unique_trace_path(trace_path);
+      if (!trace::write_chrome_trace(path, trace_report_)) unwritten = path;
+    }
   }
 
   // telemetry analysis is strictly post-run (the ranks are torn down), so
@@ -574,13 +574,16 @@ void VirtualCluster::run(const std::function<void(RankContext&)>& fn) {
     acfg.shm_peak_gbs = spec_.net.shm_bw_gbs;
     acfg.ib_peak_gbs = spec_.net.ib_bw_gbs;
     telemetry_report_ = telemetry::build_report(recorders, trace_report_, makespan_us_, acfg);
-    if (!telemetry_path.empty())
-      telemetry::write_jsonl(telemetry::unique_export_path(telemetry_path), telemetry_report_,
-                             provenance);
+    if (!telemetry_path.empty()) {
+      const std::string path = telemetry::unique_export_path(telemetry_path);
+      if (!telemetry::write_jsonl(path, telemetry_report_, provenance) && unwritten.empty())
+        unwritten = path;
+    }
   }
 
   if (first_error) std::rethrow_exception(first_error);
   channels_.clear();
+  if (!unwritten.empty()) throw std::runtime_error("cannot write export " + unwritten);
 }
 
 } // namespace quda::sim

@@ -67,8 +67,7 @@ SolverStats solve_bicgstab(LinearOperator<P>& op, SpinorField<P>& x, const Spino
     if (stats.breakdown_restarts >= params.max_breakdown_restarts) return false;
     ++stats.breakdown_restarts;
     if (trace::RankTracer* tr = trace::current())
-      tr->instant(trace::Cat::Solver, "breakdown_restart", trace::kTrackSolver, tr->now_us(), 0,
-                  -1, -1, stats.breakdown_restarts);
+      tr->instant(trace::Kind::BreakdownRestart, tr->now_us(), 0, -1, -1, stats.breakdown_restarts);
     if (auto* rec = telemetry::current()) rec->flag(telemetry::kBreakdownRestart);
     op.apply(r, x);
     r2 = op.global_sum(blas::xmy_norm(b, r));
@@ -134,8 +133,7 @@ SolverStats solve_bicgstab(LinearOperator<P>& op, SpinorField<P>& x, const Spino
 
     ++k;
     if (trace::RankTracer* tr = trace::current())
-      tr->instant(trace::Cat::Solver, "iteration", trace::kTrackSolver, tr->now_us(), 0, -1, -1,
-                  k);
+      tr->instant(trace::Kind::Iteration, tr->now_us(), 0, -1, -1, k);
     if (auto* rec = telemetry::current()) rec->iteration(k, r2, to_string(P::value)[0]);
     if (ckpt != nullptr && k % kUniformCheckpointStride == 0 && r2 > stop)
       ckpt->observe_boundary(x, k);

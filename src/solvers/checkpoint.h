@@ -77,8 +77,8 @@ public:
         ctx.spec().storage.transfer_time_us(pending_.bytes);
     ctx.clock().advance(write_us);
     counters.checkpoint_us += write_us;
-    tracer.span(trace::Cat::Fault, "checkpoint", trace::kTrackHost, begin_us,
-                ctx.clock().now_us, pending_.bytes, -1, -1, iteration);
+    tracer.span(trace::Kind::Checkpoint, begin_us, ctx.clock().now_us, pending_.bytes, -1, -1,
+                iteration);
     log_.push_back({"write", iteration, ctx.clock().now_us, pending_.digest, pending_.bytes});
 
     // phase 2: commit vote -- the collective doubles as the barrier that
@@ -87,8 +87,7 @@ public:
       grid_.sum(1.0);
     } catch (...) {
       pending_.valid = false;
-      tracer.instant(trace::Cat::Fault, "ckpt_abort", trace::kTrackHost, ctx.clock().now_us, 0,
-                     -1, -1, iteration);
+      tracer.instant(trace::Kind::CkptAbort, ctx.clock().now_us, 0, -1, -1, iteration);
       log_.push_back({"abort", iteration, ctx.clock().now_us, pending_.digest, pending_.bytes});
       throw;
     }
@@ -101,8 +100,7 @@ public:
     pending_.valid = false;
     ++counters.checkpoints_committed;
     if (auto* rec = telemetry::current()) rec->flag(telemetry::kCheckpoint);
-    tracer.span(trace::Cat::Fault, "ckpt_commit", trace::kTrackHost, commit_begin_us,
-                ctx.clock().now_us, 0, -1, -1, iteration);
+    tracer.span(trace::Kind::CkptCommit, commit_begin_us, ctx.clock().now_us, 0, -1, -1, iteration);
     log_.push_back(
         {"commit", iteration, ctx.clock().now_us, committed_.digest, committed_.bytes});
   }

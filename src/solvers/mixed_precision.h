@@ -97,8 +97,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
     if (stats.breakdown_restarts >= params.max_breakdown_restarts) return false;
     ++stats.breakdown_restarts;
     if (trace::RankTracer* tr = trace::current())
-      tr->instant(trace::Cat::Solver, "breakdown_restart", trace::kTrackSolver, tr->now_us(), 0,
-                  -1, -1, stats.breakdown_restarts);
+      tr->instant(trace::Kind::BreakdownRestart, tr->now_us(), 0, -1, -1, stats.breakdown_restarts);
     if (auto* rec = telemetry::current()) rec->flag(telemetry::kBreakdownRestart);
     convert_spinor_field(tmp_hi, x_lo);
     blas::axpy(1.0, tmp_hi, x);
@@ -149,8 +148,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
     op_lo.account_blas(3, 1);
     ++k;
     if (trace::RankTracer* tr = trace::current())
-      tr->instant(trace::Cat::Solver, "iteration", trace::kTrackSolver, tr->now_us(), 0, -1, -1,
-                  k);
+      tr->instant(trace::Kind::Iteration, tr->now_us(), 0, -1, -1, k);
     // the ledger records the *sloppy* iterated residual with the sloppy
     // regime; reliable updates below attach the true residual
     if (auto* rec = telemetry::current()) rec->iteration(k, r2, to_string(PLo::value)[0]);
@@ -194,9 +192,8 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
         if (stats.rollbacks >= params.max_rollbacks) {
           stats.escalated = true; // budget exhausted: caller escalates
           if (tr != nullptr) {
-            tr->instant(trace::Cat::Solver, "escalate", trace::kTrackSolver, tr->now_us());
-            tr->span(trace::Cat::Solver, "reliable_update", trace::kTrackSolver,
-                     reliable_begin_us, tr->now_us(), 0, -1, -1, k);
+            tr->instant(trace::Kind::Escalate, tr->now_us());
+            tr->span(trace::Kind::ReliableUpdate, reliable_begin_us, tr->now_us(), 0, -1, -1, k);
           }
           break;
         }
@@ -205,12 +202,10 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
         stagnant_updates = 0;
         if (auto* rec = telemetry::current()) rec->flag(telemetry::kRollback);
         if (tr != nullptr)
-          tr->instant(trace::Cat::Solver, "sdc_rollback", trace::kTrackSolver, tr->now_us(), 0,
-                      -1, -1, stats.rollbacks);
+          tr->instant(trace::Kind::SdcRollback, tr->now_us(), 0, -1, -1, stats.rollbacks);
         const bool rebuilt = rebuild_krylov();
         if (tr != nullptr)
-          tr->span(trace::Cat::Solver, "reliable_update", trace::kTrackSolver,
-                   reliable_begin_us, tr->now_us(), 0, -1, -1, k);
+          tr->span(trace::Kind::ReliableUpdate, reliable_begin_us, tr->now_us(), 0, -1, -1, k);
         if (!rebuilt) break;
         continue;
       }
@@ -227,8 +222,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
       // exactly the iterate a restart would rebuild the Krylov space from
       if (ckpt != nullptr && r2 > stop) ckpt->observe_boundary(x, k);
       if (tr != nullptr)
-        tr->span(trace::Cat::Solver, "reliable_update", trace::kTrackSolver, reliable_begin_us,
-                 tr->now_us(), 0, -1, -1, k);
+        tr->span(trace::Kind::ReliableUpdate, reliable_begin_us, tr->now_us(), 0, -1, -1, k);
       if (r2 <= stop) break;
       if (r2 > 0.8 * last_update_r2) {
         if (++stagnant_updates >= 3) break; // converged as far as precision allows

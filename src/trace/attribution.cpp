@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace quda::trace {
 
@@ -22,8 +21,7 @@ const char* path_cat_name(PathCat cat) {
 PathCat classify_segment(const PathSegment& seg) {
   switch (seg.kind) {
     case SegKind::KernelExec:
-      return std::strstr(seg.label, "boundary") != nullptr ? PathCat::Boundary
-                                                           : PathCat::Interior;
+      return seg.op == Kind::DslashBoundary ? PathCat::Boundary : PathCat::Interior;
     case SegKind::CopyExec:
       return PathCat::Pcie;
     case SegKind::MsgFlight:

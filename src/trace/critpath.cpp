@@ -1,8 +1,9 @@
 #include "trace/critpath.h"
 
+#include "trace/intervals.h"
+
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -11,14 +12,6 @@
 namespace quda::trace {
 
 namespace {
-
-bool named(const Event& e, const char* name) { return std::strcmp(e.name, name) == 0; }
-
-// [begin, end) of a container span used for gap classification
-struct Interval {
-  double begin = 0;
-  double end = 0;
-};
 
 // reconstructed device resource (stream or copy engine): its ready value and
 // the op that last advanced it.  Invariant: value > 0 implies last_op >= 0.
@@ -29,79 +22,20 @@ struct ResState {
 
 // copy-engine index for a memcpy event, mirroring Device::pick_engine
 int engine_of(const Event& e, int num_engines) {
-  const bool h2d = std::strstr(e.name, "h2d") != nullptr;
+  const bool h2d = e.kind == Kind::MemcpyH2D || e.kind == Kind::MemcpyAsyncH2D;
   return num_engines == 2 ? (h2d ? 0 : 1) : 0;
-}
-
-// what one recorded event contributes to the program model
-enum class Role : std::uint8_t {
-  None,
-  Isend,
-  Irecv,
-  Wait,
-  Collective,
-  SyncCopy,
-  AsyncCopy,
-  Kernel,
-  StreamWait,
-  StreamSync,
-  DeviceSync,
-  Reset,        // recovery_reset: cluster-wide channel purge
-  CommSpan,     // gap containers: send_frame / recv_frame
-  DeviceSpan,   //   halo_dslash / gauge_exchange
-  RecoverySpan, //   checkpoint / rollback / restore / ... spans
-};
-
-Role role_of(const Event& e) {
-  if (e.track >= 0) {
-    if (e.cat == Cat::Kernel && !e.instant) return Role::Kernel;
-    if (e.cat == Cat::Copy && !e.instant) return Role::AsyncCopy;
-    if (e.cat == Cat::Sync && e.instant && named(e, "stream_wait")) return Role::StreamWait;
-    return Role::None; // unknown stream activity: observational only, not modeled
-  }
-  if (e.track != kTrackHost) return Role::None; // comm / solver tracks
-  switch (e.cat) {
-    case Cat::Comm:
-      if (e.instant) return named(e, "isend") ? Role::Isend
-                            : named(e, "irecv") ? Role::Irecv
-                                                : Role::None;
-      if (named(e, "mpi_wait")) return Role::Wait;
-      if (named(e, "send_frame") || named(e, "recv_frame")) return Role::CommSpan;
-      return Role::None;
-    case Cat::Copy:
-      return e.instant ? Role::None : Role::SyncCopy;
-    case Cat::Sync:
-      if (e.instant) return Role::None;
-      if (named(e, "stream_sync")) return Role::StreamSync;
-      if (named(e, "device_sync")) return Role::DeviceSync;
-      return Role::None;
-    case Cat::Collective:
-      return e.instant ? Role::None : Role::Collective;
-    case Cat::Op:
-      if (!e.instant && (named(e, "halo_dslash") || named(e, "gauge_exchange")))
-        return Role::DeviceSpan;
-      return Role::None;
-    case Cat::Fault:
-      if (e.instant) return named(e, "recovery_reset") ? Role::Reset : Role::None;
-      if (named(e, "checkpoint") || named(e, "ckpt_commit") || named(e, "rollback") ||
-          named(e, "restore") || named(e, "detect") || named(e, "respawn") ||
-          named(e, "resume"))
-        return Role::RecoverySpan;
-      return Role::None;
-    default:
-      return Role::None; // Solver / Op instants and containers
-  }
 }
 
 // per-rank extraction: a pre-pass sizes the program and collects the gap
 // containers, the tail end and the channel-purge times; the main pass turns
-// the recorded event list into the RankProgram
+// the recorded event list into the RankProgram.  Both dispatch on each
+// event's Class (trace.h).
 class RankExtractor {
 public:
   RankExtractor(const std::vector<Event>& events, int rank, ProgramModel& model,
-                std::vector<Role>& roles, std::vector<double>& resets)
+                std::vector<double>& resets)
       : events_(events), rank_(rank), model_(model),
-        prog_(model.ranks[static_cast<std::size_t>(rank)]), roles_(roles), resets_(resets) {}
+        prog_(model.ranks[static_cast<std::size_t>(rank)]), resets_(resets) {}
 
   void run() {
     prepass();
@@ -122,38 +56,38 @@ private:
       model_.error = "rank " + std::to_string(rank_) + ": " + what;
   }
 
-  // ---- pre-pass: roles, sizes, containers, tail end, resets -----------------
+  // ---- pre-pass: sizes, containers, tail end, resets ------------------------
 
   void prepass() {
-    roles_.resize(events_.size());
     std::size_t steps = 0, ops = 0, waits = 0, colls = 0;
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      const Event& e = events_[i];
+    for (const Event& e : events_) {
       if (e.track < 0) host_end_ = std::max(host_end_, e.end_us);
-      const Role role = role_of(e);
-      roles_[i] = role;
-      switch (role) {
-        case Role::None: break;
-        case Role::Reset: resets_.push_back(e.ts_us); break;
-        case Role::CommSpan: comm_ivs_.push_back({e.ts_us, e.end_us}); break;
-        case Role::DeviceSpan: dev_ivs_.push_back({e.ts_us, e.end_us}); break;
-        case Role::RecoverySpan: rec_ivs_.push_back({e.ts_us, e.end_us}); break;
-        case Role::SyncCopy:
-        case Role::AsyncCopy:
-        case Role::Kernel: ++ops; ++steps; break;
-        case Role::Wait: ++waits; ++steps; break;
-        case Role::Collective: ++colls; ++steps; break;
-        default: ++steps; break;
+      switch (info(e.kind).cls) {
+        case Class::Reset: resets_.push_back(e.ts_us); break;
+        case Class::CommFrame: comm_ivs_.emplace_back(e.ts_us, e.end_us); break;
+        case Class::DeviceIssue: dev_ivs_.emplace_back(e.ts_us, e.end_us); break;
+        case Class::Checkpoint:
+        case Class::Recovery: rec_ivs_.emplace_back(e.ts_us, e.end_us); break;
+        case Class::SyncCopy:
+        case Class::AsyncCopy:
+        case Class::Kernel: ++ops; ++steps; break;
+        case Class::Wait: ++waits; ++steps; break;
+        case Class::Collective: ++colls; ++steps; break;
+        case Class::Isend:
+        case Class::Irecv:
+        case Class::StreamWait:
+        case Class::StreamSync:
+        case Class::DeviceSync: ++steps; break;
+        default: break; // observational only
       }
     }
     prog_.steps.reserve(steps);
     prog_.ops.reserve(ops);
     prog_.waits.reserve(waits);
     prog_.colls.reserve(colls);
-    auto by_begin = [](const Interval& a, const Interval& b) { return a.begin < b.begin; };
-    std::sort(comm_ivs_.begin(), comm_ivs_.end(), by_begin);
-    std::sort(dev_ivs_.begin(), dev_ivs_.end(), by_begin);
-    std::sort(rec_ivs_.begin(), rec_ivs_.end(), by_begin);
+    std::sort(comm_ivs_.begin(), comm_ivs_.end());
+    std::sort(dev_ivs_.begin(), dev_ivs_.end());
+    std::sort(rec_ivs_.begin(), rec_ivs_.end());
   }
 
   // classify a gap by its midpoint; recovery containers win (nothing nests
@@ -161,16 +95,16 @@ private:
   // send/recv_frame nest inside halo_dslash.  Midpoints are monotonically
   // increasing, so scan pointers suffice.
   GapKind classify(double mid) {
-    while (rec_idx_ < rec_ivs_.size() && rec_ivs_[rec_idx_].end <= mid) ++rec_idx_;
-    if (rec_idx_ < rec_ivs_.size() && rec_ivs_[rec_idx_].begin <= mid)
-      return GapKind::Recovery;
-    while (comm_idx_ < comm_ivs_.size() && comm_ivs_[comm_idx_].end <= mid) ++comm_idx_;
-    if (comm_idx_ < comm_ivs_.size() && comm_ivs_[comm_idx_].begin <= mid)
-      return GapKind::CommOverhead;
-    while (dev_idx_ < dev_ivs_.size() && dev_ivs_[dev_idx_].end <= mid) ++dev_idx_;
-    if (dev_idx_ < dev_ivs_.size() && dev_ivs_[dev_idx_].begin <= mid)
-      return GapKind::DeviceIssue;
+    if (covers(rec_ivs_, rec_idx_, mid)) return GapKind::Recovery;
+    if (covers(comm_ivs_, comm_idx_, mid)) return GapKind::CommOverhead;
+    if (covers(dev_ivs_, dev_idx_, mid)) return GapKind::DeviceIssue;
     return GapKind::Solver;
+  }
+
+  // does a container in the sorted list `ivs` cover mid? (idx: scan pointer)
+  static bool covers(const std::vector<Interval>& ivs, std::size_t& idx, double mid) {
+    while (idx < ivs.size() && ivs[idx].second <= mid) ++idx;
+    return idx < ivs.size() && ivs[idx].first <= mid;
   }
 
   // ---- main pass helpers ----------------------------------------------------
@@ -203,11 +137,19 @@ private:
   int next_step() const { return static_cast<int>(prog_.steps.size()); }
   int next_op() const { return static_cast<int>(prog_.ops.size()); }
 
-  ResState& stream_state(int stream) {
-    if (stream >= static_cast<int>(streams_.size()))
-      streams_.resize(static_cast<std::size_t>(stream) + 1);
-    return streams_[static_cast<std::size_t>(stream)];
+  // size the stream table to cover the two streams an event names; false
+  // (after failing) when one is not a stream index in [0, kTrackStream)
+  bool claim_streams(const Event& e, int a, int b) {
+    if (std::min(a, b) < 0 || std::max(a, b) >= kTrackStream) {
+      fail(std::string(info(e.kind).name) + " names an invalid stream");
+      return false;
+    }
+    if (std::max(a, b) >= static_cast<int>(streams_.size()))
+      streams_.resize(static_cast<std::size_t>(std::max(a, b)) + 1);
+    return true;
   }
+
+  ResState& stream_state(int stream) { return streams_[static_cast<std::size_t>(stream)]; }
 
   ResState& engine_state(int engine) {
     if (engine >= static_cast<int>(engines_.size()))
@@ -219,18 +161,18 @@ private:
 
   void dispatch(std::size_t i) {
     const Event& e = events_[i];
-    switch (roles_[i]) {
-      case Role::Isend: return on_isend(e, i);
-      case Role::Irecv: return on_irecv(e);
-      case Role::Wait: return on_wait(e);
-      case Role::Collective: return on_collective(e);
-      case Role::SyncCopy: return on_sync_copy(e);
-      case Role::AsyncCopy: return on_async_copy(e);
-      case Role::Kernel: return on_kernel(e);
-      case Role::StreamWait: return on_stream_wait(e);
-      case Role::StreamSync: return on_stream_sync(e);
-      case Role::DeviceSync: return on_device_sync(e);
-      case Role::Reset:
+    switch (info(e.kind).cls) {
+      case Class::Isend: return on_isend(e, i);
+      case Class::Irecv: return on_irecv(e);
+      case Class::Wait: return on_wait(e);
+      case Class::Collective: return on_collective(e);
+      case Class::SyncCopy: return on_sync_copy(e);
+      case Class::AsyncCopy: return on_async_copy(e);
+      case Class::Kernel: return on_kernel(e);
+      case Class::StreamWait: return on_stream_wait(e);
+      case Class::StreamSync: return on_stream_sync(e);
+      case Class::DeviceSync: return on_device_sync(e);
+      case Class::Reset:
         // a recovery epoch cleared the transport channels: receives posted
         // before the reset can never be waited on again
         irecv_fifo_.clear();
@@ -243,8 +185,7 @@ private:
   void on_isend(const Event& e, std::size_t i) {
     if (!reach(e.ts_us)) return;
     // a dropped attempt is tagged by the fault tombstone recorded right after
-    const bool dropped = i + 1 < events_.size() && events_[i + 1].cat == Cat::Fault &&
-                         events_[i + 1].instant && named(events_[i + 1], "drop");
+    const bool dropped = i + 1 < events_.size() && info(events_[i + 1].kind).cls == Class::Drop;
     push(StepKind::Isend, e.ts_us, e.ts_us, prog_.num_sends++, e.peer, e.tag, dropped);
   }
 
@@ -257,6 +198,8 @@ private:
   void on_wait(const Event& e) {
     if (!reach(e.ts_us)) return;
     if (e.dep_rank < 0) return fail("mpi_wait without a sender edge");
+    if (e.dep_rank >= static_cast<int>(model_.ranks.size()))
+      return fail("mpi_wait sender is outside the run");
     auto& q = irecv_fifo_[{e.peer, e.tag}];
     if (q.empty()) return fail("mpi_wait without a posted irecv");
     WaitEdge w;
@@ -295,7 +238,7 @@ private:
     const double gate = std::max(issue, eng.value);
     if (e.ts_us != gate) return fail("sync copy start does not match its engine gate");
     DeviceOp op;
-    op.name = e.name;
+    op.kind = e.kind;
     op.engine = engine_of(e, model_.num_engines);
     op.issue_us = issue;
     op.gate_us = gate;
@@ -314,13 +257,13 @@ private:
   void on_async_copy(const Event& e) {
     const double issue = e.dep_ts_us;
     if (issue < 0) return fail("async copy without an issue anchor");
-    if (!reach(issue)) return;
+    if (!reach(issue) || !claim_streams(e, e.track, e.track)) return;
     ResState& st = stream_state(e.track);
     ResState& eng = engine_state(engine_of(e, model_.num_engines));
     const double gate = std::max({issue, st.value, eng.value});
     if (e.ts_us != gate) return fail("async copy start does not match its gate");
     DeviceOp op;
-    op.name = e.name;
+    op.kind = e.kind;
     op.stream = e.track;
     op.engine = engine_of(e, model_.num_engines);
     op.issue_us = issue;
@@ -347,13 +290,12 @@ private:
   void on_kernel(const Event& e) {
     const double issue = e.dep_ts_us;
     if (issue < 0) return fail("kernel without an issue anchor");
-    if (!reach(issue)) return;
+    if (!reach(issue) || !claim_streams(e, e.track, e.track)) return;
     ResState& st = stream_state(e.track);
     const double gate = std::max(issue, st.value);
     if (e.ts_us < gate) return fail("kernel started before its stream gate");
     DeviceOp op;
-    op.is_kernel = true;
-    op.name = e.name;
+    op.kind = e.kind;
     op.stream = e.track;
     op.issue_us = issue;
     op.gate_us = gate;
@@ -370,9 +312,9 @@ private:
   }
 
   void on_stream_wait(const Event& e) {
-    if (!reach(e.ts_us)) return;
     const int waiter = e.track;
     const int waitee = e.tag;
+    if (!reach(e.ts_us) || !claim_streams(e, waiter, waitee)) return;
     ResState& src = stream_state(waitee);
     if (src.value != e.dep_ts_us) return fail("stream_wait source value mismatch");
     ResState& dst = stream_state(waiter);
@@ -384,8 +326,8 @@ private:
   }
 
   void on_stream_sync(const Event& e) {
-    if (!reach(e.ts_us)) return;
     const int stream = e.tag;
+    if (!reach(e.ts_us) || !claim_streams(e, stream, stream)) return;
     int pred = -1;
     if (e.end_us > e.ts_us) {
       const ResState& st = stream_state(stream);
@@ -414,7 +356,6 @@ private:
   const int rank_;
   ProgramModel& model_;
   RankProgram& prog_;
-  std::vector<Role>& roles_;    // per event, scratch shared across ranks
   std::vector<double>& resets_; // recovery_reset times, all ranks
   double cursor_ = 0;   // host clock after the last step
   double host_end_ = 0; // latest end of any host-side event
@@ -514,12 +455,11 @@ ProgramModel build_model(const TraceReport& report, const ModelConfig& config) {
     return model;
   }
   model.ranks.resize(report.per_rank.size());
-  std::vector<Role> roles;
   // cluster-wide channel-purge times (one per recovery epoch; every rank
   // records the same set, the union is just belt and braces)
   std::vector<double> resets;
   for (std::size_t r = 0; r < report.per_rank.size(); ++r) {
-    RankExtractor(report.per_rank[r], static_cast<int>(r), model, roles, resets).run();
+    RankExtractor(report.per_rank[r], static_cast<int>(r), model, resets).run();
     if (!model.ok()) return model;
   }
   std::sort(resets.begin(), resets.end());
@@ -555,14 +495,15 @@ CriticalPath critical_path(const ProgramModel& model) {
   auto prog = [&]() -> const RankProgram& { return model.ranks[static_cast<std::size_t>(r)]; };
   long safety = 4 * total_steps + 64;
 
-  auto emit = [&](SegKind kind, GapKind gap, const char* label, double begin, double end) {
-    if (end > begin) cp.segments.push_back({r, kind, gap, label, begin, end});
+  auto emit = [&](SegKind kind, double begin, double end, GapKind gap = GapKind::Solver,
+                  Kind op = Kind::Kernel) {
+    if (end > begin) cp.segments.push_back({r, kind, gap, op, begin, end});
   };
 
   // the rank's tail gap first: from its last step's end to its final clock
   int i = static_cast<int>(prog().steps.size());
   double t = prog().gap_begin_us(static_cast<std::size_t>(i));
-  emit(SegKind::HostGap, prog().tail_gap, "host", t, cp.makespan_us);
+  emit(SegKind::HostGap, t, cp.makespan_us, prog().tail_gap);
   --i;
 
   // the walk reached step i's begin anchor: emit the host gap before it and
@@ -571,7 +512,7 @@ CriticalPath critical_path(const ProgramModel& model) {
     const Step& s = prog().steps[static_cast<std::size_t>(i)];
     if (t != s.begin_us) return false;
     t = prog().gap_begin_us(static_cast<std::size_t>(i));
-    emit(SegKind::HostGap, s.gap, "host", t, s.begin_us);
+    emit(SegKind::HostGap, t, s.begin_us, s.gap);
     --i;
     return true;
   };
@@ -582,9 +523,9 @@ CriticalPath critical_path(const ProgramModel& model) {
     for (;;) {
       const DeviceOp& op = prog().ops[static_cast<std::size_t>(oi)];
       if (t != op.end_us) return false;
-      emit(op.is_kernel ? SegKind::KernelExec : SegKind::CopyExec, GapKind::Solver, op.name,
-           op.start_us, op.end_us);
-      emit(SegKind::LaunchGap, GapKind::Solver, "kernel_launch", op.gate_us, op.start_us);
+      emit(info(op.kind).cls == Class::Kernel ? SegKind::KernelExec : SegKind::CopyExec,
+           op.start_us, op.end_us, GapKind::Solver, op.kind);
+      emit(SegKind::LaunchGap, op.gate_us, op.start_us);
       t = op.gate_us;
       if (op.pred_op >= 0) {
         oi = op.pred_op;
@@ -615,11 +556,9 @@ CriticalPath critical_path(const ProgramModel& model) {
         const WaitEdge& w = prog().waits[static_cast<std::size_t>(s.ref)];
         const double post = prog().steps[static_cast<std::size_t>(w.irecv_step)].begin_us;
         const double arrival = std::max(w.send_ts_us, post) + w.path_us;
-        emit(SegKind::CommTail, GapKind::Solver, "mpi_wait", std::max(s.begin_us, arrival),
-             s.end_us);
+        emit(SegKind::CommTail, std::max(s.begin_us, arrival), s.end_us);
         if (arrival > s.begin_us) {
-          emit(SegKind::MsgFlight, GapKind::Solver, "msg_flight", std::max(w.send_ts_us, post),
-               arrival);
+          emit(SegKind::MsgFlight, std::max(w.send_ts_us, post), arrival);
           if (w.send_ts_us >= post) {
             // the sender gated the arrival: hop to its isend anchor
             r = w.match_rank;
@@ -639,7 +578,7 @@ CriticalPath critical_path(const ProgramModel& model) {
       }
       case StepKind::Collective: {
         const CollEdge& c = prog().colls[static_cast<std::size_t>(s.ref)];
-        emit(SegKind::CollectiveTree, GapKind::Solver, "allreduce", c.gate_ts_us, s.end_us);
+        emit(SegKind::CollectiveTree, c.gate_ts_us, s.end_us);
         t = c.gate_ts_us;
         if (c.gate_rank != r) {
           // resume at the gate rank's arrival at the same generation
@@ -662,7 +601,7 @@ CriticalPath critical_path(const ProgramModel& model) {
           if (!descend(s.ref)) return "device chain walk lost alignment";
           aligned = leave();
         } else {
-          emit(SegKind::SyncStall, GapKind::Solver, "sync", s.begin_us, s.end_us);
+          emit(SegKind::SyncStall, s.begin_us, s.end_us);
           t = s.begin_us;
           aligned = leave();
         }
@@ -869,7 +808,7 @@ double compute_bound_us(const ProgramModel& model) {
   for (const RankProgram& prog : model.ranks) {
     std::vector<double> per_stream(static_cast<std::size_t>(std::max(prog.num_streams, 1)), 0.0);
     for (const DeviceOp& op : prog.ops)
-      if (op.is_kernel && op.stream >= 0)
+      if (info(op.kind).cls == Class::Kernel)
         per_stream[static_cast<std::size_t>(op.stream)] += op.end_us - op.start_us;
     for (double v : per_stream) bound = std::max(bound, v);
   }

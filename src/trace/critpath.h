@@ -4,8 +4,9 @@
 // The tracer records, next to every event, the happens-before edge that
 // gated it (Event::dep_*): mpi_wait carries the sender and send time,
 // allreduce the rendezvous-gating rank, copies and kernels their host
-// issue anchor, stream_wait the waitee's ready value.  From those records
-// build_model() reconstructs each rank's *program*: an ordered list of
+// issue anchor, stream_wait the waitee's ready value.  From those records,
+// dispatching on each event kind's Class (trace.h), build_model()
+// reconstructs each rank's *program*: an ordered list of
 // host steps (sends, receives, waits, collectives, copies, kernel issues,
 // syncs), each carrying the classified local host gap that precedes it,
 // plus the device-op timeline per stream/copy-engine, with every op's
@@ -44,8 +45,7 @@ struct ModelConfig {
 // one device-side operation (kernel execution or PCIe transfer)
 // reconstructed from a stream/host copy span
 struct DeviceOp {
-  bool is_kernel = false;
-  const char* name = "";
+  Kind kind = Kind::Kernel; // the recorded event's kind (Class Kernel or a copy)
   int stream = -1;       // -1: sync copy (engine only)
   int engine = -1;       // copies only
   double issue_us = 0;   // host clock at issue (the recorded dep anchor)
@@ -143,9 +143,9 @@ enum class SegKind : std::uint8_t {
   MsgFlight,      // network flight of the gating message
   CommTail,       // post-arrival local cost of a blocking wait
   CollectiveTree, // rendezvous wait + tree steps of an allreduce
-  KernelExec,     // kernel execution (label = kernel name)
+  KernelExec,     // kernel execution (PathSegment::op = its kind)
   LaunchGap,      // kernel-launch overhead on the gating device chain
-  CopyExec,       // PCIe bus occupancy (label = memcpy name)
+  CopyExec,       // PCIe bus occupancy (PathSegment::op = its kind)
   SyncStall,      // blocked sync whose device chain could not be resolved
 };
 
@@ -153,7 +153,7 @@ struct PathSegment {
   int rank = -1;
   SegKind kind = SegKind::HostGap;
   GapKind gap = GapKind::Solver; // HostGap only
-  const char* label = "";
+  Kind op = Kind::Kernel;        // KernelExec / CopyExec only
   double begin_us = 0;
   double end_us = 0;
   double length_us() const { return end_us - begin_us; }

@@ -1,7 +1,7 @@
 #pragma once
-// Interval algebra over recorded spans, shared by the trace metrics
-// (metrics.cpp) and the telemetry utilization timelines (telemetry.cpp).
-// Internal to src/trace: windows are [Event::ts_us, Event::end_us), the
+// Interval algebra over the windows metrics.h classify() collects, shared
+// by the trace metrics (metrics.cpp) and the telemetry timelines and
+// monitors (telemetry.cpp).  Windows are [Event::ts_us, Event::end_us), the
 // exact recorded begin and end doubles.
 
 #include <algorithm>

@@ -1,12 +1,11 @@
 #include "trace/telemetry.h"
 
-#include "trace/intervals.h"
+#include "trace/metrics.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace quda::telemetry {
@@ -35,12 +34,6 @@ void bucketize(const std::vector<Interval>& u, double bucket_us, std::vector<dou
       if (bhi > blo) frac[b] += bhi - blo;
     }
   }
-}
-
-bool is_recovery_span(const char* name) {
-  return std::strcmp(name, "detect") == 0 || std::strcmp(name, "respawn") == 0 ||
-         std::strcmp(name, "rollback") == 0 || std::strcmp(name, "restore") == 0 ||
-         std::strcmp(name, "resume") == 0;
 }
 
 void json_escape_into(std::string& out, const std::string& s) {
@@ -236,21 +229,14 @@ void RankRecorder::run_monitors(const IterationRecord& rec) {
   // the mean of the run's own opening iterations
   if (tracer_ != nullptr && tracer_->enabled()) {
     const auto& events = tracer_->events();
-    std::vector<Interval> comm, kern;
-    for (std::size_t i = last_event_idx_; i < events.size(); ++i) {
-      const trace::Event& e = events[i];
-      if (e.instant) continue;
-      if (e.cat == trace::Cat::Kernel && e.track >= 0) {
-        kern.emplace_back(e.ts_us, e.end_us);
-      } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-        comm.emplace_back(e.ts_us, e.end_us);
-      }
-    }
+    trace::RankWindows w;
+    trace::Metrics since_last;
+    trace::classify(std::span(events).subspan(last_event_idx_), w, since_last);
     last_event_idx_ = events.size();
-    const auto cu = interval_union(std::move(comm));
+    const auto cu = interval_union(std::move(w.comm));
     const double comm_us = total_length(cu);
     if (comm_us > 0) {
-      const double eff = intersection_length(cu, interval_union(std::move(kern))) / comm_us;
+      const double eff = intersection_length(cu, interval_union(std::move(w.kernel))) / comm_us;
       if (overlap_baseline_n_ < monitors_.opening_iters) {
         overlap_baseline_sum_ += eff;
         ++overlap_baseline_n_;
@@ -274,11 +260,11 @@ void RankRecorder::emit(AnomalyKind kind, long iter, double value, double refere
   a.reference = reference;
   anomalies_.push_back(a);
   registry_.count(std::string("anomaly.") + anomaly_kind_name(kind));
-  // instants named "anomaly" are excluded from trace::sequence_digest, so
-  // golden digests survive telemetry being switched on
+  // anomaly instants are excluded from trace::sequence_digest, so golden
+  // digests survive telemetry being switched on
   if (tracer_ != nullptr)
-    tracer_->instant(trace::Cat::Solver, "anomaly", trace::kTrackSolver, now_us(),
-                     static_cast<std::int64_t>(kind), -1, -1, iter);
+    tracer_->instant(trace::Kind::Anomaly, now_us(), static_cast<std::int64_t>(kind), -1, -1,
+                     iter);
 }
 
 // --- thread-local binding ----------------------------------------------------
@@ -320,36 +306,15 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
   // utilization timelines from the recorded event stream (empty untraced)
   const int buckets = std::max(1, cfg.buckets);
   std::vector<double> busy_us(trace.per_rank.size(), 0.0);
-  double flight_bytes[3] = {0, 0, 0};
-  double flight_us[3] = {0, 0, 0};
+  trace::Metrics totals;
   if (makespan_us > 0 && !trace.per_rank.empty()) {
     rep.bucket_us = makespan_us / buckets;
     rep.timelines.resize(trace.per_rank.size());
     for (std::size_t rank = 0; rank < trace.per_rank.size(); ++rank) {
-      std::vector<Interval> kern, comm, pcie, stall, recov;
-      for (const trace::Event& e : trace.per_rank[rank]) {
-        if (e.instant) continue;
-        if (e.cat == trace::Cat::Kernel && e.track >= 0) {
-          kern.emplace_back(e.ts_us, e.end_us);
-        } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "msg_flight") == 0) {
-          if (e.link >= 0 && e.link < 3) {
-            flight_bytes[e.link] += static_cast<double>(e.bytes);
-            flight_us[e.link] += e.end_us - e.ts_us;
-          }
-        } else if (e.track == trace::kTrackComm && std::strcmp(e.name, "halo_comm") == 0) {
-          comm.emplace_back(e.ts_us, e.end_us);
-        } else if (e.cat == trace::Cat::Copy) {
-          pcie.emplace_back(e.ts_us, e.end_us);
-        } else if (e.cat == trace::Cat::Fault) {
-          if (is_recovery_span(e.name)) {
-            recov.emplace_back(e.ts_us, e.end_us);
-          } else {
-            stall.emplace_back(e.ts_us, e.end_us); // checkpoint/storage waits
-          }
-        }
-      }
-      const auto kern_u = interval_union(std::move(kern));
-      const auto comm_u = interval_union(std::move(comm));
+      trace::RankWindows w;
+      trace::classify(trace.per_rank[rank], w, totals);
+      const auto kern_u = interval_union(std::move(w.kernel));
+      const auto comm_u = interval_union(std::move(w.comm));
       RankTimeline& tl = rep.timelines[rank];
       tl.busy.assign(buckets, 0.0);
       tl.exposed_comm.assign(buckets, 0.0);
@@ -358,9 +323,9 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
       tl.recovery.assign(buckets, 0.0);
       bucketize(kern_u, rep.bucket_us, tl.busy);
       bucketize(interval_subtract(comm_u, kern_u), rep.bucket_us, tl.exposed_comm);
-      bucketize(interval_union(std::move(pcie)), rep.bucket_us, tl.pcie);
-      bucketize(interval_union(std::move(stall)), rep.bucket_us, tl.stall);
-      bucketize(interval_union(std::move(recov)), rep.bucket_us, tl.recovery);
+      bucketize(interval_union(std::move(w.pcie)), rep.bucket_us, tl.pcie);
+      bucketize(interval_union(std::move(w.stall)), rep.bucket_us, tl.stall);
+      bucketize(interval_union(std::move(w.recovery)), rep.bucket_us, tl.recovery);
       busy_us[rank] = total_length(kern_u);
     }
   }
@@ -386,10 +351,11 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
   // achieved-vs-model-peak wire bandwidth (GB/s); bytes/us = 1e-3 GB/s
   const char* link_names[3] = {"shm", "ib", "xswitch"};
   const double peaks[3] = {cfg.shm_peak_gbs, cfg.ib_peak_gbs, cfg.ib_peak_gbs};
-  for (int c = 0; c < 3; ++c) {
-    if (flight_us[c] <= 0) continue;
+  const long bytes[3] = {totals.shm_bytes, totals.ib_bytes, totals.xswitch_bytes};
+  for (std::size_t c = 0; c < 3; ++c) {
+    if (totals.flight_us[c] <= 0) continue;
     rep.registry.gauge(std::string("achieved_") + link_names[c] + "_gbs",
-                       flight_bytes[c] / flight_us[c] * 1e-3);
+                       static_cast<double>(bytes[c]) / totals.flight_us[c] * 1e-3);
     rep.registry.gauge(std::string("peak_") + link_names[c] + "_gbs", peaks[c]);
   }
 
@@ -412,10 +378,10 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
 
 // --- JSONL export ------------------------------------------------------------
 
-void write_jsonl(const std::string& path, const TelemetryReport& report,
+bool write_jsonl(const std::string& path, const TelemetryReport& report,
                  const std::string& provenance_json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
+  if (f == nullptr) return false;
   std::string line;
   auto put = [&] {
     line += '\n';
@@ -494,7 +460,8 @@ void write_jsonl(const std::string& path, const TelemetryReport& report,
     line += '}';
     put();
   }
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 std::string unique_export_path(const std::string& base) {

@@ -20,14 +20,14 @@
 //    exported as JSONL via QUDA_SIM_TELEMETRY=<path>;
 //  * per-rank utilization timelines (busy / exposed-comm / PCIe / stall /
 //    recovery fraction per time bucket) plus achieved-vs-model-peak
-//    bandwidth gauges, derived post-run from the same event stream the
-//    critical-path model consumes, and a load-imbalance metric
+//    bandwidth gauges, derived post-run through the classifier the trace
+//    metrics use (metrics.h classify()), and a load-imbalance metric
 //    (max/mean busy fraction);
 //  * online anomaly monitors evaluated at iteration boundaries (residual
 //    stagnation, retry-rate spikes, overlap-efficiency collapse vs. the
 //    run's own opening iterations, post-hoc utilization imbalance) that
 //    emit typed Anomaly records into the ledger and -- when tracing is on
-//    -- into the trace as instants named "anomaly" (excluded from
+//    -- into the trace as Kind::Anomaly instants (excluded from
 //    trace::sequence_digest, like timestamps, so goldens survive).
 //
 // Bucket determinism rule: every time-resolved aggregate uses fixed-width
@@ -190,7 +190,7 @@ struct TelemetryOptions {
 // --- per-rank recorder -------------------------------------------------------
 
 // Ledger/metric sink of one simulated rank, owned by its RankContext and
-// written only from that rank's thread.  Like RankTracer it is bound to
+// written only from that rank's fiber.  Like RankTracer it is bound to
 // the rank's clock (read-only) and, when available, the rank's tracer and
 // retry counter -- the recorder never mutates any of them.
 class RankRecorder {
@@ -318,7 +318,8 @@ TelemetryReport build_report(const std::vector<const RankRecorder*>& recorders,
 // Write the report as JSON Lines: one provenance object (when
 // provenance_json is non-empty), one run header, then iteration / anomaly /
 // counter / gauge / histogram / series / timeline records, one per line.
-void write_jsonl(const std::string& path, const TelemetryReport& report,
+// Returns false when the file cannot be written.
+bool write_jsonl(const std::string& path, const TelemetryReport& report,
                  const std::string& provenance_json);
 
 // Non-clobbering export path: appends .N when base already exists.  Own

@@ -1,7 +1,5 @@
 #include "trace/trace.h"
 
-#include <cstring>
-
 namespace quda::trace {
 
 namespace {
@@ -52,10 +50,11 @@ std::uint64_t sequence_digest(const std::vector<Event>& events) {
     // anomaly instants are telemetry-layer observations, not pipeline
     // structure: excluded (like timestamps) so golden digests are
     // bit-identical with telemetry on or off
-    if (e.instant && std::strcmp(e.name, "anomaly") == 0) continue;
-    h = fnv1a_str(h, e.name);
-    h = fnv1a_step(h, static_cast<std::uint64_t>(e.cat));
-    h = fnv1a_step(h, e.instant ? 1u : 0u);
+    if (e.kind == Kind::Anomaly) continue;
+    const KindInfo& k = info(e.kind);
+    h = fnv1a_str(h, k.name);
+    h = fnv1a_step(h, static_cast<std::uint64_t>(k.cat));
+    h = fnv1a_step(h, k.instant ? 1u : 0u);
     h = fnv1a_step(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.track)));
     h = fnv1a_step(h, static_cast<std::uint64_t>(e.bytes));
     h = fnv1a_step(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(e.peer)));

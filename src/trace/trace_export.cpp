@@ -47,17 +47,18 @@ void append_meta(std::string& out, int pid, int tid, const char* kind,
 void append_event(std::string& out, int pid, const Event& e, bool& first) {
   out += first ? "\n" : ",\n";
   first = false;
+  const KindInfo& k = info(e.kind);
   out += "{\"name\": \"";
-  out += e.name;
+  out += k.name;
   out += "\", \"cat\": \"";
-  out += cat_name(e.cat);
+  out += cat_name(k.cat);
   out += "\", \"ph\": \"";
-  out += e.instant ? "i" : "X";
+  out += k.instant ? "i" : "X";
   out += "\", ";
-  if (e.instant) out += "\"s\": \"t\", ";
+  if (k.instant) out += "\"s\": \"t\", ";
   out += "\"pid\": " + std::to_string(pid) + ", \"tid\": " +
          std::to_string(track_tid(e.track)) + ", \"ts\": " + num(e.ts_us);
-  if (!e.instant) out += ", \"dur\": " + num(e.dur_us);
+  if (!k.instant) out += ", \"dur\": " + num(e.end_us - e.ts_us);
   out += ", \"args\": {\"bytes\": " + std::to_string(e.bytes) +
          ", \"peer\": " + std::to_string(e.peer) + ", \"tag\": " + std::to_string(e.tag) +
          ", \"seq\": " + std::to_string(e.seq) + ", \"dep_rank\": " + std::to_string(e.dep_rank) +

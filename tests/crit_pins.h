@@ -1,5 +1,6 @@
 #pragma once
-// Bitwise pin of a whole CritSummary (test_critpath.cpp, test_seq_golden.cpp).
+// Bitwise pins shared by test_critpath.cpp and test_seq_golden.cpp: a whole
+// CritSummary, and the exported bytes of a run.
 //
 // Every numeric field is compared with ==: the analyzer works on recorded
 // doubles only, so any change in how a gap, an edge or a projection lane is
@@ -11,10 +12,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <istream>
+#include <string>
 #include <vector>
 
 namespace quda {
+
+// FNV-1a over the bytes of a line-oriented export (Chrome trace JSON,
+// telemetry JSONL), skipping its provenance line: that line names the
+// build and the thread budget, not the run, so the digest pins everything
+// a run wrote
+inline std::uint64_t export_digest(std::istream& in) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"provenance\"") != std::string::npos) continue;
+    line += '\n';
+    for (const char c : line) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
 
 inline void print_summary_pin(const trace::CritSummary& s) {
   std::printf("    .makespan_us = %a,\n    .path_us = %a,\n    .cat_us = {", s.makespan_us,

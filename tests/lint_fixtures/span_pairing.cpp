@@ -14,5 +14,5 @@ void fixture_closed_window(Ctx& ctx) {
   // the blessed pattern: the begin time reaches a span() call
   const double pack_begin_us = ctx.clock().now_us;
   run_pack_kernel(ctx);
-  ctx.tracer().span(trace::Cat::Kernel, "pack", pack_begin_us, ctx.clock().now_us);
+  ctx.tracer().span(trace::Kind::HaloDslash, pack_begin_us, ctx.clock().now_us);
 }

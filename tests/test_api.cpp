@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
 namespace quda {
 namespace {
 
@@ -222,6 +226,23 @@ TEST(PublicApi, RejectsMismatchedGrid) {
   p.grid = {1, 1, 2, 2}; // 4 ranks on a 2-rank cluster
   EXPECT_THROW(invert_multi_gpu(sim::ClusterSpec::jlab_9g(2), f.u, f.b, x, p),
                std::invalid_argument);
+}
+
+TEST(PublicApi, UnwritableCheckpointLogRaises) {
+  // QUDA_SIM_CKPT naming a path inside a missing directory fails the solve
+  // loudly, naming the path, instead of silently writing nothing
+  ApiFixture f;
+  HostSpinorField x(f.g);
+  const std::string path = "no_such_dir/ckpt_unwritable.jsonl";
+  ASSERT_EQ(::setenv("QUDA_SIM_CKPT", path.c_str(), 1), 0);
+  try {
+    (void)invert_multi_gpu(sim::ClusterSpec::jlab_9g(2), f.u, f.b, x, f.params);
+    ::unsetenv("QUDA_SIM_CKPT");
+    FAIL() << "an unwritable checkpoint log must raise";
+  } catch (const std::runtime_error& e) {
+    ::unsetenv("QUDA_SIM_CKPT");
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
 }
 
 TEST(PublicApi, DeviceMemoryGateThrows) {

@@ -22,12 +22,13 @@
 #include "parallel/modeled_solver.h"
 #include "trace/attribution.h"
 #include "trace/critpath.h"
+#include "trace/trace_export.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,11 +38,13 @@ namespace {
 
 using parallel::ModeledSolverConfig;
 using parallel::ModeledSolverResult;
+using trace::Kind;
 
 struct AnalyzedRun {
   ModeledSolverResult result;
   trace::CritSummary crit; // re-derived from the raw report (independent of
                            // the copy run_modeled_solver attaches)
+  trace::TraceReport report;
   double makespan_us = 0;
 };
 
@@ -55,6 +58,7 @@ AnalyzedRun run_analyzed(int ranks, const ModeledSolverConfig& cfg,
   a.result = parallel::run_modeled_solver(cluster, cfg);
   a.crit = trace::analyze_solve(cluster.trace(),
                                 trace::ModelConfig{spec.device.dual_copy_engine});
+  a.report = cluster.trace();
   a.makespan_us = cluster.makespan_us();
   return a;
 }
@@ -226,6 +230,9 @@ TEST(CritPathAttribution, FaultedNoOverlapSummaryIsPinned) {
       .whatif_infinite_overlap_us = 0x1.e191326467f3fp+16,
   };
   expect_summary_pinned(a.crit, pinned);
+  // the Chrome export of the same run, byte for byte (bar provenance)
+  std::istringstream json(trace::chrome_trace_json(a.report));
+  EXPECT_EQ(export_digest(json), 0xe1903fbd1c90d843ull);
 }
 
 TEST(CritPathAttribution, SolverResultCarriesTheSameSummary) {
@@ -276,13 +283,12 @@ TEST(CritPathDegenerate, AttributionTableNamesEveryCategory) {
 
 // --- every model validation fires on the input it catches -------------------
 
-// the n-th event called `name` on `rank` (spanning: only spans with end > begin)
-trace::Event& nth_event(trace::TraceReport& rep, int rank, const char* name, int n = 0,
+// the n-th event of `kind` on `rank` (spanning: only spans with end > begin)
+trace::Event& nth_event(trace::TraceReport& rep, int rank, trace::Kind kind, int n = 0,
                         bool spanning = false) {
   for (trace::Event& e : rep.per_rank[static_cast<std::size_t>(rank)])
-    if (std::strcmp(e.name, name) == 0 && (!spanning || e.end_us > e.ts_us) && n-- == 0)
-      return e;
-  throw std::out_of_range(std::string("trace has no such ") + name);
+    if (e.kind == kind && (!spanning || e.end_us > e.ts_us) && n-- == 0) return e;
+  throw std::out_of_range(std::string("trace has no such ") + trace::info(kind).name);
 }
 
 TEST(CritPathValidation, EachCorruptedEdgeIsRejectedWithItsError) {
@@ -305,64 +311,76 @@ TEST(CritPathValidation, EachCorruptedEdgeIsRejectedWithItsError) {
   };
   const std::vector<Corruption> cases = {
       // per-rank extraction
-      {"host anchor regressed in time", [](Report& t) { nth_event(t, 0, "isend", 2).ts_us = 0; }},
+      {"host anchor regressed in time",
+       [](Report& t) { nth_event(t, 0, Kind::Isend, 2).ts_us = 0; }},
       {"mpi_wait without a sender edge",
-       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_rank = -1; }},
+       [](Report& t) { nth_event(t, 0, Kind::MpiWait).dep_rank = -1; }},
       {"mpi_wait without a posted irecv",
-       [](Report& t) { nth_event(t, 0, "mpi_wait").tag = 9999; }},
+       [](Report& t) { nth_event(t, 0, Kind::MpiWait).tag = 9999; }},
       {"mpi_wait ended before its recomputed arrival",
-       [](Report& t) { nth_event(t, 0, "mpi_wait").edge_us = 1e9; }},
+       [](Report& t) { nth_event(t, 0, Kind::MpiWait).edge_us = 1e9; }},
+      {"mpi_wait sender is outside the run",
+       [](Report& t) {
+         trace::Event& w = nth_event(t, 0, Kind::MpiWait);
+         w.dep_rank = 2;
+         w.peer = 2;
+       }},
       {"allreduce without a rendezvous edge",
-       [](Report& t) { nth_event(t, 0, "allreduce").dep_rank = 2; }},
+       [](Report& t) { nth_event(t, 0, Kind::Allreduce).dep_rank = 2; }},
       {"sync copy without an issue anchor",
-       [](Report& t) { nth_event(t, 0, "memcpy_h2d").dep_ts_us = -1; }},
+       [](Report& t) { nth_event(t, 0, Kind::MemcpyH2D).dep_ts_us = -1; }},
       {"sync copy start does not match its engine gate",
-       [](Report& t) { nth_event(t, 0, "memcpy_h2d").ts_us += 1; }},
+       [](Report& t) { nth_event(t, 0, Kind::MemcpyH2D).ts_us += 1; }},
       {"async copy without an issue anchor",
-       [](Report& t) { nth_event(t, 0, "memcpy_async_d2h").dep_ts_us = -1; }},
+       [](Report& t) { nth_event(t, 0, Kind::MemcpyAsyncD2H).dep_ts_us = -1; }},
       {"async copy start does not match its gate",
-       [](Report& t) { nth_event(t, 0, "memcpy_async_d2h").ts_us += 1; }},
+       [](Report& t) { nth_event(t, 0, Kind::MemcpyAsyncD2H).ts_us += 1; }},
       {"kernel without an issue anchor",
-       [](Report& t) { nth_event(t, 0, "blas").dep_ts_us = -1; }},
+       [](Report& t) { nth_event(t, 0, Kind::Blas).dep_ts_us = -1; }},
       {"kernel started before its stream gate",
        [](Report& t) {
-         trace::Event& k = nth_event(t, 0, "dslash_interior");
+         trace::Event& k = nth_event(t, 0, Kind::DslashInterior);
          k.ts_us = k.dep_ts_us - 1;
        }},
+      {"blas names an invalid stream", [](Report& t) { nth_event(t, 0, Kind::Blas).track = -1; }},
       {"stream_wait source value mismatch",
-       [](Report& t) { nth_event(t, 0, "stream_wait").dep_ts_us += 1; }},
+       [](Report& t) { nth_event(t, 0, Kind::StreamWait).dep_ts_us += 1; }},
+      {"stream_wait names an invalid stream",
+       [](Report& t) { nth_event(t, 0, Kind::StreamWait).tag = -1; }},
       {"stream_sync end does not match the stream's last op",
-       [](Report& t) { nth_event(t, 0, "stream_sync", 0, true).end_us += 1; }},
+       [](Report& t) { nth_event(t, 0, Kind::StreamSync, 0, true).end_us += 1; }},
+      {"stream_sync names an invalid stream",
+       [](Report& t) { nth_event(t, 0, Kind::StreamSync, 0, true).tag = -1; }},
       {"device_sync end does not match any device resource",
-       [](Report& t) { nth_event(t, 0, "device_sync", 0, true).end_us += 1; }},
+       [](Report& t) { nth_event(t, 0, Kind::DeviceSync, 0, true).end_us += 1; }},
       // cross-rank linking
       {"mpi_wait edge names a rank other than its channel peer",
-       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_rank = 0; }},
+       [](Report& t) { nth_event(t, 0, Kind::MpiWait).dep_rank = 0; }},
       {"mpi_wait without a matching isend on its channel",
        [](Report& t) {
          // move the first wait and the receive it consumes to a channel
          // nobody sends on
-         trace::Event& w = nth_event(t, 0, "mpi_wait");
+         trace::Event& w = nth_event(t, 0, Kind::MpiWait);
          for (trace::Event& e : t.per_rank[0])
-           if (std::strcmp(e.name, "irecv") == 0 && e.peer == w.peer && e.tag == w.tag) {
+           if (e.kind == Kind::Irecv && e.peer == w.peer && e.tag == w.tag) {
              e.tag = 9999;
              break;
            }
          w.tag = 9999;
        }},
       {"matched isend time differs from the recorded send edge",
-       [](Report& t) { nth_event(t, 0, "mpi_wait").dep_ts_us -= 0.5; }},
+       [](Report& t) { nth_event(t, 0, Kind::MpiWait).dep_ts_us -= 0.5; }},
       {"ranks disagree on the number of collectives",
        [](Report& t) {
          auto& events = t.per_rank[1];
          for (auto it = events.end(); it != events.begin();)
-           if (std::strcmp((--it)->name, "allreduce") == 0) {
+           if ((--it)->kind == Kind::Allreduce) {
              events.erase(it);
              break;
            }
        }},
       {"collective gate time differs from the gate rank's arrival",
-       [](Report& t) { nth_event(t, 0, "allreduce").dep_ts_us += 0.5; }},
+       [](Report& t) { nth_event(t, 0, Kind::Allreduce).dep_ts_us += 0.5; }},
   };
   for (const Corruption& c : cases) {
     SCOPED_TRACE(c.error);
@@ -383,19 +401,15 @@ TEST(CritPathValidation, CyclicWaitsDeadlockTheReplay) {
   rep.per_rank.resize(2);
   for (int r = 0; r < 2; ++r) {
     trace::Event e;
-    e.cat = trace::Cat::Comm;
     e.peer = 1 - r;
     e.tag = 0;
-    e.instant = true;
-    e.name = "irecv";
+    e.kind = trace::Kind::Irecv;
     rep.per_rank[static_cast<std::size_t>(r)].push_back(e);
-    e.instant = false;
-    e.name = "mpi_wait";
+    e.kind = trace::Kind::MpiWait;
     e.dep_rank = 1 - r;
     e.dep_ts_us = 0;
     rep.per_rank[static_cast<std::size_t>(r)].push_back(e);
-    e.instant = true;
-    e.name = "isend";
+    e.kind = trace::Kind::Isend;
     e.dep_rank = -1;
     e.dep_ts_us = -1;
     rep.per_rank[static_cast<std::size_t>(r)].push_back(e);

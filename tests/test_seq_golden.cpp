@@ -18,7 +18,9 @@
 //     topology classification of every message;
 //   - the scheduler counters on one worker: how often the ranks block
 //     (parks, wakes), and that no wake leaves a rank to park again (zero
-//     spurious).
+//     spurious);
+//   - the exported Chrome trace and telemetry JSONL byte for byte (FNV-1a,
+//     provenance line excluded).
 //
 // Any change to the scheduler, the interconnect model, or the halo pipeline
 // that moves the 256-rank timeline fails here loudly.  The exported trace
@@ -36,6 +38,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace quda {
@@ -44,14 +47,26 @@ namespace {
 constexpr const char* kTracePath = "trace_seq256_golden.json";
 constexpr const char* kTelemetryPath = "telemetry_seq256.jsonl";
 
+// export path n of `base`, as the exporters suffix repeat runs
+std::string export_path(const char* base, int n) {
+  return n == 0 ? base : std::string(base) + "." + std::to_string(n);
+}
+
 // drop stale exports (the exporters append .N suffixes rather than
 // overwrite, which would otherwise accumulate across local reruns)
 void scrub_trace_exports() {
-  for (const char* base : {kTracePath, kTelemetryPath}) {
-    std::remove(base);
-    for (int n = 1; n < 64; ++n)
-      std::remove((std::string(base) + "." + std::to_string(n)).c_str());
+  for (const char* base : {kTracePath, kTelemetryPath})
+    for (int n = 0; n < 64; ++n) std::remove(export_path(base, n).c_str());
+}
+
+// digest of the one export of `base` the run left after the scrub
+std::uint64_t digest_of_export(const char* base) {
+  for (int n = 0; n < 64; ++n) {
+    std::ifstream in(export_path(base, n));
+    if (in) return export_digest(in);
   }
+  ADD_FAILURE() << "no export of " << base;
+  return 0;
 }
 
 TEST(SeqGolden, Pinned256RankModeledSolve) {
@@ -108,6 +123,10 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   const long kGoldenXswitchBytes = 26222592;
   // scheduler counters: every park ends in one wake, none spurious
   const std::int64_t kGoldenParks = 10996;
+  // the exported bytes bar provenance: timestamps, edges and link classes
+  // the sequence digests skip, and every telemetry record
+  const std::uint64_t kGoldenTraceExport = 0x38cd7f8b1a322625ull;
+  const std::uint64_t kGoldenTelemetryExport = 0xcfead811e2f5b4f3ull;
 
   const auto& per_rank = cluster.trace().per_rank;
   const std::uint64_t d0 = trace::sequence_digest(per_rank.front());
@@ -124,14 +143,19 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   }
 
   const sim::SchedCounters& sched = cluster.sched_totals();
+  const std::uint64_t trace_export = digest_of_export(kTracePath);
+  const std::uint64_t telemetry_export = digest_of_export(kTelemetryPath);
   std::printf("SeqGolden: makespan %.17g digest0 %llu digest255 %llu fold %llu "
-              "shm %ld ib %ld xswitch %ld parks %lld wakes %lld spurious %lld\n",
+              "shm %ld ib %ld xswitch %ld parks %lld wakes %lld spurious %lld "
+              "trace export %#llx telemetry export %#llx\n",
               cluster.makespan_us(), static_cast<unsigned long long>(d0),
               static_cast<unsigned long long>(d255),
               static_cast<unsigned long long>(fold), r.metrics.shm_bytes,
               r.metrics.ib_bytes, r.metrics.xswitch_bytes,
               static_cast<long long>(sched.parks), static_cast<long long>(sched.wakes),
-              static_cast<long long>(sched.spurious));
+              static_cast<long long>(sched.spurious),
+              static_cast<unsigned long long>(trace_export),
+              static_cast<unsigned long long>(telemetry_export));
 
   EXPECT_EQ(cluster.makespan_us(), kGoldenMakespanUs);
   EXPECT_EQ(d0, kGoldenDigestRank0);
@@ -145,6 +169,8 @@ TEST(SeqGolden, Pinned256RankModeledSolve) {
   EXPECT_EQ(sched.parks, kGoldenParks);
   EXPECT_EQ(sched.wakes, kGoldenParks);
   EXPECT_EQ(sched.spurious, 0);
+  EXPECT_EQ(trace_export, kGoldenTraceExport);
+  EXPECT_EQ(telemetry_export, kGoldenTelemetryExport);
   EXPECT_GT(r.metrics.shm_bytes, 0);
   EXPECT_GT(r.metrics.ib_bytes, 0);
   EXPECT_GT(r.metrics.xswitch_bytes, 0);

@@ -352,6 +352,23 @@ TEST(TelemetryModeled, JsonlExportViaSpecAndEnv) {
   EXPECT_NE(via_env.find("\"type\": \"iteration\""), std::string::npos);
 }
 
+TEST(TelemetryModeled, UnwritableJsonlPathRaisesAfterTheRun) {
+  // a JSONL path inside a missing directory fails the run loudly, naming
+  // the path -- but only once the in-memory report is stored
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(2);
+  spec.telemetry.enabled = true;
+  spec.telemetry.path = "no_such_dir/telemetry_unwritable.jsonl";
+  sim::VirtualCluster cluster(spec);
+  try {
+    (void)parallel::run_modeled_solver(cluster, modeled_config());
+    FAIL() << "an unwritable telemetry export must raise";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(spec.telemetry.path), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(cluster.telemetry().enabled);
+  EXPECT_GT(cluster.telemetry().iterations(), 0) << "the report must survive the export error";
+}
+
 // --- real-mode integration (labeled slow in CMake) ---------------------------
 
 struct RealFixture {

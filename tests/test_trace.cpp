@@ -19,11 +19,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -116,22 +116,21 @@ double intersection_length(const std::vector<Interval>& a, const std::vector<Int
 std::vector<Interval> spans_on(const std::vector<Event>& events, int track) {
   std::vector<Interval> out;
   for (const Event& e : events)
-    if (!e.instant && e.track == track) out.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+    if (!trace::info(e.kind).instant && e.track == track) out.emplace_back(e.ts_us, e.end_us);
   return out;
 }
 
-std::vector<Interval> spans_named(const std::vector<Event>& events, int track, const char* name) {
+std::vector<Interval> spans_of(const std::vector<Event>& events, trace::Kind kind) {
   std::vector<Interval> out;
   for (const Event& e : events)
-    if (!e.instant && e.track == track && std::strcmp(e.name, name) == 0)
-      out.emplace_back(e.ts_us, e.ts_us + e.dur_us);
+    if (e.kind == kind) out.emplace_back(e.ts_us, e.end_us);
   return out;
 }
 
-long count_instants(const std::vector<Event>& events, const char* name) {
+long count_of(const std::vector<Event>& events, trace::Kind kind) {
   long n = 0;
   for (const Event& e : events)
-    if (e.instant && std::strcmp(e.name, name) == 0) ++n;
+    if (e.kind == kind) ++n;
   return n;
 }
 
@@ -169,13 +168,17 @@ TEST(TraceSchema, TwoRankOverlapRunIsWellFormed) {
   for (const auto& rank_events : t.report.per_rank) {
     ASSERT_FALSE(rank_events.empty());
     for (const Event& e : rank_events) {
-      EXPECT_NE(e.name[0], '\0');
-      EXPECT_NE(trace::cat_name(e.cat)[0], '\0');
-      EXPECT_TRUE(tracks.count(e.track)) << e.name << " on unknown track " << e.track;
-      EXPECT_GE(e.ts_us, 0.0) << e.name;
-      EXPECT_GE(e.dur_us, 0.0) << e.name;
-      if (e.instant) { EXPECT_EQ(e.dur_us, 0.0) << e.name; }
-      if (e.cat == trace::Cat::Collective) ++collectives;
+      const trace::KindInfo& k = trace::info(e.kind);
+      if (k.track == trace::kTrackStream) {
+        EXPECT_GE(e.track, 0) << k.name << " must run on a device stream";
+      } else {
+        EXPECT_EQ(e.track, k.track) << k.name << " off its fixed track";
+      }
+      EXPECT_TRUE(tracks.count(e.track)) << k.name << " on unknown track " << e.track;
+      EXPECT_GE(e.ts_us, 0.0) << k.name;
+      EXPECT_GE(e.end_us, e.ts_us) << k.name;
+      if (k.instant) { EXPECT_EQ(e.end_us, e.ts_us) << k.name; }
+      if (k.cat == trace::Cat::Collective) ++collectives;
     }
   }
   EXPECT_GT(collectives, 0) << "modeled solve must record allreduce rendezvous";
@@ -205,8 +208,8 @@ TEST(TraceSchema, DisabledTracingRecordsNothing) {
 
 // --- golden digests: the event pipeline's shape is pinned --------------------
 //
-// The digest hashes (name, cat, kind, track, bytes, peer, tag, seq) per
-// event in order -- not timestamps -- so recalibrating the time model does
+// The digest hashes (name, cat, span/instant, track, bytes, peer, tag, seq)
+// per event in order -- not timestamps -- so recalibrating the time model does
 // not move it, but any reordering of the launch/copy/send pipeline does.
 // If an intentional pipeline change lands, rerun and update the constants.
 
@@ -254,49 +257,37 @@ TEST(TraceGolden, DigestAndTimingDeterministicAcrossRuns) {
 
 // --- digest unit semantics ----------------------------------------------------
 
-// a span as RankTracer::span records it: begin, duration and the exact end
-Event make_span(const char* name, trace::Cat cat, int track, double b, double e,
-                std::int64_t bytes = 0, int peer = -1, int tag = -1, std::int64_t seq = -1) {
-  Event ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.instant = false;
-  ev.track = track;
-  ev.ts_us = b;
-  ev.dur_us = e - b;
-  ev.end_us = e;
-  ev.bytes = bytes;
-  ev.peer = peer;
-  ev.tag = tag;
-  ev.seq = seq;
-  return ev;
-}
-
-Event make_instant(const char* name, trace::Cat cat, int track, double ts,
-                   std::int64_t bytes = 0, int peer = -1, int tag = -1, std::int64_t seq = -1) {
-  Event ev = make_span(name, cat, track, ts, ts, bytes, peer, tag, seq);
-  ev.instant = true;
-  return ev;
+// an event as RankTracer records it (an instant ends where it begins)
+Event make_event(trace::Kind kind, int track, double b, double e, std::int64_t bytes = 0,
+                 int peer = -1, int tag = -1, std::int64_t seq = -1) {
+  return {.kind = kind,
+          .track = static_cast<std::int16_t>(track),
+          .tag = tag,
+          .ts_us = b,
+          .end_us = e,
+          .bytes = bytes,
+          .seq = seq,
+          .peer = peer};
 }
 
 TEST(TraceDigest, TimestampsDoNotAffectTheDigest) {
-  const std::vector<Event> a = {make_span("dslash", trace::Cat::Kernel, 0, 10, 20, 4096),
-                                make_instant("isend", trace::Cat::Comm, -1, 15, 512, 1, 7, 3)};
+  const std::vector<Event> a = {make_event(trace::Kind::Dslash, 0, 10, 20, 4096),
+                                make_event(trace::Kind::Isend, -1, 15, 15, 512, 1, 7, 3)};
   std::vector<Event> b = a;
   b[0].ts_us = 1000;
-  b[0].dur_us = 99;
+  b[0].end_us = 1099;
   b[1].ts_us = 2000;
   EXPECT_EQ(trace::sequence_digest(a), trace::sequence_digest(b));
 }
 
 TEST(TraceDigest, StructuralFieldsDoAffectTheDigest) {
-  const std::vector<Event> a = {make_span("dslash", trace::Cat::Kernel, 0, 10, 20, 4096),
-                                make_instant("isend", trace::Cat::Comm, -1, 15, 512, 1, 7, 3)};
+  const std::vector<Event> a = {make_event(trace::Kind::Dslash, 0, 10, 20, 4096),
+                                make_event(trace::Kind::Isend, -1, 15, 15, 512, 1, 7, 3)};
   std::vector<Event> reordered = {a[1], a[0]};
   EXPECT_NE(trace::sequence_digest(a), trace::sequence_digest(reordered));
 
   std::vector<Event> renamed = a;
-  renamed[0].name = "blas";
+  renamed[0].kind = trace::Kind::Blas;
   EXPECT_NE(trace::sequence_digest(a), trace::sequence_digest(renamed));
 
   std::vector<Event> resized = a;
@@ -315,10 +306,10 @@ TEST(TraceMetrics, SyntheticOverlapGeometry) {
   rep.enabled = true;
   rep.per_rank.resize(1);
   auto& ev = rep.per_rank[0];
-  ev.push_back(make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, 0, 10));
-  ev.push_back(make_span("dslash", trace::Cat::Kernel, 0, 5, 15, 1 << 20));
-  ev.push_back(make_instant("isend", trace::Cat::Comm, trace::kTrackHost, 1, 4096, 1, 0, 0));
-  ev.push_back(make_instant("retry", trace::Cat::Fault, trace::kTrackHost, 2, 4096, 1, 0, 0));
+  ev.push_back(make_event(trace::Kind::HaloComm, trace::kTrackComm, 0, 10));
+  ev.push_back(make_event(trace::Kind::Dslash, 0, 5, 15, 1 << 20));
+  ev.push_back(make_event(trace::Kind::Isend, trace::kTrackHost, 1, 1, 4096, 1, 0, 0));
+  ev.push_back(make_event(trace::Kind::Retry, trace::kTrackHost, 2, 2, 4096, 1, 0, 0));
 
   const trace::Metrics m = trace::compute_metrics(rep);
   EXPECT_EQ(m.events, 4);
@@ -341,9 +332,9 @@ TEST(TraceMetrics, OverlappingWindowsAreUnionedBeforeIntersection) {
   auto& ev = rep.per_rank[0];
   // two overlapping comm windows [0,10) + [5,20) union to 20us, fully
   // covered by one long kernel -> efficiency exactly 1, not 25/20
-  ev.push_back(make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, 0, 10));
-  ev.push_back(make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, 5, 20));
-  ev.push_back(make_span("dslash", trace::Cat::Kernel, 1, 0, 30));
+  ev.push_back(make_event(trace::Kind::HaloComm, trace::kTrackComm, 0, 10));
+  ev.push_back(make_event(trace::Kind::HaloComm, trace::kTrackComm, 5, 20));
+  ev.push_back(make_event(trace::Kind::Dslash, 1, 0, 30));
   const trace::Metrics m = trace::compute_metrics(rep);
   EXPECT_DOUBLE_EQ(m.comm_us, 20.0);
   EXPECT_DOUBLE_EQ(m.overlapped_us, 20.0);
@@ -376,9 +367,8 @@ TEST(TraceMetrics, ZeroLengthCommWindowsDoNotPoisonEfficiency) {
   rep.per_rank.resize(1);
   // a degenerate zero-duration comm window alongside a kernel: the union
   // must skip it and the efficiency ratio must stay finite
-  rep.per_rank[0].push_back(
-      make_span("halo_comm", trace::Cat::Comm, trace::kTrackComm, 5, 5));
-  rep.per_rank[0].push_back(make_span("dslash", trace::Cat::Kernel, 0, 0, 10));
+  rep.per_rank[0].push_back(make_event(trace::Kind::HaloComm, trace::kTrackComm, 5, 5));
+  rep.per_rank[0].push_back(make_event(trace::Kind::Dslash, 0, 0, 10));
   const trace::Metrics m = trace::compute_metrics(rep);
   EXPECT_DOUBLE_EQ(m.comm_us, 0.0);
   EXPECT_DOUBLE_EQ(m.overlapped_us, 0.0);
@@ -440,15 +430,15 @@ TEST(TraceProperties, DeliveredSendsMatchReceiverWaits) {
       std::map<Channel, std::pair<long, long>> sent, waited; // count, bytes
       for (std::size_t r = 0; r < t.report.per_rank.size(); ++r) {
         for (const Event& e : t.report.per_rank[r]) {
-          if (e.instant && std::strcmp(e.name, "isend") == 0) {
+          if (e.kind == trace::Kind::Isend) {
             auto& s = sent[{static_cast<int>(r), e.peer, e.tag}];
             s.first += 1;
             s.second += e.bytes;
-          } else if (e.instant && std::strcmp(e.name, "drop") == 0) {
+          } else if (e.kind == trace::Kind::Drop) {
             auto& s = sent[{static_cast<int>(r), e.peer, e.tag}];
             s.first -= 1;
             s.second -= e.bytes;
-          } else if (!e.instant && std::strcmp(e.name, "mpi_wait") == 0) {
+          } else if (e.kind == trace::Kind::MpiWait) {
             auto& w = waited[{e.peer, static_cast<int>(r), e.tag}];
             w.first += 1;
             w.second += e.bytes;
@@ -470,8 +460,8 @@ TEST(TraceProperties, OverlapRunsInteriorKernelInsideCommWindow) {
   EXPECT_GT(t.result.metrics.overlap_efficiency, 0.0);
   for (std::size_t r = 0; r < t.report.per_rank.size(); ++r) {
     const auto& ev = t.report.per_rank[r];
-    const auto comm = interval_union(spans_named(ev, trace::kTrackComm, "halo_comm"));
-    const auto interior = interval_union(spans_named(ev, 0, "dslash_interior"));
+    const auto comm = interval_union(spans_of(ev, trace::Kind::HaloComm));
+    const auto interior = interval_union(spans_of(ev, trace::Kind::DslashInterior));
     ASSERT_FALSE(comm.empty()) << "rank " << r;
     ASSERT_FALSE(interior.empty()) << "rank " << r;
     EXPECT_GT(intersection_length(comm, interior), 0.0)
@@ -504,11 +494,11 @@ TEST(TraceProperties, FaultInstantsMatchFaultReportCounters) {
 
     long drops = 0, corrupts = 0, stalls = 0, retries = 0, checksum_errors = 0;
     for (const auto& ev : t.report.per_rank) {
-      drops += count_instants(ev, "drop");
-      corrupts += count_instants(ev, "corrupt");
-      stalls += count_instants(ev, "stall");
-      retries += count_instants(ev, "retry");
-      checksum_errors += count_instants(ev, "checksum_error");
+      drops += count_of(ev, trace::Kind::Drop);
+      corrupts += count_of(ev, trace::Kind::Corrupt);
+      stalls += count_of(ev, trace::Kind::Stall);
+      retries += count_of(ev, trace::Kind::Retry);
+      checksum_errors += count_of(ev, trace::Kind::ChecksumError);
     }
     EXPECT_EQ(drops, t.result.faults.drops) << "seed " << seed;
     EXPECT_EQ(corrupts, t.result.faults.corruptions) << "seed " << seed;
@@ -558,22 +548,23 @@ TEST(TraceProperties, DependencyEdgesAreRecordedAndDeterministic) {
     ASSERT_EQ(ev.size(), ev_b.size()) << "rank " << r;
     for (std::size_t i = 0; i < ev.size(); ++i) {
       const Event& e = ev[i];
+      const trace::KindInfo& k = trace::info(e.kind);
       EXPECT_EQ(e.dep_rank, ev_b[i].dep_rank);
       EXPECT_EQ(e.dep_ts_us, ev_b[i].dep_ts_us);
       EXPECT_EQ(e.edge_us, ev_b[i].edge_us);
       EXPECT_LT(e.dep_rank, ranks);
-      if (!e.instant && std::strcmp(e.name, "mpi_wait") == 0) {
+      if (e.kind == trace::Kind::MpiWait) {
         ++waits;
         EXPECT_EQ(e.dep_rank, e.peer) << "wait edge must name the sender";
         EXPECT_GE(e.dep_ts_us, 0.0);
         EXPECT_GE(e.edge_us, 0.0);
-      } else if (!e.instant && std::strcmp(e.name, "allreduce") == 0) {
+      } else if (e.kind == trace::Kind::Allreduce) {
         ++colls;
         EXPECT_GE(e.dep_rank, 0);
-      } else if (!e.instant && (e.cat == trace::Cat::Kernel || e.cat == trace::Cat::Copy)) {
+      } else if (k.cat == trace::Cat::Kernel || k.cat == trace::Cat::Copy) {
         ++device_spans;
-        EXPECT_GE(e.dep_ts_us, 0.0) << e.name << ": issue anchor missing";
-        EXPECT_LE(e.dep_ts_us, e.ts_us) << e.name << ": issued after it started";
+        EXPECT_GE(e.dep_ts_us, 0.0) << k.name << ": issue anchor missing";
+        EXPECT_LE(e.dep_ts_us, e.ts_us) << k.name << ": issued after it started";
       }
     }
   }
@@ -605,6 +596,30 @@ TEST(TraceExport, ChromeJsonIsOneEventPerLineAndComplete) {
     if (line.find("\"ph\": \"i\"") != std::string::npos) ++instants;
   }
   EXPECT_EQ(spans + instants, t.report.total_events());
+}
+
+TEST(TraceExport, UnwritablePathRaisesAfterTheRun) {
+  // a trace path inside a missing directory fails the run loudly, naming
+  // the path -- but only once the in-memory report is stored
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(2);
+  spec.trace.enabled = true;
+  spec.trace.path = "no_such_dir/trace_unwritable.json";
+  sim::VirtualCluster cluster(spec);
+  try {
+    (void)parallel::run_modeled_solver(cluster, small_config(CommPolicy::Overlap));
+    FAIL() << "an unwritable trace export must raise";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(spec.trace.path), std::string::npos) << e.what();
+  }
+  EXPECT_GT(cluster.trace().total_events(), 0u) << "the report must survive the export error";
+
+  // the run's own error wins over the export error
+  try {
+    cluster.run([](sim::RankContext&) { throw std::logic_error("rank body failed"); });
+    FAIL() << "the failing run must raise";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank body failed");
+  }
 }
 
 TEST(TraceExport, UniqueTracePathsDiffer) {

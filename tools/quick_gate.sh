@@ -32,7 +32,9 @@
 # Usage: tools/quick_gate.sh [--sanitize [thread|address]] [build-dir]
 #   default build-dir: build (or build-<sanitizer> under --sanitize).
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
-#   build tree (default thread); both sanitizers are expected clean
+#   build tree (default thread); `address` instruments with ASan plus UBSan
+#   (-fno-sanitize-recover) and _GLIBCXX_ASSERTIONS, so an out-of-range
+#   container index aborts the gate.  Both sanitizers are expected clean
 #   (README "Sanitizers").
 set -euo pipefail
 cd "$(dirname "$0")/.."
