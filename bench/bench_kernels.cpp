@@ -81,8 +81,8 @@ template <typename P> void BM_DslashCompressed(benchmark::State& state) {
 BENCHMARK(BM_DslashCompressed<PrecSingle>)->Arg(8)->Arg(12)->Arg(18)->Unit(benchmark::kMillisecond);
 
 template <typename PDst, typename PSrc> void BM_ConvertField(benchmark::State& state) {
-  // the mixed-precision solver's per-reliable-update conversion; single <->
-  // half takes the contiguous block-span fast path in convert_field
+  // the mixed-precision solver's per-reliable-update conversion: a per-site
+  // load() in the source precision and store() in the destination's
   const auto& d = data();
   const SpinorField<PSrc> src = upload_spinor<PSrc>(d.in, Parity::Even);
   SpinorField<PDst> dst(d.g);
@@ -123,6 +123,47 @@ template <typename P> void BM_BlasAxpyNorm(benchmark::State& state) {
 BENCHMARK(BM_BlasAxpyNorm<PrecDouble>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlasAxpyNorm<PrecSingle>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlasAxpyNorm<PrecHalf>)->Unit(benchmark::kMillisecond);
+
+// two element-wise kernels per precision: double and single run the BLAS
+// walker's raw block spans, half its per-site load()/store().  |beta| < 1
+// and a small caxpy factor keep the repeated updates finite; the factors
+// pass through DoNotOptimize so, as in a solver, they are run-time values
+// rather than constants folded into the loops.
+template <typename P> void BM_BlasPUpdate(benchmark::State& state) {
+  const auto& d = data();
+  SpinorField<P> p = upload_spinor<P>(d.in, Parity::Even);
+  const SpinorField<P> r = upload_spinor<P>(d.in, Parity::Odd);
+  const SpinorField<P> v = upload_spinor<P>(d.in, Parity::Even);
+  complexd beta{0.51, -0.02}, omega{0.97, 0.01};
+  benchmark::DoNotOptimize(beta);
+  benchmark::DoNotOptimize(omega);
+  for (auto _ : state) {
+    blas::bicgstab_p_update(p, r, v, beta, omega);
+    benchmark::DoNotOptimize(p.raw_data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d.g.half_volume());
+}
+BENCHMARK(BM_BlasPUpdate<PrecDouble>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasPUpdate<PrecSingle>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasPUpdate<PrecHalf>)->Unit(benchmark::kMicrosecond);
+
+template <typename P> void BM_BlasCaxpy(benchmark::State& state) {
+  const auto& d = data();
+  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even);
+  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd);
+  complexd a{1e-3, -1e-3};
+  benchmark::DoNotOptimize(a);
+  for (auto _ : state) {
+    blas::caxpy(a, x, y);
+    benchmark::DoNotOptimize(y.raw_data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * d.g.half_volume());
+}
+BENCHMARK(BM_BlasCaxpy<PrecDouble>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasCaxpy<PrecSingle>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasCaxpy<PrecHalf>)->Unit(benchmark::kMicrosecond);
 
 template <typename P> void BM_FacePack(benchmark::State& state) {
   const auto& d = data();

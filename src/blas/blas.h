@@ -14,43 +14,97 @@
 // Section VI-E).
 //
 // Execution: every kernel runs through the host execution engine
-// (exec/host_engine.h).  Element-wise kernels on the norm-free precisions
-// (double/single) take a raw-span fast path: for a site range [b, e) each
-// component block of the QUDA layout is one contiguous run of nvec*(e-b)
-// reals, so the inner loops are plain stride-1 array sweeps the compiler can
-// vectorize.  The per-component arithmetic is written in exactly the seed's
-// operation order, so the fast path is bit-identical to the historical
-// load/store loop.  Reductions never use raw spans: they accumulate in
-// site-major load() order inside fixed-shape chunks (see the determinism
-// contract in exec/host_engine.h).
+// (exec/host_engine.h).  The element-wise kernels are each one body over
+// plain arrays of reals, run by detail::elementwise, the one place where the
+// precision decides how a kernel touches memory: double and single hand the
+// body raw component-block spans (stride-1 sweeps the compiler vectorizes),
+// half hands it each site's 24 reals decoded by load() and re-encoded by
+// store().  Reductions and apply_gamma5 keep their site-major load() loops:
+// the reductions accumulate in that order inside fixed-shape chunks (see the
+// determinism contract in exec/host_engine.h).
 
 #include "exec/host_engine.h"
 #include "lattice/spinor_field.h"
 #include "su3/gamma.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <concepts>
 #include <cstdint>
-#include <cstring>
 
 namespace quda::blas {
 
 namespace detail {
 
-// raw spans in x address the same (site, component) elements of y only when
-// the body layouts agree exactly
-inline bool same_body(const BlockLayout& a, const BlockLayout& b) {
-  return a.sites == b.sites && a.pad == b.pad && a.nint == b.nint && a.nvec == b.nvec;
+// the raw elements of f holding components [j*nvec, (j+1)*nvec) of the
+// sites from b on, at f's own pad offset: contiguous by BlockLayout::index,
+// re and im alternating from an even element
+template <typename F> auto* block_span(F& f, int j, std::int64_t b) {
+  const BlockLayout& l = f.layout();
+  return f.raw_data().data() + std::int64_t(l.nvec) * (j * l.stride() + b);
 }
 
-// Invoke fn(off, len) once per component block j of the layout, where the
-// raw elements [off, off+len) hold components [j*nvec, (j+1)*nvec) of sites
-// [b, e) -- contiguous by BlockLayout::index.  Real/imaginary parts
-// alternate within a span (nvec is even), starting on an even k.
-template <typename Fn>
-inline void for_block_spans(const BlockLayout& l, std::int64_t b, std::int64_t e, Fn&& fn) {
-  const std::int64_t len = std::int64_t(l.nvec) * (e - b);
-  const std::int64_t step = std::int64_t(l.nvec) * l.stride();
-  std::int64_t off = std::int64_t(l.nvec) * b;
-  for (int j = 0; j < l.blocks(); ++j, off += step) fn(off, len);
+// one site's 24 reals in component order, re and im alternating: the order
+// a block span holds them in
+template <typename T> std::array<T, 24> site_reals(const Spinor<T>& s) {
+  std::array<T, 24> v;
+  for (std::size_t spin = 0; spin < 4; ++spin)
+    for (std::size_t c = 0; c < 3; ++c) {
+      v[2 * (3 * spin + c)] = s.s[spin][c].re;
+      v[2 * (3 * spin + c) + 1] = s.s[spin][c].im;
+    }
+  return v;
+}
+
+template <typename T> Spinor<T> site_spinor(const std::array<T, 24>& v) {
+  Spinor<T> s;
+  for (std::size_t spin = 0; spin < 4; ++spin)
+    for (std::size_t c = 0; c < 3; ++c)
+      s.s[spin][c] = Complex<T>(v[2 * (3 * spin + c)], v[2 * (3 * spin + c) + 1]);
+  return s;
+}
+
+// A complex factor c of a kernel body, with -c.im kept beside it.  The
+// parts of c * (zr, zi) are written in one shape, own part * c.re + other
+// part * (-c.im or c.im), so the vectorizer keeps each (re, im) pair in one
+// short vector and only swaps it.  They equal the textbook zr*c.re - zi*c.im
+// and zr*c.im + zi*c.re bit for bit: x + (-y) is x - y, and + commutes.
+template <typename T> struct ComplexFactor {
+  T re, im, neg_im;
+  explicit ComplexFactor(const complexd& c)
+      : re(static_cast<T>(c.re)), im(static_cast<T>(c.im)), neg_im(-im) {}
+  T mul_re(T zr, T zi) const { return zr * re + zi * neg_im; }
+  T mul_im(T zr, T zi) const { return zi * re + zr * im; }
+};
+
+// Run an element-wise kernel body over the sites of w and in...:
+// body(n, w_reals, in_reals...) updates n reals of w from the same n
+// elements of each input, pairing elements (2k, 2k+1) as the re and im
+// parts of one complex component.  Norm-free fields give the body one raw
+// span per component block; half loads each site of every field, runs the
+// body on the 24 reals and stores w.  Both run the same body, so a kernel's
+// bits do not depend on the fields' pads.
+template <typename Body, typename P, typename... In>
+  requires(std::same_as<In, SpinorField<P>> && ...)
+void elementwise(const Body& body, SpinorField<P>& w, const In&... in) {
+  assert(((in.sites() == w.sites()) && ...));
+  exec::parallel_for(0, w.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
+    // a chunk-local copy keeps the body's captured scalars in registers;
+    // read through the shared closure, every store to w could change them
+    const Body f = body;
+    if constexpr (P::has_norm) {
+      for (std::int64_t i = b; i < e; ++i) {
+        std::array y = site_reals(w.load(i));
+        f(std::int64_t(y.size()), y.data(), site_reals(in.load(i)).data()...);
+        w.store(i, site_spinor(y));
+      }
+    } else {
+      const std::int64_t n = std::int64_t(P::nvec) * (e - b);
+      for (int j = 0; j < w.layout().blocks(); ++j)
+        f(n, block_span(w, j, b), block_span(in, j, b)...);
+    }
+  });
 }
 
 // partial sums of the fused r-update reduction pair
@@ -67,22 +121,10 @@ struct RUpdatePartial {
 } // namespace detail
 
 template <typename P> void copy(SpinorField<P>& dst, const SpinorField<P>& src) {
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(dst.layout(), src.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, src.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-        const store_t* __restrict s = src.raw_data().data();
-        store_t* __restrict d = dst.raw_data().data();
-        detail::for_block_spans(src.layout(), b, e, [&](std::int64_t off, std::int64_t len) {
-          std::memcpy(d + off, s + off, static_cast<std::size_t>(len) * sizeof(store_t));
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, src.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) dst.store(i, src.load(i));
-  });
+  using real_t = typename P::real_t;
+  detail::elementwise(
+      [](std::int64_t n, real_t* d, const real_t* x) { std::copy_n(x, n, d); },
+      dst, src);
 }
 
 template <typename P> double norm2(const SpinorField<P>& x) {
@@ -114,26 +156,11 @@ template <typename P>
 void axpy(double a, const SpinorField<P>& x, SpinorField<P>& y) {
   using real_t = typename P::real_t;
   const real_t ar = static_cast<real_t>(a);
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(x.layout(), y.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-        const store_t* __restrict xs = x.raw_data().data();
-        store_t* __restrict ys = y.raw_data().data();
-        detail::for_block_spans(x.layout(), b, e, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; ++k) ys[off + k] += xs[off + k] * ar;
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      auto yi = y.load(i);
-      yi += x.load(i) * ar;
-      y.store(i, yi);
-    }
-  });
+  detail::elementwise(
+      [ar](std::int64_t n, real_t* yv, const real_t* xv) {
+        for (std::int64_t k = 0; k < n; ++k) yv[k] += xv[k] * ar;
+      },
+      y, x);
 }
 
 // y = x + a * y
@@ -141,27 +168,11 @@ template <typename P>
 void xpay(const SpinorField<P>& x, double a, SpinorField<P>& y) {
   using real_t = typename P::real_t;
   const real_t ar = static_cast<real_t>(a);
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(x.layout(), y.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-        const store_t* __restrict xs = x.raw_data().data();
-        store_t* __restrict ys = y.raw_data().data();
-        detail::for_block_spans(x.layout(), b, e, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; ++k) ys[off + k] = ys[off + k] * ar + xs[off + k];
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      auto yi = y.load(i);
-      yi *= ar;
-      yi += x.load(i);
-      y.store(i, yi);
-    }
-  });
+  detail::elementwise(
+      [ar](std::int64_t n, real_t* yv, const real_t* xv) {
+        for (std::int64_t k = 0; k < n; ++k) yv[k] = yv[k] * ar + xv[k];
+      },
+      y, x);
 }
 
 // y = a * x + b * y
@@ -170,62 +181,28 @@ void axpby(double a, const SpinorField<P>& x, double b, SpinorField<P>& y) {
   using real_t = typename P::real_t;
   const real_t ar = static_cast<real_t>(a);
   const real_t br = static_cast<real_t>(b);
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(x.layout(), y.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-        const store_t* __restrict xs = x.raw_data().data();
-        store_t* __restrict ys = y.raw_data().data();
-        detail::for_block_spans(x.layout(), lo, hi, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; ++k)
-            ys[off + k] = ys[off + k] * br + xs[off + k] * ar;
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      auto yi = y.load(i);
-      yi *= br;
-      yi += x.load(i) * ar;
-      y.store(i, yi);
-    }
-  });
+  detail::elementwise(
+      [ar, br](std::int64_t n, real_t* yv, const real_t* xv) {
+        for (std::int64_t k = 0; k < n; ++k) yv[k] = yv[k] * br + xv[k] * ar;
+      },
+      y, x);
 }
 
 // y += a * x, complex a
 template <typename P>
 void caxpy(const complexd& a, const SpinorField<P>& x, SpinorField<P>& y) {
   using real_t = typename P::real_t;
-  const Complex<real_t> ar(static_cast<real_t>(a.re), static_cast<real_t>(a.im));
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(x.layout(), y.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-        const store_t* __restrict xs = x.raw_data().data();
-        store_t* __restrict ys = y.raw_data().data();
-        detail::for_block_spans(x.layout(), lo, hi, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; k += 2) {
-            const store_t xr = xs[off + k];
-            const store_t xi = xs[off + k + 1];
-            ys[off + k] += xr * ar.re - xi * ar.im;
-            ys[off + k + 1] += xr * ar.im + xi * ar.re;
-          }
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      auto yi = y.load(i);
-      auto xi = x.load(i);
-      xi *= ar;
-      yi += xi;
-      y.store(i, yi);
-    }
-  });
+  const detail::ComplexFactor<real_t> c(a);
+  detail::elementwise(
+      [c](std::int64_t n, real_t* yv, const real_t* xv) {
+        for (std::int64_t k = 0; k < n; k += 2) {
+          const real_t xr = xv[k];
+          const real_t xi = xv[k + 1];
+          yv[k] += c.mul_re(xr, xi);
+          yv[k + 1] += c.mul_im(xr, xi);
+        }
+      },
+      y, x);
 }
 
 // fused: y += a*x, then return ||y||^2 (QUDA's axpyNorm)
@@ -267,45 +244,19 @@ template <typename P>
 void bicgstab_p_update(SpinorField<P>& p, const SpinorField<P>& r, const SpinorField<P>& v,
                        const complexd& beta, const complexd& omega) {
   using real_t = typename P::real_t;
-  const Complex<real_t> b(static_cast<real_t>(beta.re), static_cast<real_t>(beta.im));
-  const Complex<real_t> bw(static_cast<real_t>((beta * omega).re),
-                           static_cast<real_t>((beta * omega).im));
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(p.layout(), r.layout()) && detail::same_body(p.layout(), v.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, p.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-        store_t* __restrict ps = p.raw_data().data();
-        const store_t* __restrict rs = r.raw_data().data();
-        const store_t* __restrict vs = v.raw_data().data();
-        detail::for_block_spans(p.layout(), lo, hi, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; k += 2) {
-            const store_t pr = ps[off + k];
-            const store_t pi = ps[off + k + 1];
-            const store_t vr = vs[off + k];
-            const store_t vi = vs[off + k + 1];
-            const store_t vbr = vr * bw.re - vi * bw.im;
-            const store_t vbi = vr * bw.im + vi * bw.re;
-            const store_t pbr = pr * b.re - pi * b.im;
-            const store_t pbi = pr * b.im + pi * b.re;
-            ps[off + k] = pbr - vbr + rs[off + k];
-            ps[off + k + 1] = pbi - vbi + rs[off + k + 1];
-          }
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, p.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      auto pi = p.load(i);
-      auto vi = v.load(i);
-      vi *= bw;
-      pi *= b;
-      pi -= vi;
-      pi += r.load(i);
-      p.store(i, pi);
-    }
-  });
+  const detail::ComplexFactor<real_t> b(beta), bw(beta * omega);
+  detail::elementwise(
+      [b, bw](std::int64_t n, real_t* pv, const real_t* rv, const real_t* vv) {
+        for (std::int64_t k = 0; k < n; k += 2) {
+          const real_t pr = pv[k];
+          const real_t pi = pv[k + 1];
+          const real_t vr = vv[k];
+          const real_t vi = vv[k + 1];
+          pv[k] = b.mul_re(pr, pi) - bw.mul_re(vr, vi) + rv[k];
+          pv[k + 1] = b.mul_im(pr, pi) - bw.mul_im(vr, vi) + rv[k + 1];
+        }
+      },
+      p, r, v);
 }
 
 // fused BiCGstab solution update: x += alpha * p + omega * s
@@ -313,41 +264,19 @@ template <typename P>
 void bicgstab_x_update(SpinorField<P>& x, const complexd& alpha, const SpinorField<P>& p,
                        const complexd& omega, const SpinorField<P>& s) {
   using real_t = typename P::real_t;
-  const Complex<real_t> a(static_cast<real_t>(alpha.re), static_cast<real_t>(alpha.im));
-  const Complex<real_t> w(static_cast<real_t>(omega.re), static_cast<real_t>(omega.im));
-  if constexpr (!P::has_norm) {
-    if (detail::same_body(x.layout(), p.layout()) && detail::same_body(x.layout(), s.layout())) {
-      using store_t = typename P::store_t;
-      exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-        store_t* __restrict xs = x.raw_data().data();
-        const store_t* __restrict ps = p.raw_data().data();
-        const store_t* __restrict ss = s.raw_data().data();
-        detail::for_block_spans(x.layout(), lo, hi, [&](std::int64_t off, std::int64_t len) {
-          for (std::int64_t k = 0; k < len; k += 2) {
-            const store_t pr = ps[off + k];
-            const store_t pi = ps[off + k + 1];
-            const store_t sr = ss[off + k];
-            const store_t si = ss[off + k + 1];
-            xs[off + k] = xs[off + k] + (pr * a.re - pi * a.im) + (sr * w.re - si * w.im);
-            xs[off + k + 1] = xs[off + k + 1] + (pr * a.im + pi * a.re) + (sr * w.im + si * w.re);
-          }
-        });
-      });
-      return;
-    }
-  }
-  exec::parallel_for(0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      auto xi = x.load(i);
-      auto pi = p.load(i);
-      auto si = s.load(i);
-      pi *= a;
-      si *= w;
-      xi += pi;
-      xi += si;
-      x.store(i, xi);
-    }
-  });
+  const detail::ComplexFactor<real_t> a(alpha), w(omega);
+  detail::elementwise(
+      [a, w](std::int64_t n, real_t* xv, const real_t* pv, const real_t* sv) {
+        for (std::int64_t k = 0; k < n; k += 2) {
+          const real_t pr = pv[k];
+          const real_t pi = pv[k + 1];
+          const real_t sr = sv[k];
+          const real_t si = sv[k + 1];
+          xv[k] = xv[k] + a.mul_re(pr, pi) + w.mul_re(sr, si);
+          xv[k + 1] = xv[k + 1] + a.mul_im(pr, pi) + w.mul_im(sr, si);
+        }
+      },
+      x, p, s);
 }
 
 // fused: r = s - omega * t, returning <r, r> and <r, r0> for the next

@@ -11,6 +11,10 @@
 // lists as future work generalizes the end zone to two faces per
 // partitioned dimension.  In half precision the norm array grows its own
 // end zone (one float per face site).
+//
+// Half precision is decoded in load() and encoded in store(): 24 int16 of
+// payload sharing one per-site max norm (Section V-C3).  The BLAS walker's
+// half branch and convert_field reach half storage only through them.
 
 #include "exec/host_engine.h"
 #include "lattice/geometry.h"
@@ -20,7 +24,6 @@
 
 #include <array>
 #include <cassert>
-#include <cmath>
 #include <vector>
 
 namespace quda {
@@ -206,10 +209,8 @@ public:
   const std::vector<store_t>& raw_data() const { return data_; }
   std::vector<store_t>& raw_data() { return data_; }
 
-  // norm array (empty unless P::has_norm); exposed for the block-span
-  // conversion fast path, which reads/writes norms alongside the payload
+  // norm array (empty unless P::has_norm), for tests that pin stored bits
   const std::vector<float>& norm_data() const { return norm_; }
-  std::vector<float>& norm_data() { return norm_; }
 
 private:
   void allocate() {
@@ -276,98 +277,16 @@ using SpinorFieldD = SpinorField<PrecDouble>;
 using SpinorFieldS = SpinorField<PrecSingle>;
 using SpinorFieldH = SpinorField<PrecHalf>;
 
-// precision conversion, site-by-site through the compute type (the general
-// path: works for any precision pair and any layout shapes)
-template <typename PDst, typename PSrc>
-void convert_field_generic(const SpinorField<PSrc>& src, SpinorField<PDst>& dst) {
-  assert(src.sites() == dst.sites());
-  exec::parallel_for(0, src.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const auto s = src.load(i);
-      Spinor<typename PDst::real_t> d;
-      for (std::size_t spin = 0; spin < 4; ++spin)
-        for (std::size_t c = 0; c < 3; ++c)
-          d.s[spin][c] = Complex<typename PDst::real_t>(
-              static_cast<typename PDst::real_t>(s.s[spin][c].re),
-              static_cast<typename PDst::real_t>(s.s[spin][c].im));
-      dst.store(i, d);
-    }
-  });
-}
-
-namespace detail {
-// two blocked layouts describe the same flat index space, so a block span
-// in one field is the same span in the other
-inline bool same_shape(const BlockLayout& a, const BlockLayout& b) {
-  return a.sites == b.sites && a.pad == b.pad && a.nint == b.nint && a.nvec == b.nvec;
-}
-} // namespace detail
-
-// Precision conversion.  The hot mixed-precision pairs (single <-> half,
-// which share nvec = 4) take a vectorizable fast path when the layouts
-// match: the blocked layout is walked as Nint/Nvec contiguous per-block
-// spans so the inner loops are unit-stride over plain arrays, instead of
-// the strided per-site component walk of load()/store().  The fast path is
-// bit-identical to the generic one -- per element the same expression is
-// evaluated in the same precision, and the per-site norm is an
-// order-insensitive max -- and it parallelizes over the same kBlasGrain
-// site grains, so results match at any QUDA_SIM_THREADS.
+// Precision conversion, site by site: load() in the source precision, round
+// each real to the destination's compute type, store() in the destination
+// precision (so half takes store()'s per-site max norm).  Any precision
+// pair and any pads.
 template <typename PDst, typename PSrc>
 void convert_field(const SpinorField<PSrc>& src, SpinorField<PDst>& dst) {
   assert(src.sites() == dst.sites());
-  constexpr bool kSameVec = PSrc::nvec == PDst::nvec;
-  constexpr bool kExpand = kSameVec && PSrc::has_norm && !PDst::has_norm;   // half -> float
-  constexpr bool kQuantize = kSameVec && !PSrc::has_norm && PDst::has_norm; // float -> half
-  if constexpr (kExpand || kQuantize) {
-    if (detail::same_shape(src.layout(), dst.layout())) {
-      const BlockLayout& lay = src.layout();
-      const int nvec = lay.nvec;
-      const int nblocks = lay.blocks();
-      const std::int64_t bstep = std::int64_t(nvec) * lay.stride();
-      const auto* sdat = src.raw_data().data();
-      auto* ddat = dst.raw_data().data();
-      exec::parallel_for(0, lay.sites, exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
-        const std::int64_t n = e - b;
-        if constexpr (kExpand) {
-          const float* nrm = src.norm_data().data() + b;
-          for (int j = 0; j < nblocks; ++j) {
-            const auto* s = sdat + j * bstep + std::int64_t(nvec) * b;
-            auto* d = ddat + j * bstep + std::int64_t(nvec) * b;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const auto scale = static_cast<typename PDst::real_t>(nrm[i]);
-              for (int w = 0; w < nvec; ++w)
-                d[i * nvec + w] =
-                    static_cast<typename PDst::store_t>(from_half(s[i * nvec + w]) * scale);
-            }
-          }
-        } else { // quantize: per-site max first, then scale into the 16-bit payload
-          float* nrm = dst.norm_data().data() + b;
-          for (std::int64_t i = 0; i < n; ++i) nrm[i] = 0.0f;
-          for (int j = 0; j < nblocks; ++j) {
-            const auto* s = sdat + j * bstep + std::int64_t(nvec) * b;
-            for (std::int64_t i = 0; i < n; ++i)
-              for (int w = 0; w < nvec; ++w) {
-                const float a = std::fabs(static_cast<float>(s[i * nvec + w]));
-                if (a > nrm[i]) nrm[i] = a;
-              }
-          }
-          for (std::int64_t i = 0; i < n; ++i)
-            if (nrm[i] == 0.0f) nrm[i] = 1e-37f; // store()'s zero-vector rule
-          for (int j = 0; j < nblocks; ++j) {
-            const auto* s = sdat + j * bstep + std::int64_t(nvec) * b;
-            auto* d = ddat + j * bstep + std::int64_t(nvec) * b;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const float inv = 1.0f / nrm[i];
-              for (int w = 0; w < nvec; ++w)
-                d[i * nvec + w] = to_half(static_cast<float>(s[i * nvec + w]) * inv);
-            }
-          }
-        }
-      });
-      return;
-    }
-  }
-  convert_field_generic(src, dst);
+  exec::parallel_for(0, src.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) dst.store(i, convert<typename PDst::real_t>(src.load(i)));
+  });
 }
 
 } // namespace quda

@@ -22,12 +22,6 @@
 
 namespace quda {
 
-// convert between precision classes through the compute type
-template <typename PDst, typename PSrc>
-void convert_spinor_field(SpinorField<PDst>& dst, const SpinorField<PSrc>& src) {
-  convert_field(src, dst);
-}
-
 template <typename PHi, typename PLo>
 SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<PLo>& op_lo,
                                     SpinorField<PHi>& x, const SpinorField<PHi>& b,
@@ -55,7 +49,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
   double r2 = op_hi.global_sum(blas::xmy_norm(b, r_hi));
   op_hi.account_blas(2, 1);
 
-  convert_spinor_field(r, r_hi);
+  convert_field(r_hi, r);
   blas::copy(r0, r);
   blas::copy(p, r);
   x_lo.zero();
@@ -78,7 +72,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
   // (used after rollbacks and breakdown restarts); returns false when the
   // new shadow residual is itself degenerate
   auto rebuild_krylov = [&]() {
-    convert_spinor_field(r, r_hi);
+    convert_field(r_hi, r);
     blas::copy(r0, r);
     blas::copy(p, r);
     x_lo.zero();
@@ -99,7 +93,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
     if (trace::RankTracer* tr = trace::current())
       tr->instant(trace::Kind::BreakdownRestart, tr->now_us(), 0, -1, -1, stats.breakdown_restarts);
     if (auto* rec = telemetry::current()) rec->flag(telemetry::kBreakdownRestart);
-    convert_spinor_field(tmp_hi, x_lo);
+    convert_field(x_lo, tmp_hi);
     blas::axpy(1.0, tmp_hi, x);
     op_hi.apply(r_hi, x);
     r2 = op_hi.global_sum(blas::xmy_norm(b, r_hi));
@@ -164,7 +158,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
       const double reliable_begin_us = tr != nullptr ? tr->now_us() : 0.0;
       // fold the sloppy solution into the high-precision solution and
       // recompute the true residual
-      convert_spinor_field(tmp_hi, x_lo);
+      convert_field(x_lo, tmp_hi);
       blas::axpy(1.0, tmp_hi, x);
       op_hi.account_blas(3, 1);
       x_lo.zero();
@@ -215,7 +209,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
         blas::copy(x_saved, x);
         op_hi.account_blas(1, 1);
       }
-      convert_spinor_field(r, r_hi);
+      convert_field(r_hi, r);
       op_lo.account_blas(1, 1);
       maxrr = std::sqrt(r2);
       // accepted reliable updates are the checkpointable boundaries: x is
@@ -256,7 +250,7 @@ SolverStats solve_bicgstab_reliable(LinearOperator<PHi>& op_hi, LinearOperator<P
   }
 
   // fold any remaining sloppy accumulation and measure the true residual
-  convert_spinor_field(tmp_hi, x_lo);
+  convert_field(x_lo, tmp_hi);
   blas::axpy(1.0, tmp_hi, x);
   op_hi.apply(tmp_hi, x);
   const double true_r2 = op_hi.global_sum(blas::xmy_norm(b, tmp_hi));
@@ -301,7 +295,7 @@ SolverStats solve_defect_correction(LinearOperator<PHi>& op_hi, LinearOperator<P
     if (r2 > 0.8 * last_r2) break; // correction loop has stagnated
     last_r2 = r2;
 
-    convert_spinor_field(r_lo, r_hi);
+    convert_field(r_hi, r_lo);
     e_lo.zero();
     SolverParams inner = params;
     inner.tol = inner_tol;
@@ -313,7 +307,7 @@ SolverStats solve_defect_correction(LinearOperator<PHi>& op_hi, LinearOperator<P
     if (auto* rec = telemetry::current()) rec->flag(telemetry::kRestart);
     if (is.iterations == 0) break; // inner solver stalled
 
-    convert_spinor_field(e_hi, e_lo);
+    convert_field(e_lo, e_hi);
     blas::axpy(1.0, e_hi, x);
     op_hi.account_blas(3, 1);
   }

@@ -20,6 +20,7 @@
 #include "su3/su3.h"
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -30,8 +31,10 @@ using half_t = std::int16_t;
 inline constexpr float kHalfPointScale = 32767.0f;
 
 // quantize a value in [-1, 1]; values outside are clamped (they can only
-// arise from rounding at the interval ends).
+// arise from rounding at the interval ends).  NaN, which no clamp catches
+// and no integer holds, quantizes to 0.
 inline half_t to_half(float x) {
+  if (std::isnan(x)) return 0;
   float v = x * kHalfPointScale;
   if (v > kHalfPointScale) v = kHalfPointScale;
   if (v < -kHalfPointScale) v = -kHalfPointScale;

@@ -8,6 +8,8 @@
 // On a mismatch the actual summary is printed as hex-float designated
 // initializers, ready to paste once the change is verified to be intended.
 
+#include "field_pins.h"
+
 #include "trace/attribution.h"
 
 #include <gtest/gtest.h>
@@ -25,15 +27,12 @@ namespace quda {
 // build and the thread budget, not the run, so the digest pins everything
 // a run wrote
 inline std::uint64_t export_digest(std::istream& in) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvBasis;
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("\"provenance\"") != std::string::npos) continue;
     line += '\n';
-    for (const char c : line) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
+    h = fnv1a(h, line.data(), line.size());
   }
   return h;
 }

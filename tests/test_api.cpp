@@ -2,12 +2,15 @@
 // apply_matrix_multi_gpu() with Chroma-style DeGrand-Rossi interface fields,
 // verified against the naive-order reference operator in the same basis.
 
+#include "field_pins.h"
+
 #include "core/quda_api.h"
 #include "dirac/clover_term.h"
 #include "dirac/gauge_init.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -98,6 +101,29 @@ TEST(PublicApi, MixedPrecisionSingleHalf) {
   EXPECT_TRUE(r.stats.converged) << r.stats.summary();
   EXPECT_GT(r.stats.reliable_updates, 0);
   EXPECT_LT(f.reference_residual(x), 1e-4);
+}
+
+// the mixed solvers' bits end to end: the half-precision BLAS kernels, the
+// precision conversions and the reliable updates all feed the solution
+TEST(PublicApi, HalfSloppySolutionsArePinned) {
+  ApiFixture f;
+  f.params.sloppy = Precision::Half;
+  f.params.delta = 1e-1;
+  const struct {
+    Precision outer;
+    double tol;
+    std::uint64_t digest;
+  } cases[] = {{Precision::Single, 1e-6, 0xa0b294e3d186a6b6ull},
+               {Precision::Double, 1e-9, 0x205266e0d5725eadull}};
+  for (const auto& c : cases) {
+    f.params.precision = c.outer;
+    f.params.tol = c.tol;
+    HostSpinorField x(f.g);
+    const InvertResult r = invert_multi_gpu(sim::ClusterSpec::jlab_9g(2), f.u, f.b, x, f.params);
+    EXPECT_TRUE(r.stats.converged) << r.stats.summary();
+    const std::uint64_t got = solution_digest(x);
+    EXPECT_EQ(got, c.digest) << to_string(c.outer) << "/half: 0x" << std::hex << got;
+  }
 }
 
 TEST(PublicApi, WilsonWithoutClover) {

@@ -48,11 +48,8 @@ struct AnalyzedRun {
   double makespan_us = 0;
 };
 
-AnalyzedRun run_analyzed(int ranks, const ModeledSolverConfig& cfg,
-                         const sim::FaultConfig& faults = {}) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
+AnalyzedRun run_analyzed(sim::ClusterSpec spec, const ModeledSolverConfig& cfg) {
   spec.trace.enabled = true;
-  spec.faults = faults;
   sim::VirtualCluster cluster(spec);
   AnalyzedRun a;
   a.result = parallel::run_modeled_solver(cluster, cfg);
@@ -61,6 +58,13 @@ AnalyzedRun run_analyzed(int ranks, const ModeledSolverConfig& cfg,
   a.report = cluster.trace();
   a.makespan_us = cluster.makespan_us();
   return a;
+}
+
+AnalyzedRun run_analyzed(int ranks, const ModeledSolverConfig& cfg,
+                         const sim::FaultConfig& faults = {}) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
+  spec.faults = faults;
+  return run_analyzed(spec, cfg);
 }
 
 // fig5(b)-sized local problem: global 24^3 x 32 over 2 GPUs
@@ -135,6 +139,30 @@ TEST_P(CritPathPolicies, AnalysisIsDeterministicAcrossRuns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPolicies, CritPathPolicies,
+                         ::testing::Values(CommPolicy::Overlap, CommPolicy::NoOverlap),
+                         [](const ::testing::TestParamInfo<CommPolicy>& info) {
+                           return info.param == CommPolicy::Overlap ? "Overlap" : "NoOverlap";
+                         });
+
+// The same exactness on a Fermi card with one copy engine per direction:
+// device-to-host copies go to the second engine, and the replay runs both.
+class CritPathDualCopyEngine : public ::testing::TestWithParam<CommPolicy> {};
+
+TEST_P(CritPathDualCopyEngine, PathAndIdentityReplayEqualMakespanExactly) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(4);
+  spec.device = gpusim::tesla_c2050();
+  ASSERT_TRUE(spec.device.dual_copy_engine);
+  ModeledSolverConfig cfg = fig5_config(GetParam(), /*iterations=*/10);
+  cfg.local = LatticeDims{16, 16, 16, 8};
+  const AnalyzedRun a = run_analyzed(spec, cfg);
+  ASSERT_TRUE(a.result.fits);
+  ASSERT_TRUE(a.crit.valid) << a.crit.error;
+  EXPECT_EQ(a.crit.path_us, a.result.time_us);
+  EXPECT_EQ(a.crit.makespan_us, a.makespan_us);
+  EXPECT_EQ(a.crit.replay_identity_us, a.crit.makespan_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPolicies, CritPathDualCopyEngine,
                          ::testing::Values(CommPolicy::Overlap, CommPolicy::NoOverlap),
                          [](const ::testing::TestParamInfo<CommPolicy>& info) {
                            return info.param == CommPolicy::Overlap ? "Overlap" : "NoOverlap";

@@ -2,6 +2,8 @@
 // half-precision quantization error bounds, ghost end zones, and the gauge
 // ghost living inside the padding.
 
+#include "field_pins.h"
+
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
 #include "lattice/clover_field.h"
@@ -10,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 namespace quda {
@@ -221,60 +225,8 @@ TYPED_TEST(GaugeFieldTyped, GhostLivesInPadWithoutAliasing) {
       }
 }
 
-// the block-span conversion fast path (single <-> half with matching
-// layouts) must produce bit-identical payloads and norms to the generic
-// per-site path; forcing a pad mismatch on the reference destination routes
-// it through convert_field_generic
-TEST(ConvertField, FastPathMatchesGenericQuantize) {
-  const std::int64_t sites = 96, face = 16;
-  SpinorField<PrecSingle> src(sites, face);
-  std::mt19937_64 rng(11);
-  for (std::int64_t i = 0; i < sites; ++i)
-    src.store(i, convert<float>(random_spinor(rng, i % 7 == 0 ? 1e3 : 1.0)));
-  src.store(5, Spinor<float>{}); // exercise the zero-vector norm rule
-
-  SpinorField<PrecHalf> fast(sites, face);
-  SpinorField<PrecHalf> ref(sites, face, face + 3); // pad mismatch -> generic
-  convert_field(src, fast);
-  convert_field_generic(src, ref);
-
-  for (std::int64_t i = 0; i < sites; ++i) {
-    EXPECT_EQ(fast.norm_data()[static_cast<std::size_t>(i)],
-              ref.norm_data()[static_cast<std::size_t>(i)])
-        << "site " << i;
-    const Spinor<float> a = fast.load(i), b = ref.load(i);
-    for (std::size_t spin = 0; spin < 4; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        EXPECT_EQ(a.s[spin][c].re, b.s[spin][c].re) << "site " << i;
-        EXPECT_EQ(a.s[spin][c].im, b.s[spin][c].im) << "site " << i;
-      }
-  }
-}
-
-TEST(ConvertField, FastPathMatchesGenericExpand) {
-  const std::int64_t sites = 96, face = 16;
-  SpinorField<PrecHalf> src(sites, face);
-  std::mt19937_64 rng(23);
-  for (std::int64_t i = 0; i < sites; ++i)
-    src.store(i, convert<float>(random_spinor(rng, 2.5)));
-
-  SpinorField<PrecSingle> fast(sites, face);
-  SpinorField<PrecSingle> ref(sites, face, face + 5); // pad mismatch -> generic
-  convert_field(src, fast);
-  convert_field_generic(src, ref);
-
-  for (std::int64_t i = 0; i < sites; ++i) {
-    const Spinor<float> a = fast.load(i), b = ref.load(i);
-    for (std::size_t spin = 0; spin < 4; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        EXPECT_EQ(a.s[spin][c].re, b.s[spin][c].re) << "site " << i;
-        EXPECT_EQ(a.s[spin][c].im, b.s[spin][c].im) << "site " << i;
-      }
-  }
-}
-
-// the fast path parallelizes over the same kBlasGrain site grains as the
-// generic path, so any thread budget yields the same bits
+// the conversion parallelizes over fixed kBlasGrain site grains, so any
+// thread budget yields the same bits
 TEST(ConvertField, FastPathThreadInvariance) {
   const std::int64_t sites = 3 * exec::kBlasGrain + 37, face = 64;
   SpinorField<PrecSingle> src(sites, face);
@@ -290,6 +242,85 @@ TEST(ConvertField, FastPathThreadInvariance) {
   exec::set_thread_budget(0);
   EXPECT_EQ(one.raw_data(), many.raw_data());
   EXPECT_EQ(one.norm_data(), many.norm_data());
+}
+
+// the six conversions the mixed solvers make, from a source with a zero
+// site (store()'s zero-vector norm rule) and 1e3-scaled sites; the
+// destination's stored payload and norms are pinned
+template <typename P> SpinorField<P> conversion_source() {
+  const std::int64_t sites = 96, face = 16;
+  SpinorField<P> src(sites, face);
+  std::mt19937_64 rng(11);
+  for (std::int64_t i = 0; i < sites; ++i)
+    src.store(i, convert<typename P::real_t>(random_spinor(rng, i % 7 == 0 ? 1e3 : 1.0)));
+  src.store(5, Spinor<typename P::real_t>{});
+  return src;
+}
+
+template <typename PDst, typename PSrc> std::uint64_t converted_digest() {
+  const SpinorField<PSrc> src = conversion_source<PSrc>();
+  SpinorField<PDst> dst(src.sites(), src.face_sites());
+  convert_field(src, dst);
+  return stored_digest(dst);
+}
+
+TEST(ConvertField, SolverPairsArePinned) {
+  const struct {
+    const char* pair;
+    std::uint64_t got, want;
+  } pins[] = {
+      {"double->single", converted_digest<PrecSingle, PrecDouble>(), 0x6f771e4e1f87fdedull},
+      {"single->double", converted_digest<PrecDouble, PrecSingle>(), 0x2e049ea2b4c9aa97ull},
+      {"double->half", converted_digest<PrecHalf, PrecDouble>(), 0x43ee4c59dd02ba2full},
+      {"half->double", converted_digest<PrecDouble, PrecHalf>(), 0x14b3d4442e5c787aull},
+      {"single->half", converted_digest<PrecHalf, PrecSingle>(), 0x43ee4c59dd02ba2full},
+      {"half->single", converted_digest<PrecSingle, PrecHalf>(), 0xeffe591de54c78f2ull},
+  };
+  for (const auto& p : pins) EXPECT_EQ(p.got, p.want) << p.pair << ": 0x" << std::hex << p.got;
+}
+
+// a NaN component stores as 0 and leaves the site's norm to the other
+// components; an Inf component makes the norm Inf, so every component of
+// that site loads as NaN.  Both through store() and through the
+// single -> half conversion.
+TEST(HalfStore, NanStoresZeroAndInfPoisonsItsSite) {
+  Spinor<float> nan_site, inf_site;
+  for (std::size_t spin = 0; spin < 4; ++spin)
+    for (std::size_t c = 0; c < 3; ++c) {
+      const float k = static_cast<float>(3 * spin + c); // max |component|: 24/48 = 0.5
+      nan_site.s[spin][c] = Complex<float>((2 * k + 1) / 48, -(2 * k + 2) / 48);
+    }
+  inf_site = nan_site;
+  nan_site.s[2][1].im = std::numeric_limits<float>::quiet_NaN();
+  inf_site.s[1][0].re = std::numeric_limits<float>::infinity();
+
+  SpinorField<PrecSingle> src(2, 1);
+  src.store(0, nan_site);
+  src.store(1, inf_site);
+  SpinorField<PrecHalf> stored(2, 1), converted(2, 1);
+  stored.store(0, nan_site);
+  stored.store(1, inf_site);
+  convert_field(src, converted);
+
+  for (const SpinorField<PrecHalf>* h : {&stored, &converted}) {
+    EXPECT_EQ(h->norm_data()[0], 0.5f);
+    const Spinor<float> a = h->load(0);
+    for (std::size_t spin = 0; spin < 4; ++spin)
+      for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_NEAR(a.s[spin][c].re, nan_site.s[spin][c].re, 0.5f / kHalfPointScale);
+        if (spin == 2 && c == 1)
+          EXPECT_EQ(a.s[spin][c].im, 0.0f);
+        else
+          EXPECT_NEAR(a.s[spin][c].im, nan_site.s[spin][c].im, 0.5f / kHalfPointScale);
+      }
+    EXPECT_EQ(h->norm_data()[1], std::numeric_limits<float>::infinity());
+    const Spinor<float> b = h->load(1);
+    for (std::size_t spin = 0; spin < 4; ++spin)
+      for (std::size_t c = 0; c < 3; ++c) {
+        EXPECT_TRUE(std::isnan(b.s[spin][c].re));
+        EXPECT_TRUE(std::isnan(b.s[spin][c].im));
+      }
+  }
 }
 
 TEST(SpinorUploadDownload, RoundTripBothParities) {

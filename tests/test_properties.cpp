@@ -6,8 +6,11 @@
 //  * gamma_5 Hermiticity of the full operator;
 //  * Modeled and Real execution charge *identical* simulated time (the
 //    benchmark harness times exactly the code path the tests validate);
-//  * BLAS kernels against naive recompositions, in all precisions;
+//  * BLAS kernels against naive recompositions, in all precisions, and the
+//    element-wise kernels' stored bits pinned;
 //  * the auto-tuner's sweep semantics.
+
+#include "field_pins.h"
 
 #include "blas/autotune.h"
 #include "blas/blas.h"
@@ -21,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 namespace quda {
@@ -290,6 +294,90 @@ TYPED_TEST(BlasTyped, Gamma5IsInvolution) {
   }
   EXPECT_LT(diff / den, tolerance<P>() * 100);
 }
+
+// --- pinned element-wise kernel bits --------------------------------------------
+// Each element-wise kernel runs once on seeded fields; the written field's
+// stored payload and norms are pinned.  101 sites is odd, so every span
+// also has a tail past the last full vector.
+
+constexpr std::int64_t kPinSites = 101, kPinFace = 16;
+constexpr int kNumElementwise = 7;
+constexpr const char* kElementwiseNames[kNumElementwise] = {
+    "copy", "axpy", "xpay", "axpby", "caxpy", "bicgstab_p_update", "bicgstab_x_update"};
+
+template <typename P> SpinorField<P> seeded_field(std::uint64_t seed, std::int64_t pad = kPinFace) {
+  using real_t = typename P::real_t;
+  SpinorField<P> f(kPinSites, kPinFace, pad);
+  std::mt19937_64 rng(seed);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (std::int64_t i = 0; i < f.sites(); ++i) {
+    Spinor<real_t> s;
+    for (std::size_t spin = 0; spin < 4; ++spin)
+      for (std::size_t c = 0; c < 3; ++c)
+        s.s[spin][c] = Complex<real_t>(static_cast<real_t>(d(rng)), static_cast<real_t>(d(rng)));
+    f.store(i, s);
+  }
+  return f;
+}
+
+// kernel k writes `out` from x and z (and from out itself where it updates)
+template <typename P>
+void run_elementwise(int k, SpinorField<P>& out, const SpinorField<P>& x, const SpinorField<P>& z) {
+  const complexd omega{0.9, 0.05};
+  switch (k) {
+    case 0: blas::copy(out, x); break;
+    case 1: blas::axpy(0.37, x, out); break;
+    case 2: blas::xpay(x, -0.61, out); break;
+    case 3: blas::axpby(0.37, x, -0.61, out); break;
+    case 4: blas::caxpy(complexd{0.37, -0.21}, x, out); break;
+    case 5: blas::bicgstab_p_update(out, x, z, complexd{1.1, -0.2}, omega); break;
+    case 6: blas::bicgstab_x_update(out, complexd{0.3, 0.1}, x, omega, z); break;
+  }
+}
+
+template <typename P>
+void expect_elementwise_pinned(const std::array<std::uint64_t, kNumElementwise>& want) {
+  const SpinorField<P> x = seeded_field<P>(1), z = seeded_field<P>(2);
+  for (int k = 0; k < kNumElementwise; ++k) {
+    SpinorField<P> out = seeded_field<P>(3);
+    run_elementwise(k, out, x, z);
+    const std::uint64_t got = stored_digest(out);
+    EXPECT_EQ(got, want[static_cast<std::size_t>(k)])
+        << kElementwiseNames[k] << ": 0x" << std::hex << got;
+  }
+}
+
+TEST(BlasPinned, ElementwiseKernelsDouble) {
+  expect_elementwise_pinned<PrecDouble>(
+      {0x43a6c33ade658483, 0x78c979ac39c312b9, 0x88db783513461649, 0x7ffa16268ecf3f39,
+       0xde8922aea513fd7b, 0x936c09f91b53eb5e, 0x01144098c1ed8d8e});
+}
+TEST(BlasPinned, ElementwiseKernelsSingle) {
+  expect_elementwise_pinned<PrecSingle>(
+      {0xbee190c45e6960cf, 0xc19241b8a9ea0a2b, 0xccbbf59bcba07f1f, 0x62d23e0c292a48e0,
+       0x60537c12c6bfabde, 0xabc6ee3d934ef0b2, 0xb072b482713da69d});
+}
+TEST(BlasPinned, ElementwiseKernelsHalf) {
+  expect_elementwise_pinned<PrecHalf>(
+      {0x8ada9e7645a83b4d, 0x0ea8ede86efd5400, 0xa390fcea47b35910, 0xd732b9b3ba164f92,
+       0xb414d18cb2183c05, 0x9c8bfd64704ea142, 0xb6724eb49065b342});
+}
+
+// an output whose pad differs from its inputs' pad holds, bit for bit, the
+// values the matched-pad output holds
+template <typename P> void expect_output_pad_irrelevant() {
+  const SpinorField<P> x = seeded_field<P>(1), z = seeded_field<P>(2);
+  for (int k = 0; k < kNumElementwise; ++k) {
+    SpinorField<P> matched = seeded_field<P>(3);
+    SpinorField<P> other = seeded_field<P>(3, kPinFace + 3);
+    run_elementwise(k, matched, x, z);
+    run_elementwise(k, other, x, z);
+    EXPECT_EQ(loaded_digest(matched), loaded_digest(other)) << kElementwiseNames[k];
+  }
+}
+
+TEST(BlasPinned, OutputPadDoesNotChangeBitsDouble) { expect_output_pad_irrelevant<PrecDouble>(); }
+TEST(BlasPinned, OutputPadDoesNotChangeBitsSingle) { expect_output_pad_irrelevant<PrecSingle>(); }
 
 // --- auto-tuner -----------------------------------------------------------------
 

@@ -142,8 +142,8 @@ TEST(ConvertField, DoubleToSingleToDoubleLosesOnlySinglePrecision) {
   const SpinorFieldD d = upload_spinor<PrecDouble>(h, Parity::Even);
   SpinorFieldS s(g);
   SpinorFieldD back(g);
-  convert_spinor_field(s, d);
-  convert_spinor_field(back, s);
+  convert_field(d, s);
+  convert_field(s, back);
   double num = 0, den = 0;
   for (std::int64_t i = 0; i < d.sites(); ++i) {
     num += quda::norm2(back.load(i) - d.load(i));
@@ -160,8 +160,8 @@ TEST(ConvertField, HalfRoundTripWithinQuantizationBound) {
   const SpinorFieldS s = upload_spinor<PrecSingle>(hf, Parity::Even);
   SpinorFieldH h(g);
   SpinorFieldS back(g);
-  convert_spinor_field(h, s);
-  convert_spinor_field(back, h);
+  convert_field(s, h);
+  convert_field(h, back);
   for (std::int64_t i = 0; i < s.sites(); ++i) {
     const auto a = s.load(i), b = back.load(i);
     const float bound = 2.0f * max_abs(a) / kHalfPointScale;

@@ -33,8 +33,9 @@
 #   default build-dir: build (or build-<sanitizer> under --sanitize).
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
 #   build tree (default thread); `address` instruments with ASan plus UBSan
-#   (-fno-sanitize-recover) and _GLIBCXX_ASSERTIONS, so an out-of-range
-#   container index aborts the gate.  Both sanitizers are expected clean
+#   and its float-to-integer overflow check (both -fno-sanitize-recover)
+#   and _GLIBCXX_ASSERTIONS, so an out-of-range container index or float
+#   conversion aborts the gate.  Both sanitizers are expected clean
 #   (README "Sanitizers").
 set -euo pipefail
 cd "$(dirname "$0")/.."
