@@ -125,7 +125,7 @@ BENCHMARK(BM_BlasAxpyNorm<PrecSingle>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BlasAxpyNorm<PrecHalf>)->Unit(benchmark::kMillisecond);
 
 // two element-wise kernels per precision: double and single run the BLAS
-// walker's raw block spans, half its per-site load()/store().  |beta| < 1
+// walker's raw block spans, half its per-site decode/encode.  |beta| < 1
 // and a small caxpy factor keep the repeated updates finite; the factors
 // pass through DoNotOptimize so, as in a solver, they are run-time values
 // rather than constants folded into the loops.
@@ -208,6 +208,25 @@ template <typename P> void BM_DslashThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_DslashThreads<PrecDouble>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DslashThreads<PrecSingle>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DslashThreads<PrecHalf>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// half against single at budget 1, where the default budget's run-to-run
+// spread on a shared host does not hide the per-site codec cost
+template <typename P> void BM_CloverApplyThreads(benchmark::State& state) {
+  exec::set_thread_budget(static_cast<int>(state.range(0)));
+  const auto& d = data();
+  const CloverField<P> clover = upload_clover<P>(d.t);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even);
+  SpinorField<P> out(d.g);
+  for (auto _ : state) {
+    apply_clover_xpay<P>(out, clover, Parity::Even, in, d.g, 0, d.g.half_volume(), 0);
+    benchmark::DoNotOptimize(out.raw_data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * d.g.half_volume());
+  exec::set_thread_budget(0);
+}
+BENCHMARK(BM_CloverApplyThreads<PrecSingle>)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CloverApplyThreads<PrecHalf>)->Arg(1)->Unit(benchmark::kMillisecond);
 
 template <typename P> void BM_BlasAxpyNormThreads(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));

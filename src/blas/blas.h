@@ -18,17 +18,16 @@
 // plain arrays of reals, run by detail::elementwise, the one place where the
 // precision decides how a kernel touches memory: double and single hand the
 // body raw component-block spans (stride-1 sweeps the compiler vectorizes),
-// half hands it each site's 24 reals decoded by load() and re-encoded by
-// store().  Reductions and apply_gamma5 keep their site-major load() loops:
-// the reductions accumulate in that order inside fixed-shape chunks (see the
-// determinism contract in exec/host_engine.h).
+// half hands it each site's 24 reals decoded by load_reals() and re-encoded
+// by store_reals().  Reductions and apply_gamma5 keep their site-major
+// load() loops: the reductions accumulate in that order inside fixed-shape
+// chunks (see the determinism contract in exec/host_engine.h).
 
 #include "exec/host_engine.h"
 #include "lattice/spinor_field.h"
 #include "su3/gamma.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <concepts>
 #include <cstdint>
@@ -43,26 +42,6 @@ namespace detail {
 template <typename F> auto* block_span(F& f, int j, std::int64_t b) {
   const BlockLayout& l = f.layout();
   return f.raw_data().data() + std::int64_t(l.nvec) * (j * l.stride() + b);
-}
-
-// one site's 24 reals in component order, re and im alternating: the order
-// a block span holds them in
-template <typename T> std::array<T, 24> site_reals(const Spinor<T>& s) {
-  std::array<T, 24> v;
-  for (std::size_t spin = 0; spin < 4; ++spin)
-    for (std::size_t c = 0; c < 3; ++c) {
-      v[2 * (3 * spin + c)] = s.s[spin][c].re;
-      v[2 * (3 * spin + c) + 1] = s.s[spin][c].im;
-    }
-  return v;
-}
-
-template <typename T> Spinor<T> site_spinor(const std::array<T, 24>& v) {
-  Spinor<T> s;
-  for (std::size_t spin = 0; spin < 4; ++spin)
-    for (std::size_t c = 0; c < 3; ++c)
-      s.s[spin][c] = Complex<T>(v[2 * (3 * spin + c)], v[2 * (3 * spin + c) + 1]);
-  return s;
 }
 
 // A complex factor c of a kernel body, with -c.im kept beside it.  The
@@ -82,9 +61,9 @@ template <typename T> struct ComplexFactor {
 // body(n, w_reals, in_reals...) updates n reals of w from the same n
 // elements of each input, pairing elements (2k, 2k+1) as the re and im
 // parts of one complex component.  Norm-free fields give the body one raw
-// span per component block; half loads each site of every field, runs the
-// body on the 24 reals and stores w.  Both run the same body, so a kernel's
-// bits do not depend on the fields' pads.
+// span per component block; half decodes each site of every field into 24
+// floats, runs the body on them and encodes w's.  Both run the same body,
+// so a kernel's bits do not depend on the fields' pads.
 template <typename Body, typename P, typename... In>
   requires(std::same_as<In, SpinorField<P>> && ...)
 void elementwise(const Body& body, SpinorField<P>& w, const In&... in) {
@@ -95,9 +74,9 @@ void elementwise(const Body& body, SpinorField<P>& w, const In&... in) {
     const Body f = body;
     if constexpr (P::has_norm) {
       for (std::int64_t i = b; i < e; ++i) {
-        std::array y = site_reals(w.load(i));
-        f(std::int64_t(y.size()), y.data(), site_reals(in.load(i)).data()...);
-        w.store(i, site_spinor(y));
+        auto y = w.load_reals(i);
+        f(std::int64_t(y.size()), y.data(), in.load_reals(i).data()...);
+        w.store_reals(i, y);
       }
     } else {
       const std::int64_t n = std::int64_t(P::nvec) * (e - b);

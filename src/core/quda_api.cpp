@@ -329,6 +329,20 @@ void validate(const InvertParams& p) {
         "sloppy reconstruct must not store more reals than the outer reconstruct");
 }
 
+// T = (4 + m) + A and its inverse, built once on the global lattice
+// (boundary leaves need cross-rank links, exactly why Chroma hands QUDA a
+// finished clover field)
+struct CloverTerms {
+  HostCloverField t, tinv;
+};
+
+CloverTerms make_clover_terms(const HostGaugeField& gauge, const InvertParams& params) {
+  CloverTerms c{make_clover_term(gauge, params.csw), {}};
+  add_diag(c.t, 4.0 + params.mass);
+  c.tinv = invert_clover(c.t);
+  return c;
+}
+
 } // namespace
 
 InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaugeField& gauge,
@@ -340,11 +354,7 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
   const GridTopology topo = resolve_topology(params, n_ranks);
   (void)local_geometry(g, topo); // validate divisibility up front
 
-  // clover term: built once on the global lattice (boundary leaves need
-  // cross-rank links, exactly why Chroma hands QUDA a finished clover field)
-  HostCloverField t = make_clover_term(gauge, params.csw);
-  add_diag(t, 4.0 + params.mass);
-  const HostCloverField tinv = invert_clover(t);
+  const CloverTerms clover = make_clover_terms(gauge, params);
 
   // rotate the source into the internal basis
   HostSpinorField b_nr(g);
@@ -358,8 +368,8 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
     const int rank = ctx.rank();
     const Geometry local = local_geometry(g, topo);
     const HostGaugeField lu = slice_gauge(gauge, topo, rank);
-    const HostCloverField lt = slice_clover(t, topo, rank);
-    const HostCloverField ltinv = slice_clover(tinv, topo, rank);
+    const HostCloverField lt = slice_clover(clover.t, topo, rank);
+    const HostCloverField ltinv = slice_clover(clover.tinv, topo, rank);
     const HostSpinorField lb = slice_spinor(b_nr, topo, rank);
 
     RankOutcome& out = outcomes[static_cast<std::size_t>(rank)];
@@ -482,9 +492,7 @@ void apply_matrix_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaug
   const int n_ranks = cluster_spec.num_ranks();
   const GridTopology topo = resolve_topology(params, n_ranks);
 
-  HostCloverField t = make_clover_term(gauge, params.csw);
-  add_diag(t, 4.0 + params.mass);
-  const HostCloverField tinv = invert_clover(t);
+  const CloverTerms clover = make_clover_terms(gauge, params);
 
   HostSpinorField in_nr(g);
   for (std::int64_t i = 0; i < g.volume(); ++i)
@@ -499,8 +507,8 @@ void apply_matrix_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaug
     const int rank = ctx.rank();
     const Geometry local = local_geometry(g, topo);
     const HostGaugeField lu = slice_gauge(gauge, topo, rank);
-    const HostCloverField lt = slice_clover(t, topo, rank);
-    const HostCloverField ltinv = slice_clover(tinv, topo, rank);
+    const HostCloverField lt = slice_clover(clover.t, topo, rank);
+    const HostCloverField ltinv = slice_clover(clover.tinv, topo, rank);
     const HostSpinorField lin = slice_spinor(in_nr, topo, rank);
 
     OperatorParams op_params;

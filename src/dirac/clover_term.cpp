@@ -1,5 +1,7 @@
 #include "dirac/clover_term.h"
 
+#include "exec/host_engine.h"
+
 #include <cassert>
 #include <stdexcept>
 
@@ -97,31 +99,36 @@ const SigmaBlocks& sigma_blocks() {
 
 } // namespace
 
+// These set-up routines run their site loops on the host engine: every site
+// is written from its own inputs alone, so the bits do not depend on the
+// worker budget.
+
 HostCloverField make_clover_term(const HostGaugeField& u, double csw) {
   const Geometry& g = u.geom();
   HostCloverField a(g);
   const SigmaBlocks& sb = sigma_blocks();
   const double coeff = 0.5 * csw;
 
-  for (std::int64_t i = 0; i < g.volume(); ++i) {
-    const Coords x = g.coords(i);
-    Dense6 dense[2] = {};
-    for (std::size_t p = 0; p < 6; ++p) {
-      const auto [mu, nu] = sb.planes[p];
-      const SU3<double> inf = clover_leaf_ifield(u, x, mu, nu);
-      for (int blk = 0; blk < 2; ++blk)
-        for (std::size_t s = 0; s < 2; ++s)
-          for (std::size_t sp = 0; sp < 2; ++sp) {
-            const complexd spin = sb.b[p][static_cast<std::size_t>(blk)][s][sp] * coeff;
-            if (spin.re == 0.0 && spin.im == 0.0) continue;
-            for (std::size_t c = 0; c < 3; ++c)
-              for (std::size_t cp = 0; cp < 3; ++cp)
-                dense[blk][3 * s + c][3 * sp + cp] += spin * inf.e[c][cp];
-          }
+  exec::parallel_for(0, g.volume(), exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const Coords x = g.coords(i);
+      Dense6 dense[2] = {};
+      for (std::size_t p = 0; p < 6; ++p) {
+        const auto [mu, nu] = sb.planes[p];
+        const SU3<double> inf = clover_leaf_ifield(u, x, mu, nu);
+        for (int blk = 0; blk < 2; ++blk)
+          for (std::size_t s = 0; s < 2; ++s)
+            for (std::size_t sp = 0; sp < 2; ++sp) {
+              const complexd spin = sb.b[p][static_cast<std::size_t>(blk)][s][sp] * coeff;
+              if (spin.re == 0.0 && spin.im == 0.0) continue;
+              for (std::size_t c = 0; c < 3; ++c)
+                for (std::size_t cp = 0; cp < 3; ++cp)
+                  dense[blk][3 * s + c][3 * sp + cp] += spin * inf.e[c][cp];
+            }
+      }
+      for (int blk = 0; blk < 2; ++blk) a[i].block[blk] = from_dense(dense[blk], 1e-8);
     }
-    for (int blk = 0; blk < 2; ++blk)
-      a[i].block[blk] = from_dense(dense[blk], 1e-8);
-  }
+  });
   return a;
 }
 
@@ -129,36 +136,46 @@ DenseCloverField make_dense_clover_term(const HostGaugeField& u, double csw) {
   const Geometry& g = u.geom();
   DenseCloverField a(g);
   const double coeff = 0.5 * csw;
+  std::array<SpinMatrix, 6> sigma; // per (mu < nu) plane, in loop order
+  for (int mu = 0, p = 0; mu < 4; ++mu)
+    for (int nu = mu + 1; nu < 4; ++nu, ++p)
+      sigma[static_cast<std::size_t>(p)] = sigma_munu(GammaBasis::NonRelativistic, mu, nu);
 
-  for (std::int64_t i = 0; i < g.volume(); ++i) {
-    const Coords x = g.coords(i);
-    for (int mu = 0; mu < 4; ++mu)
-      for (int nu = mu + 1; nu < 4; ++nu) {
-        const SpinMatrix sig = sigma_munu(GammaBasis::NonRelativistic, mu, nu);
-        const SU3<double> inf = clover_leaf_ifield(u, x, mu, nu);
-        for (std::size_t s = 0; s < 4; ++s)
-          for (std::size_t sp = 0; sp < 4; ++sp) {
-            const complexd spin = sig.e[s][sp] * coeff;
-            if (spin.re == 0.0 && spin.im == 0.0) continue;
-            for (std::size_t c = 0; c < 3; ++c)
-              for (std::size_t cp = 0; cp < 3; ++cp)
-                a[i].at(3 * s + c, 3 * sp + cp) += spin * inf.e[c][cp];
-          }
-      }
-  }
+  exec::parallel_for(0, g.volume(), exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const Coords x = g.coords(i);
+      for (int mu = 0, p = 0; mu < 4; ++mu)
+        for (int nu = mu + 1; nu < 4; ++nu, ++p) {
+          const SpinMatrix& sig = sigma[static_cast<std::size_t>(p)];
+          const SU3<double> inf = clover_leaf_ifield(u, x, mu, nu);
+          for (std::size_t s = 0; s < 4; ++s)
+            for (std::size_t sp = 0; sp < 4; ++sp) {
+              const complexd spin = sig.e[s][sp] * coeff;
+              if (spin.re == 0.0 && spin.im == 0.0) continue;
+              for (std::size_t c = 0; c < 3; ++c)
+                for (std::size_t cp = 0; cp < 3; ++cp)
+                  a[i].at(3 * s + c, 3 * sp + cp) += spin * inf.e[c][cp];
+            }
+        }
+    }
+  });
   return a;
 }
 
 void add_diag(HostCloverField& a, double diag) {
-  for (std::int64_t i = 0; i < a.geom().volume(); ++i)
-    for (int blk = 0; blk < 2; ++blk)
-      for (std::size_t d = 0; d < 6; ++d) a[i].block[blk].diag[d] += diag;
+  exec::parallel_for(0, a.geom().volume(), exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i)
+      for (int blk = 0; blk < 2; ++blk)
+        for (std::size_t d = 0; d < 6; ++d) a[i].block[blk].diag[d] += diag;
+  });
 }
 
 HostCloverField invert_clover(const HostCloverField& t) {
   HostCloverField inv(t.geom());
-  for (std::int64_t i = 0; i < t.geom().volume(); ++i)
-    for (int blk = 0; blk < 2; ++blk) inv[i].block[blk] = invert(t[i].block[blk]);
+  exec::parallel_for(0, t.geom().volume(), exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i)
+      for (int blk = 0; blk < 2; ++blk) inv[i].block[blk] = invert(t[i].block[blk]);
+  });
   return inv;
 }
 

@@ -2,6 +2,9 @@
 
 #include "exec/host_engine.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 
 namespace quda {
@@ -136,11 +139,16 @@ void apply_clover_xpay(SpinorField<P>& out, const CloverField<P>& clover, Parity
 
 // --- face exchange -----------------------------------------------------------
 
+// Faces travel as 12 reals per face site in storage precision; half
+// quantizes each projected half spinor under its own norm (the spinor norm
+// rule of su3/halfprec.h over its 12 reals).  Gauge links travel in their
+// stored parameterization (8 reals, phases scaled by 1/pi in half) or as 18
+// full-matrix reals, without a norm.
+
 template <typename P>
 void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_parity, int mu,
                int slice, int sign, FaceBuffer<P>& buf) {
   using real_t = typename P::real_t;
-  using store_t = typename P::store_t;
   const std::int64_t nf = g.face_sites(mu);
   buf.resize(nf);
 
@@ -148,30 +156,23 @@ void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_pari
   for (std::int64_t fs = lo; fs < hi; ++fs) {
     const Coords c = g.face_site_coords(mu, field_parity, slice, fs);
     const HalfSpinor<real_t> h = project(mu, sign, field.load(g.cb_index(c)));
-
-    real_t inv = 1;
+    auto* dst = buf.data.data() + fs * 12;
     if constexpr (P::has_norm) {
-      float m = 0;
+      const auto v = std::bit_cast<std::array<real_t, 12>>(h);
+      const float m = max_abs_norm(v);
+      buf.norm[static_cast<std::size_t>(fs)] = m;
+      const auto q = encode(v, 1.0f / m);
+      std::copy(q.begin(), q.end(), dst);
+    } else {
+      // component by component: a whole-object copy of h goes through the
+      // stack in pieces the compiler then reloads in other widths, which
+      // stalls store-to-load forwarding
       for (std::size_t sp = 0; sp < 2; ++sp)
         for (std::size_t col = 0; col < 3; ++col) {
-          m = std::max(m, std::abs(static_cast<float>(h.s[sp][col].re)));
-          m = std::max(m, std::abs(static_cast<float>(h.s[sp][col].im)));
+          *dst++ = h.s[sp][col].re;
+          *dst++ = h.s[sp][col].im;
         }
-      if (m == 0.0f) m = 1e-37f;
-      buf.norm[static_cast<std::size_t>(fs)] = m;
-      inv = real_t(1) / m;
     }
-    std::size_t k = static_cast<std::size_t>(fs * 12);
-    for (std::size_t sp = 0; sp < 2; ++sp)
-      for (std::size_t col = 0; col < 3; ++col) {
-        if constexpr (P::value == Precision::Half) {
-          buf.data[k++] = to_half(static_cast<float>(h.s[sp][col].re * inv));
-          buf.data[k++] = to_half(static_cast<float>(h.s[sp][col].im * inv));
-        } else {
-          buf.data[k++] = static_cast<store_t>(h.s[sp][col].re);
-          buf.data[k++] = static_cast<store_t>(h.s[sp][col].im);
-        }
-      }
   }
   });
 }
@@ -185,24 +186,14 @@ void unpack_ghost(SpinorField<P>& field, const Geometry& g, int mu, GhostFace fa
 
   exec::parallel_for(0, nf, exec::kFaceGrain, [&](std::int64_t lo, std::int64_t hi) {
   for (std::int64_t fs = lo; fs < hi; ++fs) {
-    HalfSpinor<real_t> h;
-    float norm = 1.0f;
-    if constexpr (P::has_norm) norm = buf.norm[static_cast<std::size_t>(fs)];
-    std::size_t k = static_cast<std::size_t>(fs * 12);
-    for (std::size_t sp = 0; sp < 2; ++sp)
-      for (std::size_t col = 0; col < 3; ++col) {
-        real_t re, im;
-        if constexpr (P::value == Precision::Half) {
-          re = from_half(buf.data[k]) * norm;
-          im = from_half(buf.data[k + 1]) * norm;
-        } else {
-          re = static_cast<real_t>(buf.data[k]);
-          im = static_cast<real_t>(buf.data[k + 1]);
-        }
-        h.s[sp][col] = Complex<real_t>(re, im);
-        k += 2;
-      }
-    field.store_ghost(mu, face, fs, h, norm);
+    std::array<typename P::store_t, 12> raw;
+    std::copy_n(buf.data.data() + fs * 12, 12, raw.data());
+    if constexpr (P::has_norm) {
+      const float norm = buf.norm[static_cast<std::size_t>(fs)];
+      field.store_ghost(mu, face, fs, std::bit_cast<HalfSpinor<real_t>>(decode(raw, norm)), norm);
+    } else {
+      field.store_ghost(mu, face, fs, std::bit_cast<HalfSpinor<real_t>>(raw));
+    }
   }
   });
 }
@@ -211,10 +202,20 @@ template <typename P>
 void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int slice,
                      GaugeFaceBuffer<P>& buf) {
   using real_t = typename P::real_t;
-  using store_t = typename P::store_t;
+  constexpr bool half = P::value == Precision::Half;
   const std::int64_t nf = g.face_sites(mu);
   const int wire = gauge_wire_reals(gauge.reconstruct());
   buf.resize(nf, wire);
+
+  // one link's wire reals, quantized in half
+  const auto put = [](const auto& v, auto* dst) {
+    if constexpr (half) {
+      const auto q = encode(v, 1.0f);
+      std::copy(q.begin(), q.end(), dst);
+    } else {
+      std::copy(v.begin(), v.end(), dst);
+    }
+  };
 
   for (int par = 0; par < 2; ++par) {
     const Parity parity = par == 0 ? Parity::Even : Parity::Odd;
@@ -222,29 +223,17 @@ void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int 
     for (std::int64_t fs = lo; fs < hi; ++fs) {
       const Coords c = g.face_site_coords(mu, parity, slice, fs);
       const SU3<real_t> u = gauge.load(mu, parity, g.cb_index(c));
-      std::size_t k = static_cast<std::size_t>((par * nf + fs) * wire);
+      auto* dst = buf.data.data() + (par * nf + fs) * wire;
       if (wire == 8) {
         // ship the stored parameterization itself; the phases use the same
         // fixed-point scaling rule as device storage in half precision
-        const SU3Packed8<real_t> p = pack_eight(u);
-        for (std::size_t j = 0; j < 8; ++j) {
-          if constexpr (P::value == Precision::Half)
-            buf.data[k++] = to_half(j < 2 ? phase_to_unit(p.v[j]) : p.v[j]);
-          else
-            buf.data[k++] = static_cast<store_t>(p.v[j]);
-        }
-        continue;
+        std::array<real_t, 8> v = pack_eight(u).v;
+        if constexpr (half)
+          for (std::size_t j = 0; j < 2; ++j) v[j] = phase_to_unit(v[j]);
+        put(v, dst);
+      } else {
+        put(std::bit_cast<std::array<real_t, 18>>(u), dst);
       }
-      for (std::size_t r = 0; r < 3; ++r)
-        for (std::size_t col = 0; col < 3; ++col) {
-          if constexpr (P::value == Precision::Half) {
-            buf.data[k++] = to_half(static_cast<float>(u.e[r][col].re));
-            buf.data[k++] = to_half(static_cast<float>(u.e[r][col].im));
-          } else {
-            buf.data[k++] = static_cast<store_t>(u.e[r][col].re);
-            buf.data[k++] = static_cast<store_t>(u.e[r][col].im);
-          }
-        }
     }
     });
   }
@@ -253,42 +242,42 @@ void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int 
 template <typename P>
 void unpack_gauge_ghost(GaugeField<P>& gauge, const Geometry& g, int mu,
                         const GaugeFaceBuffer<P>& buf) {
+  using store_t = typename P::store_t;
+  constexpr bool half = P::value == Precision::Half;
   const std::int64_t nf = g.face_sites(mu);
   const int wire = gauge_wire_reals(gauge.reconstruct());
   assert(buf.nint == wire);
   assert(std::int64_t(buf.data.size()) == nf * 2 * wire);
 
+  // one link's wire reals as doubles, dequantized in half
+  const auto get = [&]<std::size_t N>(const store_t* src, std::array<double, N>& out) {
+    std::array<store_t, N> raw;
+    std::copy_n(src, N, raw.data());
+    std::array<typename P::real_t, N> v;
+    if constexpr (half) {
+      v = decode(raw, 1.0f);
+      if constexpr (N == 8)
+        for (std::size_t j = 0; j < 2; ++j) v[j] = unit_to_phase(v[j]);
+    } else {
+      v = raw;
+    }
+    std::copy(v.begin(), v.end(), out.begin());
+  };
+
   for (int par = 0; par < 2; ++par) {
     const Parity parity = par == 0 ? Parity::Even : Parity::Odd;
     exec::parallel_for(0, nf, exec::kFaceGrain, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t fs = lo; fs < hi; ++fs) {
-      std::size_t k = static_cast<std::size_t>((par * nf + fs) * wire);
+      const store_t* src = buf.data.data() + (par * nf + fs) * wire;
       SU3<double> u;
       if (wire == 8) {
         SU3Packed8<double> p;
-        for (std::size_t j = 0; j < 8; ++j) {
-          if constexpr (P::value == Precision::Half) {
-            const float v = from_half(buf.data[k++]);
-            p.v[j] = static_cast<double>(j < 2 ? unit_to_phase(v) : v);
-          } else {
-            p.v[j] = static_cast<double>(buf.data[k++]);
-          }
-        }
+        get(src, p.v);
         u = unpack_eight(p);
       } else {
-        for (std::size_t r = 0; r < 3; ++r)
-          for (std::size_t col = 0; col < 3; ++col) {
-            double re, im;
-            if constexpr (P::value == Precision::Half) {
-              re = from_half(buf.data[k]);
-              im = from_half(buf.data[k + 1]);
-            } else {
-              re = static_cast<double>(buf.data[k]);
-              im = static_cast<double>(buf.data[k + 1]);
-            }
-            u.e[r][col] = complexd(re, im);
-            k += 2;
-          }
+        std::array<double, 18> m;
+        get(src, m);
+        u = std::bit_cast<SU3<double>>(m);
       }
       gauge.store_ghost(mu, parity, fs, u);
     }

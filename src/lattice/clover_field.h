@@ -13,6 +13,9 @@
 #include "lattice/precision.h"
 #include "su3/clover_block.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -45,86 +48,45 @@ public:
     return b;
   }
 
+  // a site's 72 reals in component order (block 0 then 1; each its 6
+  // diagonal reals, then the 15 lower-triangle complex entries), the order
+  // of CloverSite's members: gathered by the layout, half decoded with the
+  // site's norm
   CloverSite<real_t> load(Parity parity, std::int64_t cb) const {
     assert(cb >= 0 && cb < layout_.sites);
-    const std::int64_t base = parity_int(parity) * slab_;
-    real_t scale = 1;
+    std::array<store_t, kNint> raw;
+    layout_.gather<P::nvec>(data_.data() + parity_int(parity) * slab_, cb, raw);
     if constexpr (P::has_norm)
-      scale = norm_[static_cast<std::size_t>(parity_int(parity) * layout_.sites + cb)];
-    // incremental walk over the blocked layout: idx + w tracks
-    // layout_.index(cb, n) as n advances sequentially through the 72 reals
-    CloverSite<real_t> site;
-    const int nvec = layout_.nvec;
-    const std::int64_t bstep = std::int64_t(nvec) * layout_.stride();
-    std::int64_t idx = base + std::int64_t(nvec) * cb;
-    int w = 0;
-    const auto advance = [&](int by) {
-      w += by;
-      if (w == nvec) {
-        w = 0;
-        idx += bstep;
-      }
-    };
-    for (int b = 0; b < 2; ++b) {
-      for (int d = 0; d < 6; ++d) {
-        site.block[b].diag[d] = raw(idx + w) * scale;
-        advance(1);
-      }
-      for (int o = 0; o < 15; ++o) {
-        const real_t re = raw(idx + w) * scale;
-        const real_t im = raw(idx + w + 1) * scale;
-        site.block[b].lower[o] = Complex<real_t>(re, im);
-        advance(2);
-      }
-    }
-    return site;
+      return std::bit_cast<CloverSite<real_t>>(decode(raw, norm_[norm_index(parity, cb)]));
+    else
+      return std::bit_cast<CloverSite<real_t>>(raw);
   }
 
+  // half stores under the site's max-abs, taken and inverted in double (1e-37
+  // for a zero site); each real is scaled in double before it rounds to float
   void store(Parity parity, std::int64_t cb, const CloverSite<double>& site) {
     assert(cb >= 0 && cb < layout_.sites);
-    const std::int64_t base = parity_int(parity) * slab_;
+    const auto v = std::bit_cast<std::array<double, kNint>>(site);
     double inv = 1;
     if constexpr (P::has_norm) {
       double m = 0;
-      for (int b = 0; b < 2; ++b) {
-        for (int d = 0; d < 6; ++d) m = std::max(m, std::abs(site.block[b].diag[d]));
-        for (int o = 0; o < 15; ++o) {
-          m = std::max(m, std::abs(site.block[b].lower[o].re));
-          m = std::max(m, std::abs(site.block[b].lower[o].im));
-        }
-      }
+      for (double x : v) m = std::max(m, std::abs(x));
       if (m == 0) m = 1e-37;
-      norm_[static_cast<std::size_t>(parity_int(parity) * layout_.sites + cb)] =
-          static_cast<float>(m);
+      norm_[norm_index(parity, cb)] = static_cast<float>(m);
       inv = 1.0 / m;
     }
-    int n = 0;
-    for (int b = 0; b < 2; ++b) {
-      for (int d = 0; d < 6; ++d)
-        set_raw(base + layout_.index(cb, n++), static_cast<real_t>(site.block[b].diag[d] * inv));
-      for (int o = 0; o < 15; ++o) {
-        set_raw(base + layout_.index(cb, n), static_cast<real_t>(site.block[b].lower[o].re * inv));
-        set_raw(base + layout_.index(cb, n + 1),
-                static_cast<real_t>(site.block[b].lower[o].im * inv));
-        n += 2;
-      }
-    }
+    std::array<real_t, kNint> r;
+    for (std::size_t k = 0; k < v.size(); ++k) r[k] = static_cast<real_t>(v[k] * inv);
+    store_t* body = data_.data() + parity_int(parity) * slab_;
+    if constexpr (P::has_norm)
+      layout_.scatter<P::nvec>(encode(r, 1.0f), cb, body);
+    else
+      layout_.scatter<P::nvec>(r, cb, body);
   }
 
 private:
-  real_t raw(std::int64_t i) const {
-    const store_t v = data_[static_cast<std::size_t>(i)];
-    if constexpr (P::value == Precision::Half)
-      return from_half(v);
-    else
-      return static_cast<real_t>(v);
-  }
-
-  void set_raw(std::int64_t i, real_t v) {
-    if constexpr (P::value == Precision::Half)
-      data_[static_cast<std::size_t>(i)] = to_half(static_cast<float>(v));
-    else
-      data_[static_cast<std::size_t>(i)] = static_cast<store_t>(v);
+  std::size_t norm_index(Parity parity, std::int64_t cb) const {
+    return static_cast<std::size_t>(parity_int(parity) * layout_.sites + cb);
   }
 
   BlockLayout layout_{};

@@ -21,7 +21,9 @@
 #include "lattice/precision.h"
 #include "su3/su3.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -111,9 +113,7 @@ public:
 private:
   void init(std::int64_t sites, const std::array<std::int64_t, 4>& pads, Reconstruct recon) {
     recon_ = recon;
-    // 18-real (uncompressed) storage is not divisible by a 4-vector, so it
-    // always uses 2-vectors (QUDA stores uncompressed links as float2)
-    const int nvec = recon == Reconstruct::Eighteen ? 2 : P::nvec;
+    const int nvec = recon == Reconstruct::Eighteen ? kFullNvec : P::nvec;
     std::int64_t off = 0;
     for (int mu = 0; mu < 4; ++mu) {
       layouts_[static_cast<std::size_t>(mu)] =
@@ -129,92 +129,74 @@ private:
            parity_int(parity) * layouts_[static_cast<std::size_t>(mu)].body_size();
   }
 
-  // load_at/store_at walk the blocked layout incrementally (idx + w inside
-  // the current short vector, idx stepping one block stride when it fills),
-  // matching l.index(x, n) without per-component integer division
+  static constexpr bool kHalf = P::value == Precision::Half;
+  // 18-real (uncompressed) storage is not divisible by a 4-vector, so it
+  // always uses 2-vectors (QUDA stores uncompressed links as float2)
+  static constexpr int kFullNvec = 2;
+
+  // the N stored reals of link x (N = the reconstruct's reals, in Nvec W
+  // short vectors), gathered by the layout; half decodes them (links carry
+  // no norm)
+  template <std::size_t N, std::size_t W = P::nvec>
+  std::array<real_t, N> load_reals(const BlockLayout& l, std::int64_t base,
+                                   std::int64_t x) const {
+    std::array<store_t, N> raw;
+    l.gather<W>(data_.data() + base, x, raw);
+    if constexpr (kHalf)
+      return decode(raw, 1.0f);
+    else
+      return raw;
+  }
+
+  template <std::size_t W = P::nvec, std::size_t N>
+  void store_reals(const BlockLayout& l, std::int64_t base, std::int64_t x,
+                   const std::array<real_t, N>& v) {
+    if constexpr (kHalf)
+      l.scatter<W>(encode(v, 1.0f), x, data_.data() + base);
+    else
+      l.scatter<W>(v, x, data_.data() + base);
+  }
+
   SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {
     const BlockLayout& l = layouts_[static_cast<std::size_t>(mu)];
-    const int nvec = l.nvec;
-    const std::int64_t bstep = std::int64_t(nvec) * l.stride();
-    std::int64_t idx = base + std::int64_t(nvec) * x;
-    int w = 0;
     if (recon_ == Reconstruct::Eight) {
-      SU3Packed8<real_t> p;
-      for (int k = 0; k < 8; ++k) {
-        real_t v = raw(idx + w);
-        if constexpr (P::value == Precision::Half)
-          if (k < 2) v = unit_to_phase(v); // phases are stored as theta/pi
-        p.v[static_cast<std::size_t>(k)] = v;
-        ++w;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
+      SU3Packed8<real_t> p{load_reals<8>(l, base, x)};
+      if constexpr (kHalf) // phases are stored as theta/pi
+        for (std::size_t k = 0; k < 2; ++k) p.v[k] = unit_to_phase(p.v[k]);
       return unpack_eight(p);
     }
-    const int rows = (recon_ == Reconstruct::Twelve) ? 2 : 3;
-    SU3<real_t> u;
-    for (int r = 0; r < rows; ++r)
-      for (int c = 0; c < 3; ++c) {
-        u.e[r][c] = Complex<real_t>(raw(idx + w), raw(idx + w + 1));
-        w += 2;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
-    if (recon_ == Reconstruct::Twelve) u.e[2] = reconstruct_third_row(u.e[0], u.e[1]);
+    if (recon_ == Reconstruct::Eighteen)
+      return std::bit_cast<SU3<real_t>>(load_reals<18, kFullNvec>(l, base, x));
+    // the two stored rows are the first 12 reals of the row-major matrix
+    const auto rows = load_reals<12>(l, base, x);
+    std::array<real_t, 18> m{};
+    std::copy(rows.begin(), rows.end(), m.begin());
+    SU3<real_t> u = std::bit_cast<SU3<real_t>>(m);
+    u.e[2] = reconstruct_third_row(u.e[0], u.e[1]);
     return u;
   }
 
   void store_at(int mu, std::int64_t base, std::int64_t x, const SU3<double>& u) {
     const BlockLayout& l = layouts_[static_cast<std::size_t>(mu)];
-    const int nvec = l.nvec;
-    const std::int64_t bstep = std::int64_t(nvec) * l.stride();
-    std::int64_t idx = base + std::int64_t(nvec) * x;
-    int w = 0;
     if (recon_ == Reconstruct::Eight) {
       const SU3Packed8<double> p = pack_eight(u);
-      for (int k = 0; k < 8; ++k) {
-        real_t v = static_cast<real_t>(p.v[static_cast<std::size_t>(k)]);
-        if constexpr (P::value == Precision::Half)
-          if (k < 2) v = phase_to_unit(v); // keep the fixed-point range
-        set_raw(idx + w, v);
-        ++w;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
+      std::array<real_t, 8> v;
+      for (std::size_t k = 0; k < 8; ++k) v[k] = static_cast<real_t>(p.v[k]);
+      if constexpr (kHalf) // keep the fixed-point range
+        for (std::size_t k = 0; k < 2; ++k) v[k] = phase_to_unit(v[k]);
+      store_reals(l, base, x, v);
       return;
     }
-    const int rows = (recon_ == Reconstruct::Twelve) ? 2 : 3;
-    for (int r = 0; r < rows; ++r)
-      for (int c = 0; c < 3; ++c) {
-        set_raw(idx + w, static_cast<real_t>(u.e[r][c].re));
-        set_raw(idx + w + 1, static_cast<real_t>(u.e[r][c].im));
-        w += 2;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
-  }
-
-  real_t raw(std::int64_t i) const {
-    const store_t v = data_[static_cast<std::size_t>(i)];
-    if constexpr (P::value == Precision::Half)
-      return from_half(v);
-    else
-      return static_cast<real_t>(v);
-  }
-
-  void set_raw(std::int64_t i, real_t v) {
-    if constexpr (P::value == Precision::Half)
-      data_[static_cast<std::size_t>(i)] = to_half(static_cast<float>(v));
-    else
-      data_[static_cast<std::size_t>(i)] = static_cast<store_t>(v);
+    const auto m = std::bit_cast<std::array<double, 18>>(u);
+    std::array<real_t, 18> v;
+    for (std::size_t k = 0; k < 18; ++k) v[k] = static_cast<real_t>(m[k]);
+    if (recon_ == Reconstruct::Eighteen) {
+      store_reals<kFullNvec>(l, base, x, v);
+      return;
+    }
+    std::array<real_t, 12> rows; // the first two rows
+    std::copy_n(v.begin(), 12, rows.begin());
+    store_reals(l, base, x, rows);
   }
 
   Reconstruct recon_ = Reconstruct::Twelve;

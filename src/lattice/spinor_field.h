@@ -12,9 +12,9 @@
 // partitioned dimension.  In half precision the norm array grows its own
 // end zone (one float per face site).
 //
-// Half precision is decoded in load() and encoded in store(): 24 int16 of
-// payload sharing one per-site max norm (Section V-C3).  The BLAS walker's
-// half branch and convert_field reach half storage only through them.
+// Every load and store of a site goes through the layout's one block
+// gather/scatter and, in half precision, the codec of su3/halfprec.h: 24
+// int16 of payload sharing one per-site max norm (Section V-C3).
 
 #include "exec/host_engine.h"
 #include "lattice/geometry.h"
@@ -22,7 +22,9 @@
 #include "lattice/precision.h"
 #include "su3/spinor.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <vector>
 
@@ -98,90 +100,69 @@ public:
     return b;
   }
 
-  // load/store walk the blocked layout incrementally: component pairs sit at
-  // idx + w inside the current short vector, and idx jumps one block stride
-  // when the vector is full -- same flat indices as layout_.index(site, n)
-  // without the per-component integer division
-  Spinor<real_t> load(std::int64_t site) const {
+  // one site's 24 reals in component order (spin, color, re/im), the order
+  // the layout's blocks hold them in: gathered by the layout, half decoded
+  // with the site's norm.  A site stores under its own norm: the max-abs of
+  // its reals (NaN skipped, 1e-37 for a zero site), so NaN stores as 0 and
+  // an Inf makes every real of its site load as NaN.
+  using Reals = std::array<real_t, kNint>;
+
+  Reals load_reals(std::int64_t site) const {
     assert(site >= 0 && site < layout_.sites);
-    Spinor<real_t> s;
-    const real_t scale = load_scale(site);
-    const int nvec = layout_.nvec;
-    const std::int64_t bstep = std::int64_t(nvec) * layout_.stride();
-    std::int64_t idx = std::int64_t(nvec) * site;
-    int w = 0;
-    for (std::size_t spin = 0; spin < 4; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        const real_t re = raw(idx + w) * scale;
-        const real_t im = raw(idx + w + 1) * scale;
-        s.s[spin][c] = Complex<real_t>(re, im);
-        w += 2;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
-    return s;
+    std::array<store_t, kNint> raw;
+    layout_.gather<P::nvec>(data_.data(), site, raw);
+    if constexpr (P::has_norm)
+      return decode(raw, norm_[static_cast<std::size_t>(site)]);
+    else
+      return raw;
+  }
+
+  void store_reals(std::int64_t site, const Reals& v) {
+    assert(site >= 0 && site < layout_.sites);
+    if constexpr (P::has_norm) {
+      const float m = max_abs_norm(v);
+      norm_[static_cast<std::size_t>(site)] = m;
+      layout_.scatter<P::nvec>(encode(v, 1.0f / m), site, data_.data());
+    } else {
+      layout_.scatter<P::nvec>(v, site, data_.data());
+    }
+  }
+
+  Spinor<real_t> load(std::int64_t site) const {
+    return std::bit_cast<Spinor<real_t>>(load_reals(site));
   }
 
   void store(std::int64_t site, const Spinor<real_t>& s) {
-    assert(site >= 0 && site < layout_.sites);
-    real_t inv = 1;
-    if constexpr (P::has_norm) {
-      float m = static_cast<float>(max_abs(s));
-      if (m == 0.0f) m = 1e-37f;
-      norm_[static_cast<std::size_t>(site)] = m;
-      inv = real_t(1) / m;
-    }
-    const int nvec = layout_.nvec;
-    const std::int64_t bstep = std::int64_t(nvec) * layout_.stride();
-    std::int64_t idx = std::int64_t(nvec) * site;
-    int w = 0;
-    for (std::size_t spin = 0; spin < 4; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        set_raw(idx + w, s.s[spin][c].re * inv);
-        set_raw(idx + w + 1, s.s[spin][c].im * inv);
-        w += 2;
-        if (w == nvec) {
-          w = 0;
-          idx += bstep;
-        }
-      }
+    store_reals(site, std::bit_cast<Reals>(s));
   }
 
   // --- ghost end zone --------------------------------------------------------
 
+  // a ghost face site is 12 contiguous reals; half decodes them with the
+  // face site's norm and stores them under the norm it is given (the
+  // sender's), with 0 for a norm that is not positive
   HalfSpinor<real_t> load_ghost(int mu, GhostFace face, std::int64_t fs) const {
     assert(fs >= 0 && fs < ghost_sites(mu));
-    HalfSpinor<real_t> h;
-    const std::int64_t base = ghost_base(mu, face, fs);
-    real_t scale = 1;
-    if constexpr (P::has_norm) scale = ghost_norm(mu, face, fs);
-    int n = 0;
-    for (std::size_t spin = 0; spin < 2; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        h.s[spin][c] = Complex<real_t>(raw(base + n) * scale, raw(base + n + 1) * scale);
-        n += 2;
-      }
-    return h;
+    std::array<store_t, kFaceReals> raw;
+    std::copy_n(data_.data() + ghost_base(mu, face, fs), kFaceReals, raw.data());
+    if constexpr (P::has_norm)
+      return std::bit_cast<HalfSpinor<real_t>>(decode(raw, ghost_norm(mu, face, fs)));
+    else
+      return std::bit_cast<HalfSpinor<real_t>>(raw);
   }
 
   void store_ghost(int mu, GhostFace face, std::int64_t fs, const HalfSpinor<real_t>& h,
                    float norm = 1.0f) {
     assert(fs >= 0 && fs < ghost_sites(mu));
-    const std::int64_t base = ghost_base(mu, face, fs);
-    real_t inv = 1;
+    using FaceReals = std::array<real_t, kFaceReals>;
+    std::array<store_t, kFaceReals> raw;
     if constexpr (P::has_norm) {
       set_ghost_norm(mu, face, fs, norm);
-      inv = norm > 0 ? real_t(1) / norm : real_t(0);
+      raw = encode(std::bit_cast<FaceReals>(h), norm > 0 ? 1.0f / norm : 0.0f);
+    } else {
+      raw = std::bit_cast<FaceReals>(h);
     }
-    int n = 0;
-    for (std::size_t spin = 0; spin < 2; ++spin)
-      for (std::size_t c = 0; c < 3; ++c) {
-        set_raw(base + n, h.s[spin][c].re * inv);
-        set_raw(base + n + 1, h.s[spin][c].im * inv);
-        n += 2;
-      }
+    std::copy_n(raw.data(), kFaceReals, data_.data() + ghost_base(mu, face, fs));
   }
 
   // temporal-face convenience wrappers (the paper's 1-D decomposition)
@@ -226,13 +207,6 @@ private:
     if constexpr (P::has_norm) norm_.assign(static_cast<std::size_t>(norm_off), 0.0f);
   }
 
-  real_t load_scale(std::int64_t site) const {
-    if constexpr (P::has_norm)
-      return norm_[static_cast<std::size_t>(site)];
-    else
-      return real_t(1);
-  }
-
   std::int64_t norm_ghost_index(int mu, GhostFace face, std::int64_t fs) const {
     return norm_ghost_offset_[static_cast<std::size_t>(mu)] +
            static_cast<int>(face) * ghost_sites(mu) + fs;
@@ -248,21 +222,6 @@ private:
     // dimension's end zone, the forward face the second (Section VI-C)
     return ghost_offset_[static_cast<std::size_t>(mu)] +
            (static_cast<int>(face) * ghost_sites(mu) + fs) * kFaceReals;
-  }
-
-  real_t raw(std::int64_t i) const {
-    const store_t v = data_[static_cast<std::size_t>(i)];
-    if constexpr (P::value == Precision::Half)
-      return from_half(v);
-    else
-      return static_cast<real_t>(v);
-  }
-
-  void set_raw(std::int64_t i, real_t v) {
-    if constexpr (P::value == Precision::Half)
-      data_[static_cast<std::size_t>(i)] = to_half(static_cast<float>(v));
-    else
-      data_[static_cast<std::size_t>(i)] = static_cast<store_t>(v);
   }
 
   BlockLayout layout_{};

@@ -4,6 +4,8 @@
 
 #include "dirac/clover_term.h"
 #include "dirac/gauge_init.h"
+#include "exec/host_engine.h"
+#include "field_pins.h"
 #include "su3/clover_block.h"
 
 #include <gtest/gtest.h>
@@ -162,6 +164,42 @@ TEST(CloverTerm, InvertCloverGivesIdentityAction) {
     const Spinor<double> round = apply_clover_site(tinv[i], apply_clover_site(t[i], psi));
     EXPECT_LT(norm2(round - psi), 1e-20 * norm2(psi));
   }
+}
+
+// the clover term, its inverse and the dense reference are built site by
+// site on the host engine: the same bits at every worker budget, and pinned
+TEST(CloverTerm, BitIdenticalAcrossBudgets) {
+  const Geometry g({4, 4, 8, 8}); // 1024 sites: several site-loop chunks
+  HostGaugeField u(g);
+  make_weak_field_gauge(u, 0.3, 77);
+  struct Digests {
+    std::uint64_t term, inverse, dense;
+  };
+  auto build_at = [&](int budget) {
+    exec::set_thread_budget(budget);
+    HostCloverField t = make_clover_term(u, 1.3);
+    add_diag(t, 4.2);
+    const HostCloverField tinv = invert_clover(t);
+    const DenseCloverField dense = make_dense_clover_term(u, 1.3);
+    exec::set_thread_budget(0);
+    Digests d{kFnvBasis, kFnvBasis, kFnvBasis};
+    for (std::int64_t i = 0; i < g.volume(); ++i) {
+      d.term = fnv1a(d.term, &t[i], sizeof t[i]);
+      d.inverse = fnv1a(d.inverse, &tinv[i], sizeof tinv[i]);
+      d.dense = fnv1a(d.dense, &dense[i], sizeof dense[i]);
+    }
+    return d;
+  };
+  const Digests d1 = build_at(1);
+  for (int budget : {2, 8}) {
+    const Digests dn = build_at(budget);
+    EXPECT_EQ(dn.term, d1.term) << "budget " << budget;
+    EXPECT_EQ(dn.inverse, d1.inverse) << "budget " << budget;
+    EXPECT_EQ(dn.dense, d1.dense) << "budget " << budget;
+  }
+  EXPECT_EQ(d1.term, 0x1fb4f919472aa706ull) << "term: 0x" << std::hex << d1.term;
+  EXPECT_EQ(d1.inverse, 0x4b4194de373e6933ull) << "inverse: 0x" << std::hex << d1.inverse;
+  EXPECT_EQ(d1.dense, 0x1df1a4c1d09658a9ull) << "dense: 0x" << std::hex << d1.dense;
 }
 
 } // namespace

@@ -129,14 +129,17 @@ TEST(HalfPrecision, QuantizationErrorBound) {
   EXPECT_EQ(to_half(-1.5f), to_half(-1.0f));
 }
 
+// a half spinor site stores 24 int16 under one shared norm, its max-abs
 TEST(HalfPrecision, SpinorPackSharedNorm) {
   std::mt19937_64 rng(5);
   const Spinor<double> sd = random_spinor(rng, 100.0); // large dynamic range
   const Spinor<float> s = convert<float>(sd);
-  const PackedSpinorHalf p = pack_half(s);
-  EXPECT_FLOAT_EQ(p.norm, max_abs(s));
-  const Spinor<float> u = unpack_half(p);
-  const double tol = 2.0 / kHalfPointScale * p.norm;
+  SpinorField<PrecHalf> f(1, 1);
+  f.store(0, s);
+  const float norm = f.norm_data()[0];
+  EXPECT_FLOAT_EQ(norm, max_abs(s));
+  const Spinor<float> u = f.load(0);
+  const double tol = 2.0 / kHalfPointScale * norm;
   for (std::size_t spin = 0; spin < 4; ++spin)
     for (std::size_t c = 0; c < 3; ++c) {
       EXPECT_NEAR(u.s[spin][c].re, s.s[spin][c].re, tol);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 namespace quda {
 namespace {
@@ -112,6 +114,30 @@ TEST(BlockLayout, PadSlotsDoNotAliasBody) {
       EXPECT_LT(i, l.body_size());
       EXPECT_EQ(body.count(i), 0u) << "pad slot aliases body element";
     }
+}
+
+// the block gather/scatter the fields load and store through walks exactly
+// index(x, n), at body sites and at pad slots
+template <int W> void expect_walk_follows_index() {
+  const BlockLayout l(10, 3, 12, W);
+  std::vector<int> body(static_cast<std::size_t>(l.body_size()));
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<int>(i);
+  for (std::int64_t x = 0; x < l.stride(); ++x) {
+    std::array<int, 12> site{};
+    l.gather<W>(body.data(), x, site);
+    for (int n = 0; n < l.nint; ++n)
+      EXPECT_EQ(site[static_cast<std::size_t>(n)], l.index(x, n)) << "nvec " << W;
+    for (int& v : site) v = -v - 1;
+    l.scatter<W>(site, x, body.data());
+    for (int n = 0; n < l.nint; ++n)
+      EXPECT_EQ(body[static_cast<std::size_t>(l.index(x, n))], -l.index(x, n) - 1) << "nvec " << W;
+  }
+}
+
+TEST(BlockLayout, GatherScatterFollowIndex) {
+  expect_walk_follows_index<1>();
+  expect_walk_follows_index<2>();
+  expect_walk_follows_index<4>();
 }
 
 TEST(BlockLayout, RejectsBadNvec) {
