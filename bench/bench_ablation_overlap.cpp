@@ -23,7 +23,7 @@ double dslash_time_us(const LatticeDims& local, Precision prec, CommPolicy polic
   const Geometry lg(local);
   constexpr int reps = 20;
   cluster.run([&](sim::RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(ranks));
     parallel::HaloDslashConfig cfg;
     cfg.policy = policy;
     cfg.exec = Execution::Modeled;

@@ -42,7 +42,7 @@ int main() {
 
   HostSpinorField hb(g);
   make_random_spinor(hb, 5);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionNone);
 
   std::printf("Reliable updates vs defect correction (V = 6^3 x 8, m = %.2f, tol = 1e-10)\n\n",
               mass);
@@ -57,7 +57,7 @@ int main() {
   for (Precision sloppy : {Precision::Single, Precision::Half}) {
     for (double delta : deltas) {
       sp.delta = delta;
-      SpinorFieldD x(g);
+      SpinorFieldD x(g, kPartitionNone);
       SolverStats rel;
       if (sloppy == Precision::Single)
         rel = solve_bicgstab_reliable(op_d, op_s, x, b, sp);
@@ -66,7 +66,7 @@ int main() {
       std::printf("%-16s %-10s %-10.0e %8d %10d %10d %14.2e\n", "reliable", to_string(sloppy),
                   delta, rel.iterations, rel.reliable_updates, rel.restarts, rel.true_residual);
     }
-    SpinorFieldD x(g);
+    SpinorFieldD x(g, kPartitionNone);
     SolverStats dc;
     if (sloppy == Precision::Single)
       dc = solve_defect_correction(op_d, op_s, x, b, sp, 1e-2);
@@ -77,7 +77,7 @@ int main() {
   }
 
   // uniform double for reference
-  SpinorFieldD x(g);
+  SpinorFieldD x(g, kPartitionNone);
   SolverParams sp_u = sp;
   const SolverStats uni = solve_bicgstab(op_d, x, b, sp_u);
   std::printf("%-16s %-10s %-10s %8d %10s %10s %14.2e\n", "uniform", "double", "-",

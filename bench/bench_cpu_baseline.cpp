@@ -23,7 +23,8 @@ int main() {
 
   const SolverSeries gpu_series{"single-half, overlap", Precision::Single, Precision::Half,
                                 CommPolicy::Overlap};
-  const auto gpu = run_point(32, global, gpu_series);
+  const auto gpu = run_grid_point(sim::ClusterSpec::jlab_9g(32), comm::GridTopology::time_only(32),
+                                  global, gpu_series, 100);
   if (!gpu.fits) {
     std::printf("  unexpected OOM in the GPU configuration\n");
     return 1;

@@ -24,12 +24,25 @@ using namespace quda::bench;
 
 namespace {
 
+// weak scaling holds the per-GPU volume: the global lattice grows with the grid
+LatticeDims global_dims(LatticeDims local, const comm::GridTopology& topo) {
+  local.x *= topo.dims[0];
+  local.y *= topo.dims[1];
+  local.z *= topo.dims[2];
+  local.t *= topo.dims[3];
+  return local;
+}
+
 void run_subfigure(BenchJson& json, const char* title, LatticeDims local,
                    const std::vector<SolverSeries>& series) {
   const std::vector<int> gpus = {1, 2, 4, 8, 16, 24, 32};
   std::vector<std::vector<parallel::ModeledSolverResult>> results(series.size());
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (int n : gpus) results[s].push_back(run_weak_point(n, local, series[s]));
+    for (int n : gpus) {
+      const auto topo = comm::GridTopology::time_only(n);
+      results[s].push_back(run_grid_point(sim::ClusterSpec::jlab_9g(n), topo,
+                                          global_dims(local, topo), series[s], 100));
+    }
   print_scaling_table(title, gpus, series, results);
   record_scaling_points(json, title, gpus, series, results);
 }
@@ -41,8 +54,8 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims local,
   std::printf("%-8s %-14s %14s %16s\n", "GPUs", "grid", "Gflops", "GF per GPU");
   for (const auto& topo : grids) {
     sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
-    const auto r = run_weak_grid_point(spec, topo, local, series, /*iterations=*/10);
-    record_grid_point(json, title, series, topo, r);
+    const auto r = run_grid_point(spec, topo, global_dims(local, topo), series, /*iterations=*/10);
+    record_point(json, title, series, topo.num_ranks(), &topo, r);
     if (!r.fits) {
       std::printf("%-8d %-14s %14s\n", topo.num_ranks(), grid_label(topo).c_str(), "OOM");
       continue;

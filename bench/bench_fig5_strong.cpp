@@ -32,7 +32,10 @@ void run_subfigure(BenchJson& json, const char* title, LatticeDims global,
                    int iterations) {
   std::vector<std::vector<parallel::ModeledSolverResult>> results(series.size());
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (int n : gpus) results[s].push_back(run_point(n, global, series[s], iterations));
+    for (int n : gpus)
+      results[s].push_back(run_grid_point(sim::ClusterSpec::jlab_9g(n),
+                                          comm::GridTopology::time_only(n), global, series[s],
+                                          iterations));
   print_scaling_table(title, gpus, series, results);
   record_scaling_points(json, title, gpus, series, results);
 }
@@ -47,7 +50,7 @@ void run_multidim_table(BenchJson& json, const char* title, LatticeDims global,
   for (const auto& topo : grids) {
     sim::ClusterSpec spec = sim::ClusterSpec::fat_tree(topo.num_ranks());
     const auto r = run_grid_point(spec, topo, global, series, iterations);
-    record_grid_point(json, title, series, topo, r);
+    record_point(json, title, series, topo.num_ranks(), &topo, r);
     if (!r.fits) {
       std::printf("%-8d %-14s %14s\n", topo.num_ranks(), grid_label(topo).c_str(), "OOM");
       continue;

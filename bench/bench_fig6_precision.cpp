@@ -26,9 +26,15 @@ int main() {
       {"double-half", Precision::Double, Precision::Half, CommPolicy::NoOverlap},
   };
 
+  // one point: the global lattice time-sliced over n GPUs
+  auto time_sliced_point = [&](int n, const SolverSeries& s) {
+    return run_grid_point(sim::ClusterSpec::jlab_9g(n), comm::GridTopology::time_only(n), global,
+                          s, 100);
+  };
+
   std::vector<std::vector<parallel::ModeledSolverResult>> results(series.size());
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (int n : gpus) results[s].push_back(run_point(n, global, series[s]));
+    for (int n : gpus) results[s].push_back(time_sliced_point(n, series[s]));
   print_scaling_table("V = 24^3 x 128 sites", gpus, series, results);
 
   // link-reconstruction sweep on the single and single-half modes: 8-real
@@ -47,7 +53,7 @@ int main() {
   };
   std::vector<std::vector<parallel::ModeledSolverResult>> recon_results(recon_series.size());
   for (std::size_t s = 0; s < recon_series.size(); ++s)
-    for (int n : gpus) recon_results[s].push_back(run_point(n, global, recon_series[s]));
+    for (int n : gpus) recon_results[s].push_back(time_sliced_point(n, recon_series[s]));
   print_scaling_table("V = 24^3 x 128 sites, link reconstruction", gpus, recon_series,
                       recon_results);
 

@@ -45,8 +45,8 @@ const BenchFixtureData& data() {
 template <typename P> void BM_Dslash(benchmark::State& state) {
   const auto& d = data();
   const GaugeField<P> gauge = upload_gauge<P>(d.u, Reconstruct::Twelve);
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd);
-  SpinorField<P> out(d.g);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
     dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
@@ -68,8 +68,8 @@ template <typename P> void BM_DslashCompressed(benchmark::State& state) {
                             : state.range(0) == 12 ? Reconstruct::Twelve
                                                    : Reconstruct::Eighteen;
   const GaugeField<P> gauge = upload_gauge<P>(d.u, recon);
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd);
-  SpinorField<P> out(d.g);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
     dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
@@ -84,8 +84,8 @@ template <typename PDst, typename PSrc> void BM_ConvertField(benchmark::State& s
   // the mixed-precision solver's per-reliable-update conversion: a per-site
   // load() in the source precision and store() in the destination's
   const auto& d = data();
-  const SpinorField<PSrc> src = upload_spinor<PSrc>(d.in, Parity::Even);
-  SpinorField<PDst> dst(d.g);
+  const SpinorField<PSrc> src = upload_spinor<PSrc>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<PDst> dst(d.g, kPartitionTimeOnly);
   for (auto _ : state) {
     convert_field(src, dst);
     benchmark::DoNotOptimize(dst.raw_data().data());
@@ -99,8 +99,8 @@ BENCHMARK(BM_ConvertField<PrecSingle, PrecDouble>)->Unit(benchmark::kMicrosecond
 template <typename P> void BM_CloverApply(benchmark::State& state) {
   const auto& d = data();
   const CloverField<P> clover = upload_clover<P>(d.t);
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even);
-  SpinorField<P> out(d.g);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<P> out(d.g, kPartitionTimeOnly);
   for (auto _ : state) {
     apply_clover_xpay<P>(out, clover, Parity::Even, in, d.g, 0, d.g.half_volume(), 0);
     benchmark::DoNotOptimize(out.raw_data().data());
@@ -111,8 +111,8 @@ BENCHMARK(BM_CloverApply<PrecHalf>)->Unit(benchmark::kMillisecond);
 
 template <typename P> void BM_BlasAxpyNorm(benchmark::State& state) {
   const auto& d = data();
-  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even);
-  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd);
+  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
   double acc = 0;
   for (auto _ : state) {
     acc += blas::axpy_norm(0.001, x, y);
@@ -131,9 +131,9 @@ BENCHMARK(BM_BlasAxpyNorm<PrecHalf>)->Unit(benchmark::kMillisecond);
 // rather than constants folded into the loops.
 template <typename P> void BM_BlasPUpdate(benchmark::State& state) {
   const auto& d = data();
-  SpinorField<P> p = upload_spinor<P>(d.in, Parity::Even);
-  const SpinorField<P> r = upload_spinor<P>(d.in, Parity::Odd);
-  const SpinorField<P> v = upload_spinor<P>(d.in, Parity::Even);
+  SpinorField<P> p = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> r = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  const SpinorField<P> v = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
   complexd beta{0.51, -0.02}, omega{0.97, 0.01};
   benchmark::DoNotOptimize(beta);
   benchmark::DoNotOptimize(omega);
@@ -150,8 +150,8 @@ BENCHMARK(BM_BlasPUpdate<PrecHalf>)->Unit(benchmark::kMicrosecond);
 
 template <typename P> void BM_BlasCaxpy(benchmark::State& state) {
   const auto& d = data();
-  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even);
-  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd);
+  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
   complexd a{1e-3, -1e-3};
   benchmark::DoNotOptimize(a);
   for (auto _ : state) {
@@ -167,10 +167,10 @@ BENCHMARK(BM_BlasCaxpy<PrecHalf>)->Unit(benchmark::kMicrosecond);
 
 template <typename P> void BM_FacePack(benchmark::State& state) {
   const auto& d = data();
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
   FaceBuffer<P> buf;
   for (auto _ : state) {
-    pack_face(in, d.g, Parity::Odd, d.g.dims().t - 1, +1, buf);
+    pack_face(in, d.g, Parity::Odd, 3, d.g.dims().t - 1, +1, buf);
     benchmark::DoNotOptimize(buf.data.data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_spatial_volume());
@@ -196,8 +196,8 @@ template <typename P> void BM_DslashThreads(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));
   const auto& d = data();
   const GaugeField<P> gauge = upload_gauge<P>(d.u, Reconstruct::Twelve);
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd);
-  SpinorField<P> out(d.g);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
     dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
@@ -216,8 +216,8 @@ template <typename P> void BM_CloverApplyThreads(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));
   const auto& d = data();
   const CloverField<P> clover = upload_clover<P>(d.t);
-  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even);
-  SpinorField<P> out(d.g);
+  const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<P> out(d.g, kPartitionTimeOnly);
   for (auto _ : state) {
     apply_clover_xpay<P>(out, clover, Parity::Even, in, d.g, 0, d.g.half_volume(), 0);
     benchmark::DoNotOptimize(out.raw_data().data());
@@ -231,8 +231,8 @@ BENCHMARK(BM_CloverApplyThreads<PrecHalf>)->Arg(1)->Unit(benchmark::kMillisecond
 template <typename P> void BM_BlasAxpyNormThreads(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));
   const auto& d = data();
-  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even);
-  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd);
+  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
   double acc = 0;
   for (auto _ : state) {
     acc += blas::axpy_norm(0.001, x, y);
@@ -247,9 +247,9 @@ BENCHMARK(BM_BlasAxpyNormThreads<PrecSingle>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->U
 template <typename P> void BM_BlasPUpdateThreads(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));
   const auto& d = data();
-  SpinorField<P> p = upload_spinor<P>(d.in, Parity::Even);
-  const SpinorField<P> r = upload_spinor<P>(d.in, Parity::Odd);
-  const SpinorField<P> v = upload_spinor<P>(d.in, Parity::Even);
+  SpinorField<P> p = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> r = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  const SpinorField<P> v = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
   const complexd beta{1.01, -0.02}, omega{0.97, 0.01};
   for (auto _ : state) {
     blas::bicgstab_p_update(p, r, v, beta, omega);

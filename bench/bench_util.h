@@ -98,63 +98,19 @@ struct SolverSeries {
   std::optional<Reconstruct> recon_sloppy{};
 };
 
-// run one modeled-solver data point: global volume split over `ranks` GPUs
-inline parallel::ModeledSolverResult run_point(int ranks, LatticeDims global,
-                                               const SolverSeries& series,
-                                               int iterations = 100) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.good_numa_binding = series.good_numa;
-  // record the event timeline so every point carries trace metrics (halo
-  // bytes, overlap efficiency); QUDA_SIM_TRACE additionally exports the
-  // Chrome JSON timeline of each run
-  spec.trace.enabled = true;
-  // flight recorder: every point carries the iteration ledger, utilization
-  // timelines, and anomaly counts (QUDA_SIM_TELEMETRY exports the JSONL)
-  spec.telemetry.enabled = true;
-  sim::VirtualCluster cluster(spec);
-
-  parallel::ModeledSolverConfig cfg;
-  cfg.local = global;
-  cfg.local.t = global.t / ranks;
-  cfg.outer = series.outer;
-  cfg.sloppy = series.sloppy;
-  cfg.policy = series.policy;
-  cfg.iterations = iterations;
-  cfg.reconstruct = series.recon;
-  cfg.reconstruct_sloppy = series.recon_sloppy;
-  return parallel::run_modeled_solver(cluster, cfg);
-}
-
-// weak scaling variant: `local` is the per-GPU volume
-inline parallel::ModeledSolverResult run_weak_point(int ranks, LatticeDims local,
-                                                    const SolverSeries& series,
-                                                    int iterations = 100) {
-  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(ranks);
-  spec.good_numa_binding = series.good_numa;
-  spec.trace.enabled = true;
-  spec.telemetry.enabled = true;
-  sim::VirtualCluster cluster(spec);
-
-  parallel::ModeledSolverConfig cfg;
-  cfg.local = local;
-  cfg.outer = series.outer;
-  cfg.sloppy = series.sloppy;
-  cfg.policy = series.policy;
-  cfg.iterations = iterations;
-  cfg.reconstruct = series.recon;
-  cfg.reconstruct_sloppy = series.recon_sloppy;
-  return parallel::run_modeled_solver(cluster, cfg);
-}
-
-// Run one modeled-solver data point decomposed over a full 4-D process grid
-// on an explicit cluster spec.  The big sweeps (256-1024 ranks) use a
-// fat_tree spec; past the thread budget their rank fibers share one worker,
-// so rank count stays a parameter instead of an OS thread count.
+// Run one modeled-solver data point: the global lattice decomposed over the
+// 4-D process grid `topo` on the cluster `spec`.  The paper's figures run
+// jlab_9g(n) with GridTopology::time_only(n); the big sweeps (256-1024
+// ranks) use a fat_tree spec, whose rank fibers share one worker past the
+// thread budget, so rank count stays a parameter instead of an OS thread
+// count.  Every point records its event timeline and flight recorder, so it
+// carries trace metrics (halo bytes, overlap efficiency), critical-path
+// attribution and telemetry; QUDA_SIM_TRACE and QUDA_SIM_TELEMETRY
+// additionally export each run.
 inline parallel::ModeledSolverResult run_grid_point(sim::ClusterSpec spec,
                                                     const comm::GridTopology& topo,
                                                     LatticeDims global,
-                                                    const SolverSeries& series,
-                                                    int iterations = 20) {
+                                                    const SolverSeries& series, int iterations) {
   spec.good_numa_binding = series.good_numa;
   spec.trace.enabled = true;
   spec.telemetry.enabled = true;
@@ -174,21 +130,6 @@ inline parallel::ModeledSolverResult run_grid_point(sim::ClusterSpec spec,
   cfg.reconstruct = series.recon;
   cfg.reconstruct_sloppy = series.recon_sloppy;
   return parallel::run_modeled_solver(cluster, cfg);
-}
-
-// weak-scaling variant: `local` is the per-GPU volume, the global lattice
-// grows with the grid
-inline parallel::ModeledSolverResult run_weak_grid_point(sim::ClusterSpec spec,
-                                                         const comm::GridTopology& topo,
-                                                         LatticeDims local,
-                                                         const SolverSeries& series,
-                                                         int iterations = 20) {
-  LatticeDims global = local;
-  global.x *= topo.dims[0];
-  global.y *= topo.dims[1];
-  global.z *= topo.dims[2];
-  global.t *= topo.dims[3];
-  return run_grid_point(std::move(spec), topo, global, series, iterations);
 }
 
 inline std::string grid_label(const comm::GridTopology& topo) {
@@ -266,16 +207,21 @@ inline void record_critpath(BenchJson& json, const trace::CritSummary& c) {
   json.field("whatif_infinite_overlap_us", c.whatif_infinite_overlap_us);
 }
 
-// record one grid-decomposed point; the "grid" string joins the point
-// identity so per-dimension sweeps at equal GPU counts stay distinct keys
-inline void record_grid_point(BenchJson& json, const char* table, const SolverSeries& series,
-                              const comm::GridTopology& topo,
-                              const parallel::ModeledSolverResult& r) {
+// Record one data point.  Its string fields join the bench_diff point key:
+// the grid label keeps per-dimension sweeps at equal GPU counts distinct,
+// and a link reconstruction joins it when the series sets one.  The 1-D
+// scaling tables pass no grid and their legacy series set no
+// reconstruction, keeping their keys byte-stable.  Footprints are numeric
+// (not part of the key), so reconstruction changes show up as value deltas
+// on stable points.
+inline void record_point(BenchJson& json, const char* table, const SolverSeries& series,
+                         int gpus, const comm::GridTopology* grid,
+                         const parallel::ModeledSolverResult& r) {
   json.point();
   json.field("table", table);
   json.field("series", series.label);
-  json.field("grid", grid_label(topo));
-  json.field("gpus", static_cast<double>(topo.num_ranks()));
+  if (grid != nullptr) json.field("grid", grid_label(*grid));
+  json.field("gpus", static_cast<double>(gpus));
   if (series.recon) json.field("recon", to_string(*series.recon));
   if (series.recon_sloppy) json.field("recon_sloppy", to_string(*series.recon_sloppy));
   json.field("fits", static_cast<double>(r.fits));
@@ -299,32 +245,8 @@ inline void record_scaling_points(BenchJson& json, const char* table,
                                   const std::vector<std::vector<parallel::ModeledSolverResult>>&
                                       results /* [series][point] */) {
   for (std::size_t s = 0; s < series.size(); ++s)
-    for (std::size_t p = 0; p < gpu_counts.size(); ++p) {
-      const auto& r = results[s][p];
-      json.point();
-      json.field("table", table);
-      json.field("series", series[s].label);
-      json.field("gpus", static_cast<double>(gpu_counts[p]));
-      // link reconstruction joins the point identity (string fields are part
-      // of the bench_diff key); legacy series omit it, keeping their
-      // baseline keys byte-stable
-      if (series[s].recon) json.field("recon", to_string(*series[s].recon));
-      if (series[s].recon_sloppy) json.field("recon_sloppy", to_string(*series[s].recon_sloppy));
-      json.field("fits", static_cast<double>(r.fits));
-      // footprints are numeric (not part of the bench_diff join key), so
-      // recon-knob changes show up as value deltas on stable points
-      json.field("footprint_bytes", static_cast<double>(r.footprint_bytes));
-      json.field("gauge_footprint_bytes", static_cast<double>(r.gauge_footprint_bytes));
-      if (r.fits) {
-        json.field("gflops", r.effective_gflops);
-        json.field("time_us", r.time_us);
-        if (r.traced) {
-          record_metrics(json, r.metrics);
-          record_critpath(json, r.critpath);
-        }
-        record_telemetry(json, r.telemetry);
-      }
-    }
+    for (std::size_t p = 0; p < gpu_counts.size(); ++p)
+      record_point(json, table, series[s], gpu_counts[p], nullptr, results[s][p]);
 }
 
 } // namespace quda::bench

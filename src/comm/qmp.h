@@ -4,10 +4,12 @@
 // over MPI providing logical lattice topologies and the handful of
 // primitives an LQCD code needs.
 //
-// The paper's production configuration is a 1-D logical topology over the
-// time direction; the multi-dimensional decomposition it lists as future
-// work uses a full 4-D torus, which QmpGrid supports (rank coordinates run
-// x fastest, mirroring QMP_declare_logical_topology).
+// A QmpGrid is a 4-D logical torus of ranks (rank coordinates run x
+// fastest, mirroring QMP_declare_logical_topology).  The paper's production
+// configuration, a 1-D ring over time, is the grid GridTopology::
+// time_only(ranks); any other grid is the multi-dimensional decomposition
+// it lists as future work.  resolve_topology() is the one rule by which
+// every front end turns a requested grid into the cluster's.
 //
 // Reliability: every grid message is framed with a 16-byte header carrying
 // a per-(peer, tag) sequence number and (optionally) an FNV-1a checksum of
@@ -21,6 +23,7 @@
 #include "lattice/spinor_field.h" // PartitionMask
 #include "sim/event_sim.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <map>
@@ -30,8 +33,6 @@
 #include <vector>
 
 namespace quda::comm {
-
-enum class Direction : int { Backward = 0, Forward = 1 };
 
 struct GridTopology {
   std::array<int, 4> dims{1, 1, 1, 1}; // ranks per dimension
@@ -63,13 +64,20 @@ struct GridTopology {
   }
 };
 
+// the rank grid a front end runs on `ranks` ranks: all ones asks for the
+// paper's time slicing over every rank; any other grid must hold exactly
+// `ranks` ranks
+inline GridTopology resolve_topology(const std::array<int, 4>& dims, int ranks) {
+  if (dims == std::array<int, 4>{1, 1, 1, 1}) return GridTopology::time_only(ranks);
+  const GridTopology topo{dims};
+  const bool positive = std::all_of(dims.begin(), dims.end(), [](int n) { return n >= 1; });
+  if (!positive || topo.num_ranks() != ranks)
+    throw std::invalid_argument("rank grid does not match the cluster size");
+  return topo;
+}
+
 class QmpGrid {
 public:
-  // the paper's 1-D ring over time
-  explicit QmpGrid(sim::RankContext& ctx)
-      : ctx_(ctx), topo_(GridTopology::time_only(ctx.size())) {}
-
-  // general 4-D torus
   QmpGrid(sim::RankContext& ctx, const GridTopology& topo) : ctx_(ctx), topo_(topo) {
     if (topo.num_ranks() != ctx.size())
       throw std::invalid_argument("grid topology does not match the cluster size");
@@ -88,9 +96,6 @@ public:
     return topo_.rank_of(c);
   }
 
-  // 1-D temporal wrappers
-  int neighbor(Direction d) const { return neighbor(3, d == Direction::Forward ? +1 : -1); }
-
   // does this rank own a global edge of dimension mu (where the fermion BC
   // phase applies -- the "extra constants" of Section VI-B)?
   bool owns_global_edge(int mu, int dir) const {
@@ -98,8 +103,6 @@ public:
     return dir > 0 ? c[static_cast<std::size_t>(mu)] == topo_.dims[static_cast<std::size_t>(mu)] - 1
                    : c[static_cast<std::size_t>(mu)] == 0;
   }
-  bool owns_global_backward_edge() const { return owns_global_edge(3, -1); }
-  bool owns_global_forward_edge() const { return owns_global_edge(3, +1); }
 
   // --- reliability policy ------------------------------------------------------
 
@@ -115,16 +118,9 @@ public:
                std::int64_t modeled_bytes) {
     send_reliable(neighbor(mu, dir), tag, std::move(payload), modeled_bytes);
   }
-  void send_to(Direction d, int tag, std::vector<std::byte> payload,
-               std::int64_t modeled_bytes) {
-    send_to(3, d == Direction::Forward ? +1 : -1, tag, std::move(payload), modeled_bytes);
-  }
 
   sim::RankContext::PendingRecv post_receive(int mu, int dir, int tag) {
     return ctx_.irecv(neighbor(mu, dir), tag);
-  }
-  sim::RankContext::PendingRecv post_receive(Direction from, int tag) {
-    return post_receive(3, from == Direction::Forward ? +1 : -1, tag);
   }
 
   // Completes the receive: unframes, verifies (when checksums are enabled),

@@ -1,11 +1,12 @@
 #pragma once
 // Domain decomposition utilities: slicing full-lattice host fields into
-// per-rank local blocks and merging per-rank results back.
+// per-rank local blocks of a 4-D process grid and merging per-rank results
+// back.
 //
-// The paper's decomposition divides only the time dimension (Section VI-A);
-// the 4-D block utilities below also serve the multi-dimensional
-// decomposition it lists as future work.  Every local extent must be even
-// so local and global checkerboards coincide.
+// The paper's decomposition divides only the time dimension (Section VI-A):
+// that is the grid GridTopology::time_only(ranks).  Any other grid is the
+// multi-dimensional decomposition it lists as future work.  Every cut local
+// extent must be even so local and global checkerboards coincide.
 
 #include "comm/qmp.h"
 #include "lattice/host_field.h"
@@ -13,8 +14,6 @@
 #include <stdexcept>
 
 namespace quda::core {
-
-// --- general 4-D block decomposition ------------------------------------------
 
 inline Geometry local_geometry(const Geometry& global, const comm::GridTopology& topo) {
   LatticeDims d = global.dims();
@@ -75,60 +74,6 @@ inline void merge_spinor(HostSpinorField& global, const HostSpinorField& local,
   const Geometry& lg = local.geom();
   for (std::int64_t i = 0; i < lg.volume(); ++i)
     global.at(block_to_global(lg.coords(i), topo, rank, lg.dims())) = local[i];
-}
-
-// --- the paper's 1-D (time) decomposition --------------------------------------
-
-// local lattice of each rank; throws unless T divides into even slabs >= 2
-// when n_ranks > 1 (the constraint of the parity-preserving decomposition)
-inline Geometry local_geometry(const Geometry& global, int n_ranks) {
-  LatticeDims d = global.dims();
-  if (d.t % n_ranks != 0)
-    throw std::invalid_argument("global T must be divisible by the number of ranks");
-  d.t /= n_ranks;
-  if (n_ranks > 1 && (d.t < 2 || d.t % 2 != 0))
-    throw std::invalid_argument("local T must be even and >= 2");
-  return Geometry(d);
-}
-
-inline Coords to_global(const Coords& local, int rank, int t_local) {
-  Coords g = local;
-  g[3] += rank * t_local;
-  return g;
-}
-
-inline HostGaugeField slice_gauge(const HostGaugeField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostGaugeField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    const Coords gc = to_global(lc, rank, lg.dims().t);
-    for (int mu = 0; mu < 4; ++mu) local.link(mu, lc) = global.link(mu, gc);
-  }
-  return local;
-}
-
-inline HostSpinorField slice_spinor(const HostSpinorField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostSpinorField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i)
-    local[i] = global.at(to_global(lg.coords(i), rank, lg.dims().t));
-  return local;
-}
-
-inline HostCloverField slice_clover(const HostCloverField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostCloverField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i)
-    local[i] =
-        global[global.geom().linear_index(to_global(lg.coords(i), rank, lg.dims().t))];
-  return local;
-}
-
-inline void merge_spinor(HostSpinorField& global, const HostSpinorField& local, int rank) {
-  const Geometry& lg = local.geom();
-  for (std::int64_t i = 0; i < lg.volume(); ++i)
-    global.at(to_global(lg.coords(i), rank, lg.dims().t)) = local[i];
 }
 
 } // namespace quda::core

@@ -30,17 +30,6 @@ using core::slice_clover;
 using core::slice_gauge;
 using core::slice_spinor;
 using parallel::ParallelWilsonCloverOp;
-
-// resolve the InvertParams grid against the cluster: all-ones means the
-// paper's 1-D time slicing sized to the rank count
-GridTopology resolve_topology(const InvertParams& p, int n_ranks) {
-  const bool trivial = p.grid[0] == 1 && p.grid[1] == 1 && p.grid[2] == 1 && p.grid[3] == 1;
-  GridTopology topo = trivial ? GridTopology::time_only(n_ranks)
-                              : GridTopology{{p.grid[0], p.grid[1], p.grid[2], p.grid[3]}};
-  if (topo.num_ranks() != n_ranks)
-    throw std::invalid_argument("rank grid does not match the cluster size");
-  return topo;
-}
 using sim::RankContext;
 using sim::VirtualCluster;
 
@@ -351,7 +340,7 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
   validate(params);
   const Geometry& g = gauge.geom();
   const int n_ranks = cluster_spec.num_ranks();
-  const GridTopology topo = resolve_topology(params, n_ranks);
+  const GridTopology topo = comm::resolve_topology(params.grid, n_ranks);
   (void)local_geometry(g, topo); // validate divisibility up front
 
   const CloverTerms clover = make_clover_terms(gauge, params);
@@ -490,7 +479,7 @@ void apply_matrix_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaug
   validate(params);
   const Geometry& g = gauge.geom();
   const int n_ranks = cluster_spec.num_ranks();
-  const GridTopology topo = resolve_topology(params, n_ranks);
+  const GridTopology topo = comm::resolve_topology(params.grid, n_ranks);
 
   const CloverTerms clover = make_clover_terms(gauge, params);
 

@@ -52,17 +52,6 @@ enum class Accumulate { No, Yes };
 // edge; Boundary sites touch at least one
 enum class KernelRegion { All, Interior, Boundary };
 
-// spatial checkerboard index of a site (the temporal-face index; kept for
-// the 1-D call sites)
-inline std::int64_t spatial_cb_index(const Geometry& g, const Coords& c) {
-  return g.face_index(3, c);
-}
-
-// temporal-face coordinates (1-D compatibility wrapper)
-inline Coords face_coords(const Geometry& g, Parity field_parity, int t, std::int64_t fs) {
-  return g.face_site_coords(3, field_parity, t, fs);
-}
-
 // out[region] (+)= scale * sum_mu hops(in)  -- the raw hopping sum D x,
 // without the -1/2 normalization (the callers fold that into `scale`)
 template <typename P>
@@ -109,18 +98,6 @@ template <typename P>
 void unpack_ghost(SpinorField<P>& field, const Geometry& g, int mu, GhostFace face,
                   const FaceBuffer<P>& buf);
 
-// 1-D (temporal) compatibility wrappers
-template <typename P>
-void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_parity, int t_slice,
-               int sign, FaceBuffer<P>& buf) {
-  pack_face(field, g, field_parity, 3, t_slice, sign, buf);
-}
-template <typename P>
-void unpack_ghost(SpinorField<P>& field, const Geometry& g, GhostFace face,
-                  const FaceBuffer<P>& buf) {
-  unpack_ghost(field, g, 3, face, buf);
-}
-
 // wire format of the gauge ghost exchange: recon-8 links travel in their
 // stored 8-real parameterization; 12- and 18-real fields ship full SU(3)
 // rows (the receiver re-compresses into its own storage)
@@ -149,16 +126,5 @@ void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int 
 template <typename P>
 void unpack_gauge_ghost(GaugeField<P>& gauge, const Geometry& g, int mu,
                         const GaugeFaceBuffer<P>& buf);
-
-// 1-D compatibility wrappers
-template <typename P>
-void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int t_slice,
-                     GaugeFaceBuffer<P>& buf) {
-  pack_gauge_face(gauge, g, 3, t_slice, buf);
-}
-template <typename P>
-void unpack_gauge_ghost(GaugeField<P>& gauge, const Geometry& g, const GaugeFaceBuffer<P>& buf) {
-  unpack_gauge_ghost(gauge, g, 3, buf);
-}
 
 } // namespace quda

@@ -16,7 +16,7 @@ namespace quda {
 
 template <typename P>
 SpinorField<P> upload_spinor(const HostSpinorField& host, Parity parity,
-                             const PartitionMask& mask = kPartitionTimeOnly) {
+                             const PartitionMask& mask) {
   const Geometry& g = host.geom();
   SpinorField<P> dev(g, mask);
   exec::parallel_for(0, g.half_volume(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {

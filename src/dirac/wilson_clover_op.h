@@ -34,13 +34,13 @@ public:
         clover_(clover),
         clover_inv_(clover_inv),
         params_(params),
-        tmp_o_(geom),
-        tmp2_o_(geom) {}
+        tmp_o_(geom, kPartitionNone),
+        tmp2_o_(geom, kPartitionNone) {}
 
   std::int64_t sites() const override { return geom_.half_volume(); }
   const Geometry& geom() const { return geom_; }
 
-  SpinorField<P> make_vector() const override { return SpinorField<P>(geom_); }
+  SpinorField<P> make_vector() const override { return SpinorField<P>(geom_, kPartitionNone); }
 
   // Mhat x_e (even-parity Schur complement)
   void apply(SpinorField<P>& out, const SpinorField<P>& in) override {
@@ -55,7 +55,7 @@ public:
 
   // gamma_5 Mhat gamma_5 = Mhat^dag (gamma_5 Hermiticity)
   void apply_dagger(SpinorField<P>& out, const SpinorField<P>& in) override {
-    SpinorField<P> g5in(geom_);
+    SpinorField<P> g5in = SpinorField<P>::like(in);
     apply_gamma5<P>(g5in, in);
     apply(out, g5in);
     apply_gamma5<P>(out, out);

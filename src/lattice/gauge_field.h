@@ -54,26 +54,22 @@ public:
 
   GaugeField() = default;
 
-  // time-partitioned layout: every slab padded by one temporal face
-  GaugeField(std::int64_t sites, std::int64_t face_sites, Reconstruct recon) {
-    std::array<std::int64_t, 4> pads{face_sites, face_sites, face_sites, face_sites};
-    init(sites, pads, recon);
-  }
-
-  // general layout: slab mu padded by the face perpendicular to mu, so any
-  // dimension can host a gauge ghost
-  GaugeField(const Geometry& geom, Reconstruct recon) {
-    std::array<std::int64_t, 4> pads;
-    for (int mu = 0; mu < 4; ++mu) pads[static_cast<std::size_t>(mu)] = geom.face_sites(mu);
-    init(geom.half_volume(), pads, recon);
+  // slab mu padded by the face perpendicular to mu, so any dimension can
+  // host a gauge ghost
+  GaugeField(const Geometry& geom, Reconstruct recon) : recon_(recon) {
+    const std::int64_t sites = geom.half_volume();
+    const int nvec = recon == Reconstruct::Eighteen ? kFullNvec : P::nvec;
+    std::int64_t off = 0;
+    for (int mu = 0; mu < 4; ++mu) {
+      layouts_[static_cast<std::size_t>(mu)] =
+          BlockLayout(sites, geom.face_sites(mu), static_cast<int>(recon), nvec);
+      base_[static_cast<std::size_t>(mu)] = off;
+      off += 2 * layouts_[static_cast<std::size_t>(mu)].body_size();
+    }
+    data_.assign(static_cast<std::size_t>(off), store_t{});
   }
 
   Reconstruct reconstruct() const { return recon_; }
-  const BlockLayout& layout(int mu = 3) const {
-    return layouts_[static_cast<std::size_t>(mu)];
-  }
-  // temporal face (backward-compatible accessor)
-  std::int64_t face_sites() const { return layouts_[3].pad; }
   std::int64_t ghost_capacity(int mu) const { return layouts_[static_cast<std::size_t>(mu)].pad; }
 
   std::int64_t device_bytes() const { return std::int64_t(data_.size()) * sizeof(store_t); }
@@ -100,30 +96,9 @@ public:
     store_at(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site, u);
   }
 
-  // temporal wrappers (the paper's 1-D decomposition)
-  SU3<real_t> load_ghost(Parity parity, std::int64_t face_site) const {
-    return load_ghost(3, parity, face_site);
-  }
-  void store_ghost(Parity parity, std::int64_t face_site, const SU3<double>& u) {
-    store_ghost(3, parity, face_site, u);
-  }
-
   const std::vector<store_t>& raw_data() const { return data_; }
 
 private:
-  void init(std::int64_t sites, const std::array<std::int64_t, 4>& pads, Reconstruct recon) {
-    recon_ = recon;
-    const int nvec = recon == Reconstruct::Eighteen ? kFullNvec : P::nvec;
-    std::int64_t off = 0;
-    for (int mu = 0; mu < 4; ++mu) {
-      layouts_[static_cast<std::size_t>(mu)] =
-          BlockLayout(sites, pads[static_cast<std::size_t>(mu)], static_cast<int>(recon), nvec);
-      base_[static_cast<std::size_t>(mu)] = off;
-      off += 2 * layouts_[static_cast<std::size_t>(mu)].body_size();
-    }
-    data_.assign(static_cast<std::size_t>(off), store_t{});
-  }
-
   std::int64_t slab_base(int mu, Parity parity) const {
     return base_[static_cast<std::size_t>(mu)] +
            parity_int(parity) * layouts_[static_cast<std::size_t>(mu)].body_size();

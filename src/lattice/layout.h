@@ -81,10 +81,4 @@ private:
   }
 };
 
-// The Nvec choices the paper reports as optimal: float4 in single precision,
-// double2 in double (both 16-byte vectors); half uses short4 (8-byte).
-inline int default_nvec_single() { return 4; }
-inline int default_nvec_double() { return 2; }
-inline int default_nvec_half() { return 4; }
-
 } // namespace quda

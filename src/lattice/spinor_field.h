@@ -10,7 +10,9 @@
 // only the time dimension (two faces); the multi-dimensional extension it
 // lists as future work generalizes the end zone to two faces per
 // partitioned dimension.  In half precision the norm array grows its own
-// end zone (one float per face site).
+// end zone (one float per face site).  No constructor picks the ghost shape
+// for its caller: a field is built from a Geometry and the PartitionMask of
+// its decomposition, or with like() from the field it stands in for.
 //
 // Every load and store of a site goes through the layout's one block
 // gather/scatter and, in half precision, the codec of su3/halfprec.h: 24
@@ -51,19 +53,17 @@ public:
 
   SpinorField() = default;
 
-  // time-partitioned layout (the paper's production configuration):
-  // `sites` single-parity sites, `face_sites` single-parity temporal face,
-  // `pad` pad sites per block (defaults to one temporal face)
+  // raw layout: `sites` single-parity sites with a temporal end zone of
+  // `face_sites` sites a face, `pad` pad sites per block (defaults to one
+  // temporal face)
   SpinorField(std::int64_t sites, std::int64_t face_sites, std::int64_t pad = -1)
       : layout_(sites, pad < 0 ? face_sites : pad, kNint, P::nvec) {
     ghost_sites_[3] = face_sites;
     allocate();
   }
 
-  explicit SpinorField(const Geometry& geom)
-      : SpinorField(geom, kPartitionTimeOnly) {}
-
-  // general decomposition: one pair of ghost faces per partitioned dimension
+  // one pair of ghost faces per partitioned dimension; the caller names the
+  // mask (the grid's partition_mask(), or kPartitionNone on one device)
   SpinorField(const Geometry& geom, const PartitionMask& partitioned)
       : layout_(geom.half_volume(), geom.half_spatial_volume(), kNint, P::nvec) {
     for (int mu = 0; mu < 4; ++mu)
@@ -83,8 +83,6 @@ public:
   std::int64_t sites() const { return layout_.sites; }
   const BlockLayout& layout() const { return layout_; }
 
-  // temporal face (backward-compatible accessor used by the 1-D paths)
-  std::int64_t face_sites() const { return ghost_sites_[3]; }
   std::int64_t ghost_sites(int mu) const { return ghost_sites_[static_cast<std::size_t>(mu)]; }
 
   std::int64_t ghost_reals() const {
@@ -163,15 +161,6 @@ public:
       raw = std::bit_cast<FaceReals>(h);
     }
     std::copy_n(raw.data(), kFaceReals, data_.data() + ghost_base(mu, face, fs));
-  }
-
-  // temporal-face convenience wrappers (the paper's 1-D decomposition)
-  HalfSpinor<real_t> load_ghost(GhostFace face, std::int64_t fs) const {
-    return load_ghost(3, face, fs);
-  }
-  void store_ghost(GhostFace face, std::int64_t fs, const HalfSpinor<real_t>& h,
-                   float norm = 1.0f) {
-    store_ghost(3, face, fs, h, norm);
   }
 
   float ghost_norm(int mu, GhostFace face, std::int64_t fs) const {

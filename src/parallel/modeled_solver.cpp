@@ -52,6 +52,8 @@ void modeled_reduction(sim::RankContext& ctx) { (void)ctx.allreduce_sum(0.0); }
 
 ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
                                        const ModeledSolverConfig& config) {
+  const comm::GridTopology topo =
+      comm::resolve_topology(config.topology.dims, cluster.spec().num_ranks());
   ModeledSolverResult result;
   result.iterations = config.iterations;
 
@@ -83,10 +85,7 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
   int iterations_rank0 = config.iterations;
 
   cluster.run([&](sim::RankContext& ctx) {
-    const bool custom_topology = config.topology.num_ranks() == ctx.size() &&
-                                 config.topology.num_ranks() > 1;
-    comm::QmpGrid grid = custom_topology ? comm::QmpGrid(ctx, config.topology)
-                                         : comm::QmpGrid(ctx);
+    comm::QmpGrid grid(ctx, topo);
     grid.set_retry_policy(config.retry);
     double& flops = eff_flops[static_cast<std::size_t>(ctx.rank())];
 

@@ -25,7 +25,9 @@ namespace quda::parallel {
 
 struct ModeledSolverConfig {
   LatticeDims local{};                       // per-rank lattice
-  // rank grid; empty dims (all 1) means the paper's 1-D ring over time
+  // rank grid (comm::resolve_topology): all ones is the paper's time
+  // slicing over the cluster's ranks; any other grid must hold every rank,
+  // or the run raises std::invalid_argument
   comm::GridTopology topology{};
   Precision outer = Precision::Single;       // high/outer precision
   std::optional<Precision> sloppy{};         // set => mixed precision

@@ -55,7 +55,7 @@ public:
   }
 
   void apply_dagger(SpinorField<P>& out, const SpinorField<P>& in) override {
-    SpinorField<P> g5in(local_);
+    SpinorField<P> g5in = SpinorField<P>::like(in);
     apply_gamma5<P>(g5in, in);
     apply(out, g5in);
     apply_gamma5<P>(out, out);

@@ -131,10 +131,6 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
       tracer_.instant(trace::Kind::Stall, clock_.now_us, 0, dst, tag);
     }
     if (f.drop) {
-      // the attempt never arrives; enqueue a tombstone so the receiver's
-      // message matching stays in lockstep with the sender's attempt count
-      m.payload.clear();
-      m.dropped = true;
       ++counters.drops;
       status.delivered = false;
     } else {
@@ -158,22 +154,20 @@ RankContext::SendStatus RankContext::isend(int dst, int tag, std::vector<std::by
 
   m.send_time_us = clock_.now_us;
   tracer_.instant(trace::Kind::Isend, m.send_time_us, modeled_bytes, dst, tag);
-  if (m.dropped) {
+  if (!status.delivered) {
+    // a dropped attempt never enters the channel: its timing effect reaches
+    // the receiver through the retransmission's later send time
     tracer_.instant(trace::Kind::Drop, m.send_time_us, modeled_bytes, dst, tag);
-  } else if (m.corrupt) {
-    tracer_.instant(trace::Kind::Corrupt, m.send_time_us, modeled_bytes, dst, tag);
+  } else {
+    if (m.corrupt) tracer_.instant(trace::Kind::Corrupt, m.send_time_us, modeled_bytes, dst, tag);
+    bool wake = false;
+    {
+      core::MutexLock lock(cluster_.mutex_);
+      cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
+      wake = cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
+    }
+    if (wake) cluster_.sched_.wake(dst);
   }
-  // a dropped attempt's tombstone cannot satisfy the receiver's wait, so
-  // only a real arrival wakes it
-  const bool arrives = !m.dropped;
-  bool wake = false;
-  {
-    core::MutexLock lock(cluster_.mutex_);
-    cluster_.channels_[{rank_, dst, tag}].queue.push_back(std::move(m));
-    wake = arrives &&
-           cluster_.claim_waiter(dst, VirtualCluster::WaitTarget::channel(rank_, tag));
-  }
-  if (wake) cluster_.sched_.wake(dst);
   clock_.advance(spec_.net.mpi_overhead_us);
   return status;
 }
@@ -216,10 +210,6 @@ RecvHandle RankContext::wait(PendingRecv& pending) {
     core::MutexLock lock(cluster_.mutex_);
     auto& chan = cluster_.channels_[{pending.src, rank_, pending.tag}];
     for (bool again = false;; again = true) {
-      // skip dropped-attempt tombstones silently: the lost attempt's timing
-      // effect reaches us through the retransmission's later send time
-      while (!chan.queue.empty() && chan.queue.front().dropped && !chan.queue.front().failed)
-        chan.queue.pop_front();
       if (!chan.queue.empty()) break;
       // Failure detector: an empty channel from a terminal (dead or
       // recovering) source can never fill -- its sends happen-before its

@@ -20,12 +20,12 @@
 //
 // Fault injection (ClusterSpec::faults) is applied at the transport:
 // isend() stamps each attempt with the rank's deterministic fault draw --
-// dropped attempts become tombstones the receiver silently skips (their
-// timing effect arrives through the retransmission's later send time),
-// corrupted attempts carry a flipped payload bit plus a corruption flag,
-// delayed attempts a path-time multiplier.  A sender that exhausts its
-// retry budget posts a *failed* tombstone and poisons the cluster so every
-// blocked rank raises a typed CommTimeout instead of deadlocking.
+// dropped attempts never enter the channel (their timing effect arrives
+// through the retransmission's later send time), corrupted attempts carry a
+// flipped payload bit plus a corruption flag, delayed attempts a path-time
+// multiplier.  A sender that exhausts its retry budget posts a *failed*
+// tombstone and poisons the cluster so every blocked rank raises a typed
+// CommTimeout instead of deadlocking.
 
 #include "core/sync.h"
 #include "gpusim/device.h"
@@ -95,7 +95,6 @@ struct Message {
   // fault metadata stamped by the transport
   double delay_factor = 1.0; // degraded-link path-time multiplier
   bool corrupt = false;      // a payload bit was flipped in flight
-  bool dropped = false;      // tombstone: this attempt never arrived
   bool failed = false;       // sender exhausted retries; receiver must fail too
 };
 
@@ -172,10 +171,9 @@ public:
   };
   PendingRecv irecv(int src, int tag);
 
-  // Blocks until the message arrives.  Dropped-attempt tombstones are
-  // skipped silently; a failed tombstone (sender gave up) raises
-  // CommTimeout, as does a wait no rank is left to satisfy.  Waiting twice
-  // on the same PendingRecv is a hard error.
+  // Blocks until the message arrives.  A failed tombstone (sender gave up)
+  // raises CommTimeout, as does a wait no rank is left to satisfy.  Waiting
+  // twice on the same PendingRecv is a hard error.
   RecvHandle wait(PendingRecv& pending);
 
   // blocking receive: irecv + wait

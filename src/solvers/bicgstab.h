@@ -18,12 +18,6 @@
 
 namespace quda {
 
-namespace detail {
-template <typename P> SpinorField<P> make_like(const SpinorField<P>& proto) {
-  return SpinorField<P>::like(proto);
-}
-} // namespace detail
-
 // every 10th iteration of the uniform solvers is a checkpointable boundary
 // (the mixed solver uses accepted reliable updates instead)
 inline constexpr int kUniformCheckpointStride = 10;
@@ -33,12 +27,12 @@ SolverStats solve_bicgstab(LinearOperator<P>& op, SpinorField<P>& x, const Spino
                            const SolverParams& params, CheckpointManager<P>* ckpt = nullptr) {
   SolverStats stats;
 
-  SpinorField<P> r = detail::make_like(b);
-  SpinorField<P> r0 = detail::make_like(b);
-  SpinorField<P> p = detail::make_like(b);
-  SpinorField<P> v = detail::make_like(b);
-  SpinorField<P> s = detail::make_like(b);
-  SpinorField<P> t = detail::make_like(b);
+  SpinorField<P> r = SpinorField<P>::like(b);
+  SpinorField<P> r0 = SpinorField<P>::like(b);
+  SpinorField<P> p = SpinorField<P>::like(b);
+  SpinorField<P> v = SpinorField<P>::like(b);
+  SpinorField<P> s = SpinorField<P>::like(b);
+  SpinorField<P> t = SpinorField<P>::like(b);
 
   const double b2 = op.global_sum(blas::norm2(b));
   op.account_blas(1, 0);

@@ -19,12 +19,12 @@ namespace quda {
 namespace {
 
 struct ApiFixture {
-  Geometry g{LatticeDims{4, 4, 4, 8}};
+  Geometry g;
   HostGaugeField u;
   HostSpinorField b;
   InvertParams params;
 
-  ApiFixture() : u(g), b(g) {
+  explicit ApiFixture(LatticeDims dims = {4, 4, 4, 8}) : g(dims), u(g), b(g) {
     make_weak_field_gauge(u, 0.2, 9000);
     make_random_spinor(b, 9001);
     params.mass = 0.1;
@@ -243,6 +243,32 @@ TEST(PublicApi, MultiDimGridMatchesTimeSlicing) {
     den += norm2(x_1d[i]);
   }
   EXPECT_LT(std::sqrt(num / den), 1e-7);
+}
+
+TEST(PublicApi, CgOnMultiDimGridMatchesTimeSlicing) {
+  // CGNR applies M^dagger, whose gamma5 temporary must carry the grid's
+  // ghost shape: on a 2x2 (z, t) grid the solve must take the time-sliced
+  // iteration count to the time-sliced answer
+  for (const LatticeDims dims : {LatticeDims{4, 4, 4, 8}, LatticeDims{4, 4, 4, 16}}) {
+    ApiFixture f(dims);
+    f.params.solver = SolverType::CG;
+    HostSpinorField x_1d(f.g), x_2d(f.g);
+    const InvertResult r1 =
+        invert_multi_gpu(sim::ClusterSpec::jlab_9g(4), f.u, f.b, x_1d, f.params);
+    InvertParams p2 = f.params;
+    p2.grid = {1, 1, 2, 2};
+    const InvertResult r2 = invert_multi_gpu(sim::ClusterSpec::jlab_9g(4), f.u, f.b, x_2d, p2);
+    const std::string label = dims.to_string();
+    ASSERT_TRUE(r1.stats.converged) << label << ": " << r1.stats.summary();
+    ASSERT_TRUE(r2.stats.converged) << label << ": " << r2.stats.summary();
+    EXPECT_EQ(r2.stats.iterations, r1.stats.iterations) << label;
+    double num = 0, den = 0;
+    for (std::int64_t i = 0; i < f.g.volume(); ++i) {
+      num += norm2(x_1d[i] - x_2d[i]);
+      den += norm2(x_1d[i]);
+    }
+    EXPECT_LT(std::sqrt(num / den), 1e-12) << label;
+  }
 }
 
 TEST(PublicApi, RejectsMismatchedGrid) {

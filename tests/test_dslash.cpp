@@ -29,9 +29,9 @@ struct DslashFixture {
 template <typename P>
 HostSpinorField device_hopping(const DslashFixture& s, TimeBoundary bc) {
   const GaugeField<P> gauge = upload_gauge<P>(s.u, Reconstruct::Twelve);
-  const SpinorField<P> in_e = upload_spinor<P>(s.in, Parity::Even);
-  const SpinorField<P> in_o = upload_spinor<P>(s.in, Parity::Odd);
-  SpinorField<P> out_e(s.g), out_o(s.g);
+  const SpinorField<P> in_e = upload_spinor<P>(s.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> in_o = upload_spinor<P>(s.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<P> out_e(s.g, kPartitionTimeOnly), out_o(s.g, kPartitionTimeOnly);
 
   DslashOptions opt;
   const double phase = bc == TimeBoundary::Antiperiodic ? -1.0 : 1.0;
@@ -102,8 +102,9 @@ TEST(DslashRegions, TimesliceSplitCoversWholeLattice) {
   // interior + boundary region calls must reproduce the full-volume kernel
   const DslashFixture s({4, 4, 4, 8});
   const GaugeField<PrecDouble> gauge = upload_gauge<PrecDouble>(s.u, Reconstruct::Twelve);
-  const SpinorField<PrecDouble> in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd);
-  SpinorField<PrecDouble> full(s.g), split(s.g);
+  const SpinorField<PrecDouble> in_o =
+      upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<PrecDouble> full(s.g, kPartitionTimeOnly), split(s.g, kPartitionTimeOnly);
 
   DslashOptions opt;
   opt.out_parity = Parity::Even;
@@ -124,8 +125,9 @@ TEST(DslashCompression, TwelveMatchesEighteen) {
   const DslashFixture s({4, 4, 4, 4});
   const HostSpinorField a = [&] {
     const GaugeField<PrecDouble> g12 = upload_gauge<PrecDouble>(s.u, Reconstruct::Twelve);
-    const SpinorField<PrecDouble> in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd);
-    SpinorField<PrecDouble> out(s.g);
+    const SpinorField<PrecDouble> in_o =
+        upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+    SpinorField<PrecDouble> out(s.g, kPartitionTimeOnly);
     DslashOptions opt;
     dslash<PrecDouble>(out, g12, in_o, s.g, opt, 0, s.g.half_volume(), 1, Accumulate::No);
     HostSpinorField h(s.g);
@@ -134,8 +136,9 @@ TEST(DslashCompression, TwelveMatchesEighteen) {
   }();
   const HostSpinorField b = [&] {
     const GaugeField<PrecDouble> g18 = upload_gauge<PrecDouble>(s.u, Reconstruct::Eighteen);
-    const SpinorField<PrecDouble> in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd);
-    SpinorField<PrecDouble> out(s.g);
+    const SpinorField<PrecDouble> in_o =
+        upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+    SpinorField<PrecDouble> out(s.g, kPartitionTimeOnly);
     DslashOptions opt;
     dslash<PrecDouble>(out, g18, in_o, s.g, opt, 0, s.g.half_volume(), 1, Accumulate::No);
     HostSpinorField h(s.g);
@@ -153,8 +156,9 @@ TEST(DslashCompression, EightMatchesEighteen) {
   const DslashFixture s({4, 4, 4, 4});
   const auto run = [&](Reconstruct recon) {
     const GaugeField<PrecDouble> g = upload_gauge<PrecDouble>(s.u, recon);
-    const SpinorField<PrecDouble> in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd);
-    SpinorField<PrecDouble> out(s.g);
+    const SpinorField<PrecDouble> in_o =
+        upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+    SpinorField<PrecDouble> out(s.g, kPartitionTimeOnly);
     DslashOptions opt;
     dslash<PrecDouble>(out, g, in_o, s.g, opt, 0, s.g.half_volume(), 1, Accumulate::No);
     HostSpinorField h(s.g);
@@ -203,9 +207,9 @@ TEST_P(FullOperator, WilsonCloverMatchesReference) {
   op_params.time_bc = TimeBoundary::Antiperiodic;
   WilsonCloverOp<PrecDouble> op(s.g, gauge, cl, clinv, op_params);
 
-  const SpinorFieldD in_e = upload_spinor<PrecDouble>(s.in, Parity::Even);
-  const SpinorFieldD in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd);
-  SpinorFieldD out_e(s.g), out_o(s.g);
+  const SpinorFieldD in_e = upload_spinor<PrecDouble>(s.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorFieldD in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorFieldD out_e(s.g, kPartitionTimeOnly), out_o(s.g, kPartitionTimeOnly);
   op.apply_full(out_e, out_o, in_e, in_o);
 
   HostSpinorField dev(s.g);
@@ -238,9 +242,9 @@ TEST(SchurOperator, DaggerIsAdjoint) {
   HostSpinorField hx(s.g), hy(s.g);
   make_random_spinor(hx, 5);
   make_random_spinor(hy, 6);
-  const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even);
-  const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even);
-  SpinorFieldD mx(s.g), mdy(s.g);
+  const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even, kPartitionTimeOnly);
+  const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD mx(s.g, kPartitionTimeOnly), mdy(s.g, kPartitionTimeOnly);
   op.apply(mx, x);
   op.apply_dagger(mdy, y);
 

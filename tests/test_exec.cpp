@@ -143,8 +143,8 @@ const ExecKernelData& kdata() {
 
 template <typename P> void expect_blas_bit_identity() {
   const auto& d = kdata();
-  const SpinorField<P> x = upload_spinor<P>(d.a, Parity::Even);
-  const SpinorField<P> y0 = upload_spinor<P>(d.b, Parity::Even);
+  const SpinorField<P> x = upload_spinor<P>(d.a, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> y0 = upload_spinor<P>(d.b, Parity::Even, kPartitionTimeOnly);
 
   struct Run {
     double n2, axn;
@@ -199,12 +199,12 @@ template <typename P>
 void expect_dslash_bit_identity(Reconstruct recon = Reconstruct::Twelve) {
   const auto& d = kdata();
   const GaugeField<P> gauge = upload_gauge<P>(d.u, recon);
-  const SpinorField<P> in = upload_spinor<P>(d.a, Parity::Odd);
+  const SpinorField<P> in = upload_spinor<P>(d.a, Parity::Odd, kPartitionTimeOnly);
 
   auto run_at = [&](int budget) {
     std::vector<typename P::store_t> out_raw;
     with_budget(budget, [&] {
-      SpinorField<P> out(d.g);
+      SpinorField<P> out(d.g, kPartitionTimeOnly);
       DslashOptions opt;
       dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
       out_raw = out.raw_data();
@@ -239,8 +239,8 @@ TEST(HostEngineKernels, DslashBitIdenticalAcrossBudgetsRecon8Half) {
 // fused kernels vs their unfused elementary composition
 TEST(HostEngineKernels, FusedBlasMatchesUnfusedComposition) {
   const auto& d = kdata();
-  const SpinorFieldD x = upload_spinor<PrecDouble>(d.a, Parity::Even);
-  const SpinorFieldD y0 = upload_spinor<PrecDouble>(d.b, Parity::Even);
+  const SpinorFieldD x = upload_spinor<PrecDouble>(d.a, Parity::Even, kPartitionTimeOnly);
+  const SpinorFieldD y0 = upload_spinor<PrecDouble>(d.b, Parity::Even, kPartitionTimeOnly);
 
   // axpy_norm == axpy then norm2 (exact: same per-site arithmetic, and the
   // double store/load round-trip is lossless)

@@ -314,12 +314,12 @@ TEST(FaultRecovery, ExhaustedRetriesRaiseCommTimeoutOnEveryRank) {
   sim::VirtualCluster cluster(spec);
   std::vector<int> timed_out(4, 0), wrong_error(4, 0);
   cluster.run([&](sim::RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(4));
     grid.set_retry_policy(rp);
     try {
       // ring exchange: every rank sends forward and receives from behind
-      auto pending = grid.post_receive(comm::Direction::Backward, 0);
-      grid.send_to(comm::Direction::Forward, 0, std::vector<std::byte>(64), 64);
+      auto pending = grid.post_receive(3, -1, 0);
+      grid.send_to(3, +1, 0, std::vector<std::byte>(64), 64);
       (void)grid.wait_receive(pending);
     } catch (const sim::CommTimeout&) {
       timed_out[static_cast<std::size_t>(ctx.rank())] = 1;

@@ -34,7 +34,7 @@ TYPED_TEST_SUITE(SpinorFieldTyped, AllPrecisions);
 TYPED_TEST(SpinorFieldTyped, StoreLoadRoundTrip) {
   using P = TypeParam;
   const Geometry g({4, 4, 4, 4});
-  SpinorField<P> f(g);
+  SpinorField<P> f(g, kPartitionTimeOnly);
   std::mt19937_64 rng(42);
 
   std::vector<Spinor<double>> ref(static_cast<std::size_t>(f.sites()));
@@ -59,12 +59,12 @@ TYPED_TEST(SpinorFieldTyped, GhostEndZoneRoundTrip) {
   using P = TypeParam;
   using real_t = typename P::real_t;
   const Geometry g({4, 4, 4, 4});
-  SpinorField<P> f(g);
+  SpinorField<P> f(g, kPartitionTimeOnly);
   std::mt19937_64 rng(17);
   std::normal_distribution<double> d(0.0, 1.0);
 
   for (int face = 0; face < 2; ++face) {
-    for (std::int64_t fs = 0; fs < f.face_sites(); ++fs) {
+    for (std::int64_t fs = 0; fs < f.ghost_sites(3); ++fs) {
       HalfSpinor<real_t> h;
       double m = 0;
       for (std::size_t sp = 0; sp < 2; ++sp)
@@ -73,8 +73,8 @@ TYPED_TEST(SpinorFieldTyped, GhostEndZoneRoundTrip) {
           h.s[sp][c] = Complex<real_t>(static_cast<real_t>(re), static_cast<real_t>(im));
           m = std::max({m, std::abs(re), std::abs(im)});
         }
-      f.store_ghost(static_cast<GhostFace>(face), fs, h, static_cast<float>(m));
-      const HalfSpinor<real_t> got = f.load_ghost(static_cast<GhostFace>(face), fs);
+      f.store_ghost(3, static_cast<GhostFace>(face), fs, h, static_cast<float>(m));
+      const HalfSpinor<real_t> got = f.load_ghost(3, static_cast<GhostFace>(face), fs);
       for (std::size_t sp = 0; sp < 2; ++sp)
         for (std::size_t c = 0; c < 3; ++c) {
           const double tol = P::value == Precision::Half ? 2e-4 * m : 1e-6 * m + 1e-30;
@@ -89,7 +89,7 @@ TYPED_TEST(SpinorFieldTyped, GhostDoesNotClobberBody) {
   using P = TypeParam;
   using real_t = typename P::real_t;
   const Geometry g({4, 4, 4, 4});
-  SpinorField<P> f(g);
+  SpinorField<P> f(g, kPartitionTimeOnly);
   std::mt19937_64 rng(29);
   std::vector<Spinor<double>> ref(static_cast<std::size_t>(f.sites()));
   for (std::int64_t i = 0; i < f.sites(); ++i) {
@@ -98,11 +98,11 @@ TYPED_TEST(SpinorFieldTyped, GhostDoesNotClobberBody) {
   }
   // fill both ghost faces
   for (int face = 0; face < 2; ++face)
-    for (std::int64_t fs = 0; fs < f.face_sites(); ++fs) {
+    for (std::int64_t fs = 0; fs < f.ghost_sites(3); ++fs) {
       HalfSpinor<real_t> h;
       for (std::size_t sp = 0; sp < 2; ++sp)
         for (std::size_t c = 0; c < 3; ++c) h.s[sp][c] = Complex<real_t>(real_t(0.5), real_t(-0.5));
-      f.store_ghost(static_cast<GhostFace>(face), fs, h, 0.5f);
+      f.store_ghost(3, static_cast<GhostFace>(face), fs, h, 0.5f);
     }
   // body intact
   for (std::int64_t i = 0; i < f.sites(); ++i) {
@@ -198,22 +198,22 @@ TYPED_TEST(GaugeFieldTyped, GhostLivesInPadWithoutAliasing) {
   std::normal_distribution<double> d(0.0, 1.0);
   std::vector<SU3<double>> ghosts;
   for (int par = 0; par < 2; ++par)
-    for (std::int64_t fs = 0; fs < dev.face_sites(); ++fs) {
+    for (std::int64_t fs = 0; fs < dev.ghost_capacity(3); ++fs) {
       SU3<double> u;
       for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < 3; ++c) u.e[r][c] = complexd(d(rng), d(rng));
       u = reunitarize(u);
       ghosts.push_back(u);
-      dev.store_ghost(par == 0 ? Parity::Even : Parity::Odd, fs, u);
+      dev.store_ghost(3, par == 0 ? Parity::Even : Parity::Odd, fs, u);
     }
 
   // ghosts read back
   std::size_t k = 0;
   const double tol = P::value == Precision::Half ? 1e-6 : 1e-10;
   for (int par = 0; par < 2; ++par)
-    for (std::int64_t fs = 0; fs < dev.face_sites(); ++fs, ++k) {
+    for (std::int64_t fs = 0; fs < dev.ghost_capacity(3); ++fs, ++k) {
       const SU3<double> got =
-          convert<double>(dev.load_ghost(par == 0 ? Parity::Even : Parity::Odd, fs));
+          convert<double>(dev.load_ghost(3, par == 0 ? Parity::Even : Parity::Odd, fs));
       EXPECT_LT(frobenius_dist2(got, ghosts[k]), tol);
     }
 
@@ -262,7 +262,7 @@ template <typename P> SpinorField<P> conversion_source() {
 
 template <typename PDst, typename PSrc> std::uint64_t converted_digest() {
   const SpinorField<PSrc> src = conversion_source<PSrc>();
-  SpinorField<PDst> dst(src.sites(), src.face_sites());
+  SpinorField<PDst> dst(src.sites(), src.ghost_sites(3));
   convert_field(src, dst);
   return stored_digest(dst);
 }
@@ -331,8 +331,8 @@ TEST(SpinorUploadDownload, RoundTripBothParities) {
   HostSpinorField host(g), back(g);
   make_random_spinor(host, 9);
 
-  const SpinorFieldD even = upload_spinor<PrecDouble>(host, Parity::Even);
-  const SpinorFieldD odd = upload_spinor<PrecDouble>(host, Parity::Odd);
+  const SpinorFieldD even = upload_spinor<PrecDouble>(host, Parity::Even, kPartitionTimeOnly);
+  const SpinorFieldD odd = upload_spinor<PrecDouble>(host, Parity::Odd, kPartitionTimeOnly);
   download_spinor(even, Parity::Even, back);
   download_spinor(odd, Parity::Odd, back);
 

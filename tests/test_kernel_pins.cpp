@@ -136,10 +136,10 @@ template <typename P> void expect_clover_pinned(const std::array<std::uint64_t, 
     }
   EXPECT_EQ(loaded, want[0]) << "clover load: 0x" << std::hex << loaded;
 
-  const SpinorField<P> x = upload_spinor<P>(d.a, Parity::Even);
+  const SpinorField<P> x = upload_spinor<P>(d.a, Parity::Even, kPartitionTimeOnly);
   constexpr double bs[2] = {0.0, -0.43};
   for (int k = 0; k < 2; ++k) {
-    SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even);
+    SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, kPartitionTimeOnly);
     apply_clover_xpay<P>(out, clover, Parity::Even, x, d.g, 0, d.g.half_volume(),
                          static_cast<typename P::real_t>(bs[k]));
     const std::uint64_t got = stored_digest(out);

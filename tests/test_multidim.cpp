@@ -8,6 +8,7 @@
 #include "dirac/transfer.h"
 #include "dirac/wilson_ref.h"
 #include "parallel/halo_dslash.h"
+#include "parallel/modeled_solver.h"
 #include "parallel/parallel_op.h"
 #include "sim/event_sim.h"
 #include "solvers/bicgstab.h"
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -378,42 +380,19 @@ TEST(MultiDimProperty, RandomGridHaloDslashMatchesReference) {
   }
 }
 
-// a 1x1x1xN grid is exactly the paper's 1-D time decomposition: the 4-D
-// block utilities must reproduce the legacy 1-D slicers byte-for-byte
-TEST(MultiDimProperty, DegenerateTimeGridMatchesLegacy1D) {
-  const Geometry g({4, 4, 4, 16});
-  HostGaugeField u(g);
-  HostSpinorField in(g);
-  make_random_gauge(u, 17000);
-  make_random_spinor(in, 17001);
+TEST(MultiDim, ModeledSolverRejectsMismatchedTopology) {
+  // the modeled solver resolves its grid by the rule invert_multi_gpu uses:
+  // a grid that does not hold every rank raises instead of running a ring
+  parallel::ModeledSolverConfig cfg;
+  cfg.local = {4, 4, 4, 4};
+  cfg.iterations = 1;
+  cfg.topology = GridTopology{{1, 1, 2, 2}};
+  VirtualCluster cluster(ClusterSpec::jlab_9g(8));
+  EXPECT_THROW(parallel::run_modeled_solver(cluster, cfg), std::invalid_argument);
 
-  for (const int n : {2, 4, 8}) {
-    const GridTopology topo{{1, 1, 1, n}};
-    ASSERT_EQ(core::local_geometry(g, topo).dims().t, core::local_geometry(g, n).dims().t);
-    HostSpinorField merged_md(g), merged_1d(g);
-    for (int r = 0; r < n; ++r) {
-      const HostSpinorField ls_md = core::slice_spinor(in, topo, r);
-      const HostSpinorField ls_1d = core::slice_spinor(in, r, n);
-      for (std::int64_t i = 0; i < ls_md.geom().volume(); ++i)
-        ASSERT_EQ(norm2(ls_md[i] - ls_1d[i]), 0.0) << "ranks " << n << " site " << i;
-
-      const HostGaugeField lu_md = core::slice_gauge(u, topo, r);
-      const HostGaugeField lu_1d = core::slice_gauge(u, r, n);
-      for (std::int64_t i = 0; i < lu_md.geom().volume(); ++i) {
-        const Coords lc = lu_md.geom().coords(i);
-        for (int mu = 0; mu < 4; ++mu)
-          ASSERT_EQ(frobenius_dist2(lu_md.link(mu, lc), lu_1d.link(mu, lc)), 0.0)
-              << "ranks " << n << " site " << i << " mu " << mu;
-      }
-
-      core::merge_spinor(merged_md, ls_md, topo, r);
-      core::merge_spinor(merged_1d, ls_1d, r);
-    }
-    for (std::int64_t i = 0; i < g.volume(); ++i) {
-      ASSERT_EQ(norm2(merged_md[i] - in[i]), 0.0);
-      ASSERT_EQ(norm2(merged_1d[i] - in[i]), 0.0);
-    }
-  }
+  cfg.topology = GridTopology{{1, 1, 2, 4}};
+  VirtualCluster matching(ClusterSpec::jlab_9g(8));
+  EXPECT_EQ(parallel::run_modeled_solver(matching, cfg).iterations, 1);
 }
 
 TEST(MultiDim, RejectsOddLocalExtent) {

@@ -3,7 +3,7 @@
 // single-device / reference results exactly, for both communication
 // policies, all precisions, and both boundary conditions.
 
-#include "comm/qmp.h"
+#include "core/partition.h"
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
 #include "dirac/wilson_ref.h"
@@ -18,65 +18,12 @@
 namespace quda {
 namespace {
 
+using comm::GridTopology;
 using parallel::HaloDslashConfig;
 using parallel::HaloFields;
 using sim::ClusterSpec;
 using sim::RankContext;
 using sim::VirtualCluster;
-
-// --- global <-> local slicing helpers ---------------------------------------
-
-Geometry local_geometry(const Geometry& global, int n_ranks) {
-  LatticeDims d = global.dims();
-  d.t /= n_ranks;
-  return Geometry(d);
-}
-
-Coords to_global(const Coords& local, int rank, int t_local) {
-  Coords g = local;
-  g[3] += rank * t_local;
-  return g;
-}
-
-HostGaugeField slice_gauge(const HostGaugeField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostGaugeField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    const Coords gc = to_global(lc, rank, lg.dims().t);
-    for (int mu = 0; mu < 4; ++mu) local.link(mu, lc) = global.link(mu, gc);
-  }
-  return local;
-}
-
-HostSpinorField slice_spinor(const HostSpinorField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostSpinorField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    local[i] = global.at(to_global(lc, rank, lg.dims().t));
-  }
-  return local;
-}
-
-HostCloverField slice_clover(const HostCloverField& global, int rank, int n_ranks) {
-  const Geometry lg = local_geometry(global.geom(), n_ranks);
-  HostCloverField local(lg);
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    local[i] = global[global.geom().linear_index(to_global(lc, rank, lg.dims().t))];
-  }
-  return local;
-}
-
-void merge_spinor(HostSpinorField& global, const HostSpinorField& local, int rank, int n_ranks) {
-  const Geometry& lg = local.geom();
-  (void)n_ranks;
-  for (std::int64_t i = 0; i < lg.volume(); ++i) {
-    const Coords lc = lg.coords(i);
-    global.at(to_global(lc, rank, lg.dims().t)) = local[i];
-  }
-}
 
 double rel_dist2(const HostSpinorField& a, const HostSpinorField& b) {
   double num = 0, den = 0;
@@ -96,20 +43,22 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
   VirtualCluster cluster(ClusterSpec::jlab_9g(n_ranks));
   std::vector<HostSpinorField> outs(static_cast<std::size_t>(n_ranks));
 
+  const GridTopology topo = GridTopology::time_only(n_ranks);
+  const PartitionMask mask = topo.partition_mask();
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, topo);
     const int rank = ctx.rank();
-    const Geometry lg = local_geometry(gg, n_ranks);
+    const Geometry lg = core::local_geometry(gg, topo);
 
-    const HostGaugeField lu = slice_gauge(gauge, rank, n_ranks);
-    const HostSpinorField lin = slice_spinor(in, rank, n_ranks);
+    const HostGaugeField lu = core::slice_gauge(gauge, topo, rank);
+    const HostSpinorField lin = core::slice_spinor(in, topo, rank);
 
     GaugeField<P> dev_u = upload_gauge<P>(lu, Reconstruct::Twelve);
     parallel::exchange_gauge_ghost<P>(grid, lg, &dev_u, Execution::Real);
 
-    SpinorField<P> in_e = upload_spinor<P>(lin, Parity::Even);
-    SpinorField<P> in_o = upload_spinor<P>(lin, Parity::Odd);
-    SpinorField<P> out_e(lg), out_o(lg);
+    SpinorField<P> in_e = upload_spinor<P>(lin, Parity::Even, mask);
+    SpinorField<P> in_o = upload_spinor<P>(lin, Parity::Odd, mask);
+    SpinorField<P> out_e(lg, mask), out_o(lg, mask);
 
     HaloDslashConfig cfg;
     cfg.policy = policy;
@@ -129,7 +78,8 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
   });
 
   HostSpinorField global_out(gg);
-  for (int r = 0; r < n_ranks; ++r) merge_spinor(global_out, outs[static_cast<std::size_t>(r)], r, n_ranks);
+  for (int r = 0; r < n_ranks; ++r)
+    core::merge_spinor(global_out, outs[static_cast<std::size_t>(r)], topo, r);
   return global_out;
 }
 
@@ -223,23 +173,25 @@ TEST(GaugeGhostExchange, GhostEqualsNeighborLastSlice) {
   make_random_gauge(u, 6000);
   const int n_ranks = 4;
 
+  const GridTopology topo = GridTopology::time_only(n_ranks);
+
   VirtualCluster cluster(ClusterSpec::jlab_9g(n_ranks));
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
-    const Geometry lg = local_geometry(g, n_ranks);
-    const HostGaugeField lu = slice_gauge(u, ctx.rank(), n_ranks);
+    comm::QmpGrid grid(ctx, topo);
+    const Geometry lg = core::local_geometry(g, topo);
+    const HostGaugeField lu = core::slice_gauge(u, topo, ctx.rank());
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
     parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u, Execution::Real);
 
     // the ghost must equal the backward neighbor's t = T_local-1 temporal links
     const int back = (ctx.rank() + n_ranks - 1) % n_ranks;
-    const HostGaugeField bu = slice_gauge(u, back, n_ranks);
+    const HostGaugeField bu = core::slice_gauge(u, topo, back);
     for (int par = 0; par < 2; ++par) {
       const Parity parity = par == 0 ? Parity::Even : Parity::Odd;
       for (std::int64_t fs = 0; fs < lg.half_spatial_volume(); ++fs) {
-        const Coords c = face_coords(lg, parity, lg.dims().t - 1, fs);
+        const Coords c = lg.face_site_coords(3, parity, lg.dims().t - 1, fs);
         const SU3<double> expect = bu.link(3, c);
-        const SU3<double> got = dev_u.load_ghost(parity, fs);
+        const SU3<double> got = dev_u.load_ghost(3, parity, fs);
         EXPECT_LT(frobenius_dist2(got, expect), 1e-20);
       }
     }
@@ -267,19 +219,21 @@ struct SolverSetup {
 TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
   SolverSetup s;
   const int n_ranks = 4;
+  const GridTopology topo = GridTopology::time_only(n_ranks);
   VirtualCluster cluster(ClusterSpec::jlab_9g(n_ranks));
   std::vector<HostSpinorField> xs(static_cast<std::size_t>(n_ranks));
   std::vector<SolverStats> stats(static_cast<std::size_t>(n_ranks));
 
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, topo);
     const int rank = ctx.rank();
-    const Geometry lg = local_geometry(s.g, n_ranks);
+    const Geometry lg = core::local_geometry(s.g, topo);
+    const PartitionMask mask = topo.partition_mask();
 
-    const HostGaugeField lu = slice_gauge(s.u, rank, n_ranks);
-    const HostCloverField lt = slice_clover(s.t, rank, n_ranks);
-    const HostCloverField ltinv = slice_clover(s.tinv, rank, n_ranks);
-    const HostSpinorField lb = slice_spinor(s.b, rank, n_ranks);
+    const HostGaugeField lu = core::slice_gauge(s.u, topo, rank);
+    const HostCloverField lt = core::slice_clover(s.t, topo, rank);
+    const HostCloverField ltinv = core::slice_clover(s.tinv, topo, rank);
+    const HostSpinorField lb = core::slice_spinor(s.b, topo, rank);
 
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
     parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u, Execution::Real);
@@ -292,9 +246,9 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
     parallel::ParallelWilsonCloverOp<PrecDouble> op(grid, lg, dev_u, dev_t, dev_tinv, params,
                                                     CommPolicy::Overlap);
 
-    SpinorFieldD b_e = upload_spinor<PrecDouble>(lb, Parity::Even);
-    SpinorFieldD b_o = upload_spinor<PrecDouble>(lb, Parity::Odd);
-    SpinorFieldD bprime(lg), x_e(lg), x_o(lg);
+    SpinorFieldD b_e = upload_spinor<PrecDouble>(lb, Parity::Even, mask);
+    SpinorFieldD b_o = upload_spinor<PrecDouble>(lb, Parity::Odd, mask);
+    SpinorFieldD bprime(lg, mask), x_e(lg, mask), x_o(lg, mask);
     op.prepare_source(bprime, b_e, b_o);
 
     SolverParams sp;
@@ -317,7 +271,7 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
   }
 
   HostSpinorField x(s.g);
-  for (int r = 0; r < n_ranks; ++r) merge_spinor(x, xs[static_cast<std::size_t>(r)], r, n_ranks);
+  for (int r = 0; r < n_ranks; ++r) core::merge_spinor(x, xs[static_cast<std::size_t>(r)], topo, r);
 
   // end-to-end: the merged solution satisfies the reference operator
   WilsonParams wp;
@@ -332,18 +286,20 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
 TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
   SolverSetup s;
   const int n_ranks = 2;
+  const GridTopology topo = GridTopology::time_only(n_ranks);
   VirtualCluster cluster(ClusterSpec::jlab_9g(n_ranks));
   std::vector<SolverStats> stats(static_cast<std::size_t>(n_ranks));
 
   cluster.run([&](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
+    comm::QmpGrid grid(ctx, topo);
     const int rank = ctx.rank();
-    const Geometry lg = local_geometry(s.g, n_ranks);
+    const Geometry lg = core::local_geometry(s.g, topo);
+    const PartitionMask mask = topo.partition_mask();
 
-    const HostGaugeField lu = slice_gauge(s.u, rank, n_ranks);
-    const HostCloverField lt = slice_clover(s.t, rank, n_ranks);
-    const HostCloverField ltinv = slice_clover(s.tinv, rank, n_ranks);
-    const HostSpinorField lb = slice_spinor(s.b, rank, n_ranks);
+    const HostGaugeField lu = core::slice_gauge(s.u, topo, rank);
+    const HostCloverField lt = core::slice_clover(s.t, topo, rank);
+    const HostCloverField ltinv = core::slice_clover(s.tinv, topo, rank);
+    const HostSpinorField lb = core::slice_spinor(s.b, topo, rank);
 
     GaugeField<PrecSingle> u_s = upload_gauge<PrecSingle>(lu, Reconstruct::Twelve);
     GaugeField<PrecHalf> u_h = upload_gauge<PrecHalf>(lu, Reconstruct::Twelve);
@@ -362,8 +318,8 @@ TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
     parallel::ParallelWilsonCloverOp<PrecHalf> op_lo(grid, lg, u_h, t_h, tinv_h, params,
                                                      CommPolicy::Overlap);
 
-    SpinorFieldS b_e = upload_spinor<PrecSingle>(lb, Parity::Even);
-    SpinorFieldS x(lg);
+    SpinorFieldS b_e = upload_spinor<PrecSingle>(lb, Parity::Even, mask);
+    SpinorFieldS x(lg, mask);
     SolverParams sp;
     sp.tol = 1e-6;
     sp.delta = 1e-1;
@@ -387,7 +343,7 @@ TEST(ParallelTiming, OverlapHidesTransfersForLargeLocalVolume) {
     for (CommPolicy policy : {CommPolicy::NoOverlap, CommPolicy::Overlap}) {
       VirtualCluster cluster(ClusterSpec::jlab_9g(ranks));
       cluster.run([&](RankContext& ctx) {
-        comm::QmpGrid grid(ctx);
+        comm::QmpGrid grid(ctx, GridTopology::time_only(ranks));
         HaloDslashConfig cfg;
         cfg.policy = policy;
         cfg.exec = Execution::Modeled;

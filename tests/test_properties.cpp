@@ -149,7 +149,7 @@ TEST(ExecutionModes, ModeledAndRealChargeIdenticalTime) {
     sim::VirtualCluster cluster(sim::ClusterSpec::jlab_9g(ranks));
     std::vector<double> clocks(static_cast<std::size_t>(ranks));
     cluster.run([&](sim::RankContext& ctx) {
-      comm::QmpGrid grid(ctx);
+      comm::QmpGrid grid(ctx, comm::GridTopology::time_only(ranks));
       parallel::HaloDslashConfig cfg;
       cfg.policy = CommPolicy::Overlap;
       cfg.exec = exec;
@@ -161,8 +161,9 @@ TEST(ExecutionModes, ModeledAndRealChargeIdenticalTime) {
       GaugeField<PrecSingle> u = upload_gauge<PrecSingle>(hu, Reconstruct::Twelve);
       parallel::exchange_gauge_ghost<PrecSingle>(
           grid, lg, exec == Execution::Real ? &u : nullptr, exec);
-      SpinorField<PrecSingle> in = upload_spinor<PrecSingle>(hin, Parity::Odd);
-      SpinorField<PrecSingle> out(lg);
+      const PartitionMask mask = grid.topology().partition_mask();
+      SpinorField<PrecSingle> in = upload_spinor<PrecSingle>(hin, Parity::Odd, mask);
+      SpinorField<PrecSingle> out(lg, mask);
 
       for (int rep = 0; rep < 6; ++rep) {
         cfg.out_parity = rep % 2 == 0 ? Parity::Even : Parity::Odd;
@@ -193,7 +194,7 @@ template <typename P>
 SpinorField<P> random_field(const Geometry& g, std::uint64_t seed) {
   HostSpinorField h(g);
   make_random_spinor(h, seed);
-  return upload_spinor<P>(h, Parity::Even);
+  return upload_spinor<P>(h, Parity::Even, kPartitionTimeOnly);
 }
 
 template <typename P> double tolerance() {

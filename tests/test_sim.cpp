@@ -483,11 +483,11 @@ TEST(GridTopology, PartitionMaskMatchesPartitioned) {
 TEST(QmpGrid, RingTopology) {
   VirtualCluster cluster(ClusterSpec::jlab_9g(4));
   cluster.run([](RankContext& ctx) {
-    comm::QmpGrid grid(ctx);
-    EXPECT_EQ(grid.neighbor(comm::Direction::Forward), (ctx.rank() + 1) % 4);
-    EXPECT_EQ(grid.neighbor(comm::Direction::Backward), (ctx.rank() + 3) % 4);
-    EXPECT_EQ(grid.owns_global_backward_edge(), ctx.rank() == 0);
-    EXPECT_EQ(grid.owns_global_forward_edge(), ctx.rank() == 3);
+    comm::QmpGrid grid(ctx, comm::GridTopology::time_only(4));
+    EXPECT_EQ(grid.neighbor(3, +1), (ctx.rank() + 1) % 4);
+    EXPECT_EQ(grid.neighbor(3, -1), (ctx.rank() + 3) % 4);
+    EXPECT_EQ(grid.owns_global_edge(3, -1), ctx.rank() == 0);
+    EXPECT_EQ(grid.owns_global_edge(3, +1), ctx.rank() == 3);
   });
 }
 

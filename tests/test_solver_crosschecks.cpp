@@ -50,9 +50,9 @@ TEST(SolverCrossChecks, CgnrAndBicgstabAgreeOnTheSolution) {
   WilsonCloverOp<PrecDouble> op(s.g, s.gauge, s.clover, s.clover_inv, s.params);
   HostSpinorField hb(s.g);
   make_random_spinor(hb, 50002);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
-  SpinorFieldD x_bi(s.g), x_cg(s.g);
+  SpinorFieldD x_bi(s.g, kPartitionTimeOnly), x_cg(s.g, kPartitionTimeOnly);
   SolverParams sp;
   sp.tol = 1e-10;
   sp.max_iter = 4000;
@@ -71,14 +71,14 @@ TEST(SolverCrossChecks, NonzeroInitialGuessConvergesToSameSolution) {
   HostSpinorField hb(s.g), hguess(s.g);
   make_random_spinor(hb, 50003);
   make_random_spinor(hguess, 50004);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-11;
   sp.max_iter = 4000;
 
-  SpinorFieldD x_zero(s.g);
-  SpinorFieldD x_guess = upload_spinor<PrecDouble>(hguess, Parity::Even);
+  SpinorFieldD x_zero(s.g, kPartitionTimeOnly);
+  SpinorFieldD x_guess = upload_spinor<PrecDouble>(hguess, Parity::Even, kPartitionTimeOnly);
   const SolverStats s1 = solve_bicgstab(op, x_zero, b, sp);
   const SolverStats s2 = solve_bicgstab(op, x_guess, b, sp);
   ASSERT_TRUE(s1.converged);
@@ -98,8 +98,8 @@ TEST(SolverCrossChecks, BoundaryConditionChangesTheSolution) {
 
   HostSpinorField hb(s_apbc.g);
   make_random_spinor(hb, 50005);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD xa(s_apbc.g), xp(s_pbc.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD xa(s_apbc.g, kPartitionTimeOnly), xp(s_pbc.g, kPartitionTimeOnly);
   SolverParams sp;
   sp.tol = 1e-10;
   sp.max_iter = 4000;
@@ -113,9 +113,9 @@ TEST(SolverCrossChecks, CloverXpayFusionMatchesComposition) {
   HostSpinorField hx(s.g), hy(s.g);
   make_random_spinor(hx, 50006);
   make_random_spinor(hy, 50007);
-  const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even);
-  SpinorFieldD fused = upload_spinor<PrecDouble>(hy, Parity::Even);
-  SpinorFieldD plain(s.g);
+  const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD fused = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD plain(s.g, kPartitionTimeOnly);
 
   const double bcoef = -0.25;
   // fused: out = C x + b out
@@ -123,7 +123,7 @@ TEST(SolverCrossChecks, CloverXpayFusionMatchesComposition) {
                                 bcoef);
   // composed: C x, then add b*y manually
   apply_clover_xpay<PrecDouble>(plain, s.clover, Parity::Even, x, s.g, 0, s.g.half_volume(), 0);
-  const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even);
+  const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
   blas::axpy(bcoef, y, plain);
   for (std::int64_t i = 0; i < x.sites(); ++i)
     ASSERT_LT(quda::norm2(fused.load(i) - plain.load(i)), 1e-24);
@@ -146,8 +146,8 @@ TEST(SolverCrossChecks, MaxIterZeroReturnsNotConverged) {
   WilsonCloverOp<PrecDouble> op(s.g, s.gauge, s.clover, s.clover_inv, s.params);
   HostSpinorField hb(s.g);
   make_random_spinor(hb, 50008);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(s.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(s.g, kPartitionTimeOnly);
   SolverParams sp;
   sp.tol = 1e-10;
   sp.max_iter = 0;

@@ -66,8 +66,8 @@ TEST(BiCGstab, ConvergesDoublePrecision) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 31);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(prob.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-10;
@@ -84,8 +84,8 @@ TEST(BiCGstab, ConvergesSinglePrecision) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 77);
-  const SpinorFieldS b = upload_spinor<PrecSingle>(hb, Parity::Even);
-  SpinorFieldS x(prob.g);
+  const SpinorFieldS b = upload_spinor<PrecSingle>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldS x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-5;
@@ -102,10 +102,11 @@ TEST(BiCGstab, SolutionSatisfiesReferenceOperator) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 3);
-  const SpinorFieldD b_e = upload_spinor<PrecDouble>(hb, Parity::Even);
-  const SpinorFieldD b_o = upload_spinor<PrecDouble>(hb, Parity::Odd);
+  const SpinorFieldD b_e = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  const SpinorFieldD b_o = upload_spinor<PrecDouble>(hb, Parity::Odd, kPartitionTimeOnly);
 
-  SpinorFieldD bprime(prob.g), x_e(prob.g), x_o(prob.g);
+  SpinorFieldD bprime(prob.g, kPartitionTimeOnly), x_e(prob.g, kPartitionTimeOnly),
+      x_o(prob.g, kPartitionTimeOnly);
   op.prepare_source(bprime, b_e, b_o);
 
   SolverParams sp;
@@ -141,8 +142,8 @@ TEST(CGNR, ConvergesDoublePrecision) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 10);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(prob.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-8;
@@ -160,8 +161,8 @@ TEST(MixedPrecision, SingleHalfReachesSingleTolerance) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 8);
-  const SpinorFieldS b = upload_spinor<PrecSingle>(hb, Parity::Even);
-  SpinorFieldS x(prob.g);
+  const SpinorFieldS b = upload_spinor<PrecSingle>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldS x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-6;
@@ -179,8 +180,8 @@ TEST(MixedPrecision, DoubleHalfReachesDeepTolerance) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 9);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(prob.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-10;
@@ -199,8 +200,8 @@ TEST(MixedPrecision, DoubleSingleReachesDeepTolerance) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 11);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(prob.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-12;
@@ -218,8 +219,8 @@ TEST(MixedPrecision, DefectCorrectionConvergesButRestarts) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 12);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(prob.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(prob.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-10;
@@ -239,14 +240,14 @@ TEST(MixedPrecision, ReliableBeatsDefectCorrectionOnIterations) {
 
   HostSpinorField hb(prob.g);
   make_random_spinor(hb, 13);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = 1e-10;
   sp.delta = 1e-3;
   sp.max_iter = 8000;
 
-  SpinorFieldD x1(prob.g), x2(prob.g);
+  SpinorFieldD x1(prob.g, kPartitionTimeOnly), x2(prob.g, kPartitionTimeOnly);
   const SolverStats rel = solve_bicgstab_reliable(op_hi, op_lo1, x1, b, sp);
   const SolverStats dc = solve_defect_correction(op_hi, op_lo2, x2, b, sp, 1e-2);
   ASSERT_TRUE(rel.converged) << rel.summary();
@@ -258,10 +259,10 @@ TEST(MixedPrecision, ReliableBeatsDefectCorrectionOnIterations) {
 TEST(Solvers, ZeroSourceGivesZeroSolution) {
   Problem prob({4, 4, 4, 4}, 0.2, 1.0, 48);
   auto op = prob.op_d();
-  SpinorFieldD b(prob.g), x(prob.g);
+  SpinorFieldD b(prob.g, kPartitionTimeOnly), x(prob.g, kPartitionTimeOnly);
   HostSpinorField ones(prob.g);
   make_random_spinor(ones, 14);
-  x = upload_spinor<PrecDouble>(ones, Parity::Even); // non-zero initial guess
+  x = upload_spinor<PrecDouble>(ones, Parity::Even, kPartitionTimeOnly); // non-zero initial guess
   SolverParams sp;
   const SolverStats stats = solve_bicgstab(op, x, b, sp);
   EXPECT_TRUE(stats.converged);

@@ -93,8 +93,8 @@ TEST_P(ToleranceSweep, BiCGstabReachesTarget) {
                                 setup.params);
   HostSpinorField hb(setup.g);
   make_random_spinor(hb, 40002);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
-  SpinorFieldD x(setup.g);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldD x(setup.g, kPartitionTimeOnly);
 
   SolverParams sp;
   sp.tol = GetParam();
@@ -118,11 +118,11 @@ TEST(ToleranceMonotonicity, IterationsGrowWithPrecision) {
                                 setup.params);
   HostSpinorField hb(setup.g);
   make_random_spinor(hb, 40003);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even);
+  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
   int prev_iters = 0;
   for (double tol : {1e-4, 1e-7, 1e-10}) {
-    SpinorFieldD x(setup.g);
+    SpinorFieldD x(setup.g, kPartitionTimeOnly);
     SolverParams sp;
     sp.tol = tol;
     sp.max_iter = 2000;
@@ -139,9 +139,9 @@ TEST(ConvertField, DoubleToSingleToDoubleLosesOnlySinglePrecision) {
   const Geometry g({4, 4, 4, 4});
   HostSpinorField h(g);
   make_random_spinor(h, 40004);
-  const SpinorFieldD d = upload_spinor<PrecDouble>(h, Parity::Even);
-  SpinorFieldS s(g);
-  SpinorFieldD back(g);
+  const SpinorFieldD d = upload_spinor<PrecDouble>(h, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldS s(g, kPartitionTimeOnly);
+  SpinorFieldD back(g, kPartitionTimeOnly);
   convert_field(d, s);
   convert_field(s, back);
   double num = 0, den = 0;
@@ -157,9 +157,9 @@ TEST(ConvertField, HalfRoundTripWithinQuantizationBound) {
   const Geometry g({4, 4, 4, 4});
   HostSpinorField hf(g);
   make_random_spinor(hf, 40005);
-  const SpinorFieldS s = upload_spinor<PrecSingle>(hf, Parity::Even);
-  SpinorFieldH h(g);
-  SpinorFieldS back(g);
+  const SpinorFieldS s = upload_spinor<PrecSingle>(hf, Parity::Even, kPartitionTimeOnly);
+  SpinorFieldH h(g, kPartitionTimeOnly);
+  SpinorFieldS back(g, kPartitionTimeOnly);
   convert_field(s, h);
   convert_field(h, back);
   for (std::int64_t i = 0; i < s.sites(); ++i) {

@@ -34,9 +34,9 @@
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
 #   build tree (default thread); `address` instruments with ASan plus UBSan
 #   and its float-to-integer overflow check (both -fno-sanitize-recover)
-#   and _GLIBCXX_ASSERTIONS, so an out-of-range container index or float
-#   conversion aborts the gate.  Both sanitizers are expected clean
-#   (README "Sanitizers").
+#   and _GLIBCXX_ASSERTIONS, and keeps assert() live (-UNDEBUG), so an
+#   out-of-range container index, float conversion or field index aborts
+#   the gate.  Both sanitizers are expected clean (README "Sanitizers").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

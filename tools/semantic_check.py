@@ -715,8 +715,9 @@ def pass_fiber_stack(a):
                         len(model.defs_by_name.get(call.bare, ())) > 1:
                     # a self-call whose name has other definitions is far
                     # more likely a wrapper forwarding to an overload the
-                    # name-based model cannot type-match (pack_face 1-D ->
-                    # 4-D, norm2 field -> site) than true recursion
+                    # name-based model cannot type-match (allreduce_sum
+                    # value -> array, norm2 field -> site) than true
+                    # recursion
                     continue
                 edges[fn].add(targets[0])
 
