@@ -5,6 +5,9 @@
 // numbers in the figure benches come from the device model, not from here.
 // BM_AnalyzeSolve times the post-run critical-path analysis of one recorded
 // 32-GPU trace, the analysis layer's host cost on its own.
+// BM_TriadDslashBytes is the single dslash's memory roofline, and
+// BM_DslashHaloPattern the interior and boundary passes at one rank's
+// volume of a two-rank 8^3 x 16 solve.
 
 #include "blas/blas.h"
 #include "dirac/clover_term.h"
@@ -19,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <vector>
 
 namespace quda {
 namespace {
@@ -209,6 +213,80 @@ template <typename P> void BM_DslashThreads(benchmark::State& state) {
 BENCHMARK(BM_DslashThreads<PrecDouble>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DslashThreads<PrecSingle>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DslashThreads<PrecHalf>)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// the memory roofline of the single dslash: a triad a = b + s c (two
+// streamed reads, one streamed write) over the bytes one dslash moves at
+// 16^4, 1,248 B a site (8 neighbour spinors of 96 B, 8 recon-12 links of
+// 48 B and the output spinor).  BM_DslashThreads<PrecSingle>/1 over this
+// row is how far the single dslash is off its roofline at budget 1.
+void BM_TriadDslashBytes(benchmark::State& state) {
+  exec::set_thread_budget(static_cast<int>(state.range(0)));
+  constexpr std::int64_t kBytesPerSite = 1248;
+  const std::int64_t n = data().g.half_volume() * kBytesPerSite / (3 * sizeof(float));
+  std::vector<float> a(static_cast<std::size_t>(n)), b(a.size(), 1.0f), c(a.size(), 2.0f);
+  float s = 0.5f;
+  benchmark::DoNotOptimize(s);
+  for (auto _ : state) {
+    exec::parallel_for(0, n, 24 * exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        a[k] = b[k] + s * c[k];
+      }
+    });
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 3 * n * std::int64_t(sizeof(float)));
+  exec::set_thread_budget(0);
+}
+BENCHMARK(BM_TriadDslashBytes)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// the strong-scaling halo pattern at one rank's volume of the solve_2gpu
+// workload (8^3 x 16 over 2 ranks: 8^3 x 8 local, t cut): the interior
+// pass, then the boundary pass reading the ghost zones, at a budget of 4.
+// A parity is 2,048 sites here, so the site grain decides how many chunks
+// each pass splits into and how many of them the boundary pass can fill.
+struct HaloPatternData {
+  Geometry g{LatticeDims{8, 8, 8, 8}};
+  HostGaugeField u;
+  HostSpinorField in;
+
+  HaloPatternData() : u(g), in(g) {
+    make_weak_field_gauge(u, 0.2, 199);
+    make_random_spinor(in, 200);
+  }
+};
+
+template <typename P> void BM_DslashHaloPattern(benchmark::State& state) {
+  exec::set_thread_budget(static_cast<int>(state.range(0)));
+  static const HaloPatternData d;
+  constexpr PartitionMask mask{false, false, false, true};
+  const int t = d.g.dims().t;
+  GaugeField<P> gauge = upload_gauge<P>(d.u, Reconstruct::Twelve);
+  GaugeFaceBuffer<P> links;
+  pack_gauge_face(gauge, d.g, 3, t - 1, links);
+  unpack_gauge_ghost(gauge, d.g, 3, links);
+  // the neighbour ranks' faces, here this field's own (a periodic ring)
+  SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, mask);
+  FaceBuffer<P> face;
+  pack_face(in, d.g, Parity::Odd, 3, t - 1, +1, face);
+  unpack_ghost(in, d.g, 3, GhostFace::Backward, face);
+  pack_face(in, d.g, Parity::Odd, 3, 0, -1, face);
+  unpack_ghost(in, d.g, 3, GhostFace::Forward, face);
+  SpinorField<P> out(d.g, mask);
+  DslashOptions opt;
+  opt.ghost = mask;
+  const std::int64_t vh = d.g.half_volume();
+  for (auto _ : state) {
+    dslash<P>(out, gauge, in, d.g, opt, 0, vh, 1, Accumulate::No, KernelRegion::Interior);
+    dslash<P>(out, gauge, in, d.g, opt, 0, vh, 1, Accumulate::No, KernelRegion::Boundary);
+    benchmark::DoNotOptimize(out.raw_data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * vh);
+  exec::set_thread_budget(0);
+}
+BENCHMARK(BM_DslashHaloPattern<PrecSingle>)->Arg(4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DslashHaloPattern<PrecHalf>)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 // half against single at budget 1, where the default budget's run-to-run
 // spread on a shared host does not hide the per-site codec cost

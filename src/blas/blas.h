@@ -288,9 +288,8 @@ void bicgstab_r_update(SpinorField<P>& r, const SpinorField<P>& s, const SpinorF
 // out = gamma_5 in (aliasing-safe: pointwise in spin)
 template <typename P>
 void apply_gamma5(SpinorField<P>& out, const SpinorField<P>& in) {
-  const SpinMatrix& g5 = gamma5(GammaBasis::NonRelativistic);
   exec::parallel_for(0, in.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) out.store(i, apply_spin(g5, in.load(i)));
+    for (std::int64_t i = lo; i < hi; ++i) out.store(i, apply_spin<kGamma5>(in.load(i)));
   });
 }
 

@@ -6,7 +6,8 @@
 // The paper's decomposition divides only the time dimension (Section VI-A):
 // that is the grid GridTopology::time_only(ranks).  Any other grid is the
 // multi-dimensional decomposition it lists as future work.  Every cut local
-// extent must be even so local and global checkerboards coincide.
+// extent must be even so local and global checkerboards coincide, and an x
+// cut needs an even local y: the x face is checkerboarded along y.
 
 #include "comm/qmp.h"
 #include "lattice/host_field.h"
@@ -26,6 +27,8 @@ inline Geometry local_geometry(const Geometry& global, const comm::GridTopology&
     if (n > 1 && (*ext[mu] < 2 || *ext[mu] % 2 != 0))
       throw std::invalid_argument("cut dimensions need even local extent >= 2");
   }
+  if (topo.dims[0] > 1 && d.y % 2 != 0)
+    throw std::invalid_argument("an x cut needs an even local y extent");
   return Geometry(d);
 }
 

@@ -58,11 +58,11 @@ void add_diag(HostCloverField& a, double diag);
 // per-site inversion of the (already mass-shifted) clover blocks
 HostCloverField invert_clover(const HostCloverField& t);
 
-// apply a blocked clover site to a spinor: out = W (B+ (+) B-) W^dag psi
+// apply a blocked clover site to a spinor: out = W (B+ (+) B-) W^dag psi;
+// the body of the apply_clover_xpay kernel
 template <typename T>
 Spinor<T> apply_clover_site(const CloverSite<T>& site, const Spinor<T>& psi) {
-  const SpinMatrix& w = chiral_transform();
-  const Spinor<T> chi = apply_spin(adjoint(w), psi);
+  const Spinor<T> chi = apply_spin<kChiralTransformDag>(psi);
   Spinor<T> eta;
   for (int b = 0; b < 2; ++b) {
     std::array<Complex<T>, 6> v{};
@@ -72,7 +72,7 @@ Spinor<T> apply_clover_site(const CloverSite<T>& site, const Spinor<T>& psi) {
     for (std::size_t s = 0; s < 2; ++s)
       for (std::size_t c = 0; c < 3; ++c) eta.s[2 * b + s][c] = y[3 * s + c];
   }
-  return apply_spin(w, eta);
+  return apply_spin<kChiralTransform>(eta);
 }
 
 // apply a dense clover site to a spinor (reference path)

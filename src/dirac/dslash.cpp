@@ -1,5 +1,6 @@
 #include "dirac/dslash.h"
 
+#include "dirac/clover_term.h"
 #include "exec/host_engine.h"
 
 #include <algorithm>
@@ -25,70 +26,71 @@ inline bool on_partitioned_edge(const Coords& c, const LatticeDims& dims,
   return false;
 }
 
-} // namespace
-
-template <typename P>
-void dslash(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
-            const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
-            std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
-            KernelRegion region) {
+// the forward and backward hops of direction Mu onto acc, for the output
+// site cb at coordinates x: P-mu U_mu(x) psi(x+mu) and
+// P+mu U_mu(x-mu)^dag psi(x-mu)
+template <int Mu, Reconstruct R, typename P>
+inline void add_hops(Spinor<typename P::real_t>& acc, const GaugeField<P>& gauge,
+                     const SpinorField<P>& in, const Geometry& g, const DslashOptions& opt,
+                     std::int64_t cb, const Coords& x) {
   using real_t = typename P::real_t;
   const Parity out_parity = opt.out_parity;
   const Parity in_parity = other(out_parity);
+  const int len = g.dims()[Mu];
+  const bool dim_ghost = opt.ghost[Mu];
+  {
+    const bool at_edge = x[Mu] == len - 1;
+    const real_t phase =
+        (Mu == 3 && at_edge) ? static_cast<real_t>(opt.bc_forward) : real_t(1);
+    HalfSpinor<real_t> h;
+    if (at_edge && dim_ghost)
+      h = in.load_ghost(Mu, GhostFace::Forward, g.face_index(Mu, x));
+    else
+      h = project<Mu, -1>(in.load(g.neighbor_cb<Mu, +1>(cb, x)));
+    h = gauge.template load<R>(Mu, out_parity, cb) * h;
+    if (phase != real_t(1)) scale_half_spinor(h, phase);
+    reconstruct_add<Mu, -1>(h, acc);
+  }
+  {
+    const bool at_edge = x[Mu] == 0;
+    const real_t phase =
+        (Mu == 3 && at_edge) ? static_cast<real_t>(opt.bc_backward) : real_t(1);
+    HalfSpinor<real_t> h;
+    SU3<real_t> u;
+    if (at_edge && dim_ghost) {
+      const std::int64_t fs = g.face_index(Mu, x);
+      h = in.load_ghost(Mu, GhostFace::Backward, fs);
+      u = gauge.template load_ghost<R>(Mu, in_parity, fs);
+    } else {
+      const std::int64_t cb_b = g.neighbor_cb<Mu, -1>(cb, x);
+      h = project<Mu, +1>(in.load(cb_b));
+      u = gauge.template load<R>(Mu, in_parity, cb_b);
+    }
+    h = adj_mul(u, h);
+    if (phase != real_t(1)) scale_half_spinor(h, phase);
+    reconstruct_add<Mu, +1>(h, acc);
+  }
+}
 
+template <Reconstruct R, typename P>
+void dslash_sites(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
+                  const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
+                  std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
+                  KernelRegion region) {
+  using real_t = typename P::real_t;
   exec::parallel_for(cb_begin, cb_end, exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
   for (std::int64_t cb = lo; cb < hi; ++cb) {
-    const Coords x = g.cb_coords(out_parity, cb);
+    const Coords x = g.cb_coords(opt.out_parity, cb);
     if (region != KernelRegion::All) {
       const bool boundary = on_partitioned_edge(x, g.dims(), opt.ghost);
       if (region == KernelRegion::Interior && boundary) continue;
       if (region == KernelRegion::Boundary && !boundary) continue;
     }
     Spinor<real_t> acc{};
-
-    for (int mu = 0; mu < 4; ++mu) {
-      const int len = g.dims()[mu];
-      const bool dim_ghost = opt.ghost[static_cast<std::size_t>(mu)];
-      // ---- forward hop: P-mu U_mu(x) psi(x+mu) --------------------------
-      {
-        const bool at_edge = x[mu] == len - 1;
-        const bool ghost = at_edge && dim_ghost;
-        const real_t phase =
-            (mu == 3 && at_edge) ? static_cast<real_t>(opt.bc_forward) : real_t(1);
-        HalfSpinor<real_t> h;
-        if (ghost) {
-          h = in.load_ghost(mu, GhostFace::Forward, g.face_index(mu, x));
-        } else {
-          const Coords xf = g.neighbor(x, mu, +1);
-          h = project(mu, -1, in.load(g.cb_index(xf)));
-        }
-        h = gauge.load(mu, out_parity, cb) * h;
-        if (phase != real_t(1)) scale_half_spinor(h, phase);
-        reconstruct_add(mu, -1, h, acc);
-      }
-      // ---- backward hop: P+mu U_mu(x-mu)^dag psi(x-mu) ------------------
-      {
-        const bool at_edge = x[mu] == 0;
-        const bool ghost = at_edge && dim_ghost;
-        const real_t phase =
-            (mu == 3 && at_edge) ? static_cast<real_t>(opt.bc_backward) : real_t(1);
-        HalfSpinor<real_t> h;
-        SU3<real_t> u;
-        if (ghost) {
-          const std::int64_t fs = g.face_index(mu, x);
-          h = in.load_ghost(mu, GhostFace::Backward, fs);
-          u = gauge.load_ghost(mu, in_parity, fs);
-        } else {
-          const Coords xb = g.neighbor(x, mu, -1);
-          const std::int64_t cb_b = g.cb_index(xb);
-          h = project(mu, +1, in.load(cb_b));
-          u = gauge.load(mu, in_parity, cb_b);
-        }
-        h = adj_mul(u, h);
-        if (phase != real_t(1)) scale_half_spinor(h, phase);
-        reconstruct_add(mu, +1, h, acc);
-      }
-    }
+    add_hops<0, R>(acc, gauge, in, g, opt, cb, x);
+    add_hops<1, R>(acc, gauge, in, g, opt, cb, x);
+    add_hops<2, R>(acc, gauge, in, g, opt, cb, x);
+    add_hops<3, R>(acc, gauge, in, g, opt, cb, x);
 
     acc *= scale;
     if (accumulate == Accumulate::Yes) {
@@ -102,31 +104,35 @@ void dslash(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P
   });
 }
 
+} // namespace
+
+template <typename P>
+void dslash(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
+            const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
+            std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
+            KernelRegion region) {
+  switch (gauge.reconstruct()) {
+    case Reconstruct::Eight:
+      return dslash_sites<Reconstruct::Eight>(out, gauge, in, g, opt, cb_begin, cb_end, scale,
+                                              accumulate, region);
+    case Reconstruct::Twelve:
+      return dslash_sites<Reconstruct::Twelve>(out, gauge, in, g, opt, cb_begin, cb_end, scale,
+                                               accumulate, region);
+    case Reconstruct::Eighteen:
+      return dslash_sites<Reconstruct::Eighteen>(out, gauge, in, g, opt, cb_begin, cb_end,
+                                                 scale, accumulate, region);
+  }
+}
+
 template <typename P>
 void apply_clover_xpay(SpinorField<P>& out, const CloverField<P>& clover, Parity parity,
                        const SpinorField<P>& x, const Geometry& g, std::int64_t cb_begin,
                        std::int64_t cb_end, typename P::real_t b) {
   using real_t = typename P::real_t;
   (void)g;
-  const SpinMatrix& w = chiral_transform();
-  const SpinMatrix wd = adjoint(w);
-
   exec::parallel_for(cb_begin, cb_end, exec::kSiteGrain, [&](std::int64_t lo, std::int64_t hi) {
   for (std::int64_t cb = lo; cb < hi; ++cb) {
-    const CloverSite<real_t> site = clover.load(parity, cb);
-    const Spinor<real_t> xin = x.load(cb);
-    // chi = W^dag x; block apply; eta = W (B chi)
-    const Spinor<real_t> chi = apply_spin(wd, xin);
-    Spinor<real_t> eta;
-    for (int blk = 0; blk < 2; ++blk) {
-      std::array<Complex<real_t>, 6> v{};
-      for (std::size_t s = 0; s < 2; ++s)
-        for (std::size_t c = 0; c < 3; ++c) v[3 * s + c] = chi.s[2 * blk + s][c];
-      const std::array<Complex<real_t>, 6> y = site.block[blk].apply(v);
-      for (std::size_t s = 0; s < 2; ++s)
-        for (std::size_t c = 0; c < 3; ++c) eta.s[2 * blk + s][c] = y[3 * s + c];
-    }
-    Spinor<real_t> res = apply_spin(w, eta);
+    Spinor<real_t> res = apply_clover_site(clover.load(parity, cb), x.load(cb));
     if (b != real_t(0)) {
       Spinor<real_t> prev = out.load(cb);
       prev *= b;
@@ -152,10 +158,13 @@ void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_pari
   const std::int64_t nf = g.face_sites(mu);
   buf.resize(nf);
 
+  // the projector is fixed once per face, outside the site loop
+  detail::visit_hop(mu, sign, [&](auto m, auto s) {
+  constexpr int Mu = decltype(m)::value, Sign = decltype(s)::value;
   exec::parallel_for(0, nf, exec::kFaceGrain, [&](std::int64_t lo, std::int64_t hi) {
   for (std::int64_t fs = lo; fs < hi; ++fs) {
     const Coords c = g.face_site_coords(mu, field_parity, slice, fs);
-    const HalfSpinor<real_t> h = project(mu, sign, field.load(g.cb_index(c)));
+    const HalfSpinor<real_t> h = project<Mu, Sign>(field.load(g.cb_index(c)));
     auto* dst = buf.data.data() + fs * 12;
     if constexpr (P::has_norm) {
       const auto v = std::bit_cast<std::array<real_t, 12>>(h);
@@ -174,6 +183,7 @@ void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_pari
         }
     }
   }
+  });
   });
 }
 

@@ -21,7 +21,9 @@
 // so a region filter selects sites instead.
 //
 // Local parity equals global parity only when every rank's coordinate
-// offsets are even; the parallel driver enforces all-even local dimensions.
+// offsets are even; the parallel driver enforces an even local extent in
+// every cut dimension, and an even local Y when x is cut (the x face is
+// checkerboarded along y, see Geometry::face_site_coords).
 
 #include "lattice/clover_field.h"
 #include "lattice/gauge_field.h"

@@ -44,7 +44,11 @@ namespace quda::exec {
 // default chunk grains (sites per chunk).  kBlasGrain is part of the
 // determinism contract above: ranges up to kBlasGrain sites reduce in one
 // chunk, i.e. in the historical serial order.  Do not shrink it casually.
-inline constexpr std::int64_t kSiteGrain = 256;   // dslash/clover site loops
+// kSiteGrain serves only element-wise parallel_for loops (dslash, clover
+// apply, clover set-up), so no bit depends on it; it is sized so one rank's
+// parity at the strong-scaling volumes (2,048 sites at 8^3 x 8) splits into
+// enough chunks to keep the shared pool busy (DESIGN.md section 6).
+inline constexpr std::int64_t kSiteGrain = 64;    // dslash/clover site loops
 inline constexpr std::int64_t kBlasGrain = 4096;  // BLAS1 + reduction sweeps
 inline constexpr std::int64_t kFaceGrain = 512;   // face gather/scatter
 

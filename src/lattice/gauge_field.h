@@ -74,6 +74,12 @@ public:
 
   std::int64_t device_bytes() const { return std::int64_t(data_.size()) * sizeof(store_t); }
 
+  // R must be reconstruct(): the kernels dispatch on it once per call and
+  // load with the reconstruction fixed at compile time
+  template <Reconstruct R> SU3<real_t> load(int mu, Parity parity, std::int64_t cb) const {
+    assert(R == recon_ && cb >= 0 && cb < layouts_[static_cast<std::size_t>(mu)].sites);
+    return load_at<R>(mu, slab_base(mu, parity), cb);
+  }
   SU3<real_t> load(int mu, Parity parity, std::int64_t cb) const {
     assert(cb >= 0 && cb < layouts_[static_cast<std::size_t>(mu)].sites);
     return load_at(mu, slab_base(mu, parity), cb);
@@ -86,6 +92,11 @@ public:
 
   // ghost links for a decomposition cutting dimension mu: the U_mu links of
   // the backward neighbor's last slice, living in the pad of the mu slab
+  template <Reconstruct R>
+  SU3<real_t> load_ghost(int mu, Parity parity, std::int64_t face_site) const {
+    assert(R == recon_ && face_site >= 0 && face_site < ghost_capacity(mu));
+    return load_at<R>(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site);
+  }
   SU3<real_t> load_ghost(int mu, Parity parity, std::int64_t face_site) const {
     assert(face_site >= 0 && face_site < ghost_capacity(mu));
     return load_at(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site);
@@ -132,23 +143,34 @@ private:
       l.scatter<W>(v, x, data_.data() + base);
   }
 
+  template <Reconstruct R>
   SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {
     const BlockLayout& l = layouts_[static_cast<std::size_t>(mu)];
-    if (recon_ == Reconstruct::Eight) {
+    if constexpr (R == Reconstruct::Eight) {
       SU3Packed8<real_t> p{load_reals<8>(l, base, x)};
       if constexpr (kHalf) // phases are stored as theta/pi
         for (std::size_t k = 0; k < 2; ++k) p.v[k] = unit_to_phase(p.v[k]);
       return unpack_eight(p);
-    }
-    if (recon_ == Reconstruct::Eighteen)
+    } else if constexpr (R == Reconstruct::Eighteen) {
       return std::bit_cast<SU3<real_t>>(load_reals<18, kFullNvec>(l, base, x));
-    // the two stored rows are the first 12 reals of the row-major matrix
-    const auto rows = load_reals<12>(l, base, x);
-    std::array<real_t, 18> m{};
-    std::copy(rows.begin(), rows.end(), m.begin());
-    SU3<real_t> u = std::bit_cast<SU3<real_t>>(m);
-    u.e[2] = reconstruct_third_row(u.e[0], u.e[1]);
-    return u;
+    } else {
+      // the two stored rows are the first 12 reals of the row-major matrix
+      const auto rows = load_reals<12>(l, base, x);
+      std::array<real_t, 18> m{};
+      std::copy(rows.begin(), rows.end(), m.begin());
+      SU3<real_t> u = std::bit_cast<SU3<real_t>>(m);
+      u.e[2] = reconstruct_third_row(u.e[0], u.e[1]);
+      return u;
+    }
+  }
+
+  SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {
+    switch (recon_) {
+      case Reconstruct::Eight: return load_at<Reconstruct::Eight>(mu, base, x);
+      case Reconstruct::Twelve: return load_at<Reconstruct::Twelve>(mu, base, x);
+      case Reconstruct::Eighteen: break;
+    }
+    return load_at<Reconstruct::Eighteen>(mu, base, x);
   }
 
   void store_at(int mu, std::int64_t base, std::int64_t x, const SU3<double>& u) {

@@ -18,6 +18,8 @@ Geometry::Geometry(LatticeDims dims) : dims_(dims) {
     throw std::invalid_argument("X dimension must be even for checkerboarding");
   volume_ = dims.volume();
   vs_ = dims.spatial_volume();
+  cb_step_ = {0, dims.x / 2, std::int64_t(dims.x / 2) * dims.y,
+              std::int64_t(dims.x / 2) * dims.y * dims.z};
 }
 
 std::int64_t Geometry::linear_index(const Coords& c) const {

@@ -71,6 +71,30 @@ public:
   // coordinates shifted by +/-1 in direction mu with periodic wrap
   Coords neighbor(const Coords& c, int mu, int dir) const;
 
+  // cb_index(neighbor(c, Mu, Dir)) for the site c with checkerboard index
+  // cb, without the coordinates.  With X even, cb = (x>>1) +
+  // (X/2)(y + Y(z + Z t)): a hop in y, z or t moves cb by X/2, XY/2 or
+  // XYZ/2 and wraps back by (L-1) of those steps at the edge; a hop in x
+  // moves it by 0 or +-1 by the parity of x, and by -+(X/2 - 1) at the edge.
+  template <int Mu, int Dir> std::int64_t neighbor_cb(std::int64_t cb, const Coords& c) const {
+    static_assert(Mu >= 0 && Mu < 4 && (Dir == 1 || Dir == -1));
+    if constexpr (Mu == 0) {
+      const int x = c[0];
+      const std::int64_t wrap = dims_.x / 2 - 1;
+      if constexpr (Dir > 0)
+        return x == dims_.x - 1 ? cb - wrap : cb + (x & 1);
+      else
+        return x == 0 ? cb + wrap : cb - 1 + (x & 1);
+    } else {
+      const std::int64_t step = cb_step_[Mu];
+      const int last = dims_[Mu] - 1;
+      if constexpr (Dir > 0)
+        return c[Mu] == last ? cb - last * step : cb + step;
+      else
+        return c[Mu] == 0 ? cb + last * step : cb - step;
+    }
+  }
+
   // true when moving from c by dir in mu wraps around the lattice edge
   bool crosses_boundary(const Coords& c, int mu, int dir) const {
     return dir > 0 ? c[mu] == dims_[mu] - 1 : c[mu] == 0;
@@ -81,9 +105,10 @@ public:
   // The face perpendicular to direction mu contains V / L_mu sites; half of
   // them per parity.  Face sites are indexed by checkerboarding the
   // lexicographic order of the three remaining dimensions (lowest dimension
-  // fastest), which requires that lowest dimension to be even -- the
-  // multi-dimensional decomposition therefore requires all-even local
-  // dimensions.
+  // fastest), which requires that lowest dimension to be even: X, always
+  // even, for the y, z and t faces, but Y for the x face.  A decomposition
+  // therefore needs an even local extent in every cut dimension (so local
+  // and global parity agree) and, when it cuts x, an even local Y.
 
   std::int64_t face_sites(int mu) const { return volume_ / dims_[mu] / 2; }
 
@@ -98,6 +123,8 @@ private:
   LatticeDims dims_{};
   std::int64_t volume_ = 0;
   std::int64_t vs_ = 0;
+  // checkerboard-index step of a hop in y, z, t (entry 0 unused)
+  std::array<std::int64_t, 4> cb_step_{};
 };
 
 } // namespace quda

@@ -87,6 +87,8 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
     const int len = local.dims()[mu];
     if (len < 2 || len % 2 != 0)
       throw std::invalid_argument("cut dimensions need even local extent >= 2");
+    if (mu == 0 && local.dims().y % 2 != 0)
+      throw std::invalid_argument("an x cut needs an even local y extent");
     mask[static_cast<std::size_t>(mu)] = true;
     opt.ghost[static_cast<std::size_t>(mu)] = true;
     DimExchange<P> d;

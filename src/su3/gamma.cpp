@@ -41,13 +41,6 @@ SpinMatrix operator*(const SpinMatrix& a, const SpinMatrix& b) {
   return m;
 }
 
-SpinMatrix adjoint(const SpinMatrix& m) {
-  SpinMatrix a;
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c) a.e[r][c] = conj(m.e[c][r]);
-  return a;
-}
-
 double frobenius_dist2(const SpinMatrix& a, const SpinMatrix& b) {
   double s = 0;
   for (std::size_t r = 0; r < 4; ++r)
@@ -109,7 +102,6 @@ struct Tables {
   SpinMatrix g5_nr, g5_dr;
   SpinMatrix rotation; // S with gamma^NR = S gamma^DR S^dag
   SpinMatrix chiral;   // W with W^dag g5_nr W = diag(1,1,-1,-1)
-  std::array<Mat2, 3> blocks;
 
   Tables() {
     for (int mu = 0; mu < 4; ++mu) {
@@ -120,10 +112,6 @@ struct Tables {
     g5_dr = dr[0] * dr[1] * dr[2] * dr[3];
     rotation = derive_rotation();
     chiral = derive_chiral();
-    for (int mu = 0; mu < 3; ++mu)
-      for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-          blocks[mu].e[r][c] = nr[mu].e[r][2 + c]; // upper-right block of gamma_k
   }
 
   // Schur averaging over the 16 Clifford basis elements Gamma_A: for any X,
@@ -236,10 +224,5 @@ SpinMatrix projector(GammaBasis basis, int mu, int sign) {
 const SpinMatrix& basis_rotation_dr_to_nr() { return tables().rotation; }
 
 const SpinMatrix& chiral_transform() { return tables().chiral; }
-
-const Mat2& gamma_spatial_block(int mu) {
-  assert(mu >= 0 && mu < 3);
-  return tables().blocks[mu];
-}
 
 } // namespace quda

@@ -8,8 +8,11 @@
 #include "lattice/host_field.h"
 #include "lattice/spinor_field.h"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 namespace quda {
 
@@ -24,11 +27,27 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes)
   return h;
 }
 
+// FNV-1a over n stored values, every NaN hashed as one canonical quiet NaN.
+// IEEE 754 leaves the sign and payload of a NaN result open, and a compiler
+// may swap the operands of a commutative operation, which on x86 decides
+// which of two input NaNs propagates; so where a NaN lands is pinned, its
+// bits are not.  Values without a NaN hash exactly as their bytes do.
+template <typename T> std::uint64_t fnv1a_values(std::uint64_t h, const T* v, std::size_t n) {
+  if constexpr (std::is_floating_point_v<T>) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const T x = std::isnan(v[i]) ? std::numeric_limits<T>::quiet_NaN() : v[i];
+      h = fnv1a(h, &x, sizeof x);
+    }
+    return h;
+  } else {
+    return fnv1a(h, v, n * sizeof(T));
+  }
+}
+
 // the stored payload (body, pad and end zone) and the norm array
 template <typename P> std::uint64_t stored_digest(const SpinorField<P>& f) {
-  const std::uint64_t h =
-      fnv1a(kFnvBasis, f.raw_data().data(), f.raw_data().size() * sizeof(typename P::store_t));
-  return fnv1a(h, f.norm_data().data(), f.norm_data().size() * sizeof(float));
+  const std::uint64_t h = fnv1a_values(kFnvBasis, f.raw_data().data(), f.raw_data().size());
+  return fnv1a_values(h, f.norm_data().data(), f.norm_data().size());
 }
 
 // the loaded sites in site order: equal for two fields that hold the same

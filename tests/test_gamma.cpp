@@ -4,9 +4,16 @@
 
 #include "su3/gamma.h"
 
+#include "field_pins.h"
+
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 namespace quda {
 namespace {
@@ -79,7 +86,9 @@ TEST(GammaBasisSpecifics, DRGamma5IsDiagonal) {
   const SpinMatrix& g5 = gamma5(GammaBasis::DeGrandRossi);
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t c = 0; c < 4; ++c)
-      if (r != c) EXPECT_LT(norm2(g5.e[r][c]), 1e-24);
+      if (r != c) {
+        EXPECT_LT(norm2(g5.e[r][c]), 1e-24);
+      }
 }
 
 TEST(GammaBasisSpecifics, NRTemporalProjectorsAreDiagonal) {
@@ -132,13 +141,18 @@ TEST(ChiralTransform, DiagonalizesGamma5) {
   EXPECT_NEAR(d.e[3][3].re, -1.0, 1e-12);
   for (std::size_t r = 0; r < 4; ++r)
     for (std::size_t c = 0; c < 4; ++c)
-      if (r != c) EXPECT_LT(norm2(d.e[r][c]), 1e-20);
+      if (r != c) {
+        EXPECT_LT(norm2(d.e[r][c]), 1e-20);
+      }
 }
 
 struct ProjCase {
   int mu;
   int sign;
 };
+
+constexpr ProjCase kProjCases[8] = {{0, +1}, {0, -1}, {1, +1}, {1, -1},
+                                    {2, +1}, {2, -1}, {3, +1}, {3, -1}};
 
 class Projection : public ::testing::TestWithParam<ProjCase> {};
 
@@ -168,14 +182,152 @@ TEST_P(Projection, FastPathMatchesDenseProjector) {
       << "projection path mismatch at mu=" << mu << " sign=" << sign;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDirections, Projection,
-                         ::testing::Values(ProjCase{0, +1}, ProjCase{0, -1}, ProjCase{1, +1},
-                                           ProjCase{1, -1}, ProjCase{2, +1}, ProjCase{2, -1},
-                                           ProjCase{3, +1}, ProjCase{3, -1}),
+INSTANTIATE_TEST_SUITE_P(AllDirections, Projection, ::testing::ValuesIn(kProjCases),
                          [](const auto& info) {
                            return "mu" + std::to_string(info.param.mu) +
                                   (info.param.sign > 0 ? "_plus" : "_minus");
                          });
+
+// --- exactness on special values ---------------------------------------------
+//
+// The fast projection and the constant spin rotations are pinned bitwise on
+// spinors whose reals are signed zeros, finite values, a denormal, both
+// infinities and a quiet NaN.  A product with a zero spin-matrix entry still
+// carries the sign of zero and turns Inf into NaN, so these digests move if
+// any term of the spin algebra is dropped, reordered or folded away.
+
+template <typename T> std::array<T, 8> special_reals() {
+  using lim = std::numeric_limits<T>;
+  return {T(0), -T(0), T(1.5), T(-2.25), lim::denorm_min() * T(3),
+          lim::infinity(), -lim::infinity(), lim::quiet_NaN()};
+}
+
+// eight spinors each holding one special value everywhere, then 32 whose
+// reals are drawn from the specials by a fixed generator
+template <typename T> std::vector<Spinor<T>> special_spinors() {
+  const auto v = special_reals<T>();
+  std::vector<Spinor<T>> out;
+  std::array<T, 24> r;
+  for (const T x : v) {
+    r.fill(x);
+    out.push_back(std::bit_cast<Spinor<T>>(r));
+  }
+  std::mt19937 rng(2024);
+  for (int k = 0; k < 32; ++k) {
+    for (T& x : r) x = v[rng() % v.size()];
+    out.push_back(std::bit_cast<Spinor<T>>(r));
+  }
+  return out;
+}
+
+// a spinor's or half spinor's reals, NaNs canonical (field_pins.h)
+template <typename S> std::uint64_t digest(std::uint64_t h, const S& s) {
+  using T = decltype(s.s[0][0].re);
+  const auto v = std::bit_cast<std::array<T, sizeof s / sizeof(T)>>(s);
+  return fnv1a_values(h, v.data(), v.size());
+}
+
+// per (mu, sign): every projection, then every reconstruction of a projected
+// half spinor onto the next special spinor
+template <typename T> std::array<std::uint64_t, 8> project_reconstruct_digests() {
+  const std::vector<Spinor<T>> ps = special_spinors<T>();
+  std::array<std::uint64_t, 8> d{};
+  for (std::size_t k = 0; k < 8; ++k) {
+    const auto [mu, sign] = kProjCases[k];
+    std::uint64_t h = kFnvBasis;
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const HalfSpinor<T> half = project(mu, sign, ps[i]);
+      h = digest(h, half);
+      Spinor<T> out = ps[(i + 1) % ps.size()];
+      reconstruct_add(mu, sign, half, out);
+      h = digest(h, out);
+    }
+    d[k] = h;
+  }
+  return d;
+}
+
+template <const SpinMatrix& M, typename T>
+std::uint64_t constant_rotation_digest(const std::vector<Spinor<T>>& ps) {
+  std::uint64_t h = kFnvBasis, dense = kFnvBasis;
+  for (const Spinor<T>& p : ps) {
+    h = digest(h, apply_spin<M>(p));
+    dense = digest(dense, apply_spin(M, p));
+  }
+  EXPECT_EQ(h, dense) << "the compile-time apply differs from the dense loop";
+  return h;
+}
+
+// W, W^dag and gamma_5 applied to every special spinor
+template <typename T> std::array<std::uint64_t, 3> constant_rotation_digests() {
+  const std::vector<Spinor<T>> ps = special_spinors<T>();
+  return {constant_rotation_digest<kChiralTransform>(ps),
+          constant_rotation_digest<kChiralTransformDag>(ps),
+          constant_rotation_digest<kGamma5>(ps)};
+}
+
+void expect_digests(const char* what, const auto& got, const auto& want) {
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << what << " " << k << ": 0x" << std::hex << got[k];
+  }
+}
+
+bool same_bits(const complexd& a, const complexd& b) {
+  return std::bit_cast<std::uint64_t>(a.re) == std::bit_cast<std::uint64_t>(b.re) &&
+         std::bit_cast<std::uint64_t>(a.im) == std::bit_cast<std::uint64_t>(b.im);
+}
+
+void expect_same_bits(const SpinMatrix& table, const SpinMatrix& derived, const char* what) {
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_TRUE(same_bits(table.e[r][c], derived.e[r][c]))
+          << what << "(" << r << ", " << c << "): " << table.e[r][c] << " vs "
+          << derived.e[r][c];
+    }
+}
+
+// the compile-time tables against the run-time derivations: Gram-Schmidt
+// for W, the product gamma_1 gamma_2 gamma_3 gamma_4 for gamma_5, and the
+// upper-right blocks of the spatial gammas
+TEST(SpinTables, ConstexprTablesMatchDerivations) {
+  expect_same_bits(kChiralTransform, chiral_transform(), "W");
+  expect_same_bits(kChiralTransformDag, adjoint(chiral_transform()), "W^dag");
+  expect_same_bits(kGamma5, gamma5(GammaBasis::NonRelativistic), "gamma_5");
+  for (int mu = 0; mu < 3; ++mu) {
+    const SpinMatrix& g = gamma(GammaBasis::NonRelativistic, mu);
+    for (std::size_t r = 0; r < 2; ++r)
+      for (std::size_t c = 0; c < 2; ++c) {
+        EXPECT_TRUE(same_bits(kSpatialBlocks[static_cast<std::size_t>(mu)].e[r][c],
+                              g.e[r][2 + c]))
+            << "b_" << mu << "(" << r << ", " << c << ")";
+      }
+  }
+}
+
+TEST(SpinAlgebraPinned, ProjectReconstructDouble) {
+  expect_digests("project/reconstruct", project_reconstruct_digests<double>(),
+                 std::array<std::uint64_t, 8>{
+                     0xa22a45a16dc4dc06ull, 0x47313fff7ceca7b4ull, 0x18f4447443872e6full,
+                     0xb5cecdbb23febbd5ull, 0x173ad73d31de5789ull, 0xaab6310d20661233ull,
+                     0x17e594e40e7f708dull, 0xc95a40baa24410a1ull});
+}
+TEST(SpinAlgebraPinned, ProjectReconstructFloat) {
+  expect_digests("project/reconstruct", project_reconstruct_digests<float>(),
+                 std::array<std::uint64_t, 8>{
+                     0xa5ed3d885d00224aull, 0x21fb6d77402a363cull, 0x702c1c6b6d74e88eull,
+                     0x03250e27df786ebeull, 0xd26bc2a7a6dc918bull, 0x006ffe86d3294133ull,
+                     0xf8e7510efb51ced7ull, 0xefcdae6f2fcbf025ull});
+}
+TEST(SpinAlgebraPinned, ConstantRotationsDouble) {
+  expect_digests("W, W^dag, gamma_5", constant_rotation_digests<double>(),
+                 std::array<std::uint64_t, 3>{0x1a53987729f9dce3ull, 0x81c177bf32fa1107ull,
+                                              0xbe54f263ed4a7949ull});
+}
+TEST(SpinAlgebraPinned, ConstantRotationsFloat) {
+  expect_digests("W, W^dag, gamma_5", constant_rotation_digests<float>(),
+                 std::array<std::uint64_t, 3>{0xf18d4ba830e41aa8ull, 0xf8e5b6160d21d4ecull,
+                                              0xaf20662157fd9075ull});
+}
 
 } // namespace
 } // namespace quda

@@ -75,6 +75,32 @@ TEST(Geometry, NeighborFlipsParity) {
   }
 }
 
+// every hop of every site of both parities, on shapes with X = 2 (the x
+// edge on both sites of a pair), odd and unit extents and a long t
+template <int Mu, int Dir> void expect_neighbor_cb(const Geometry& g) {
+  for (Parity p : {Parity::Even, Parity::Odd})
+    for (std::int64_t cb = 0; cb < g.half_volume(); ++cb) {
+      const Coords x = g.cb_coords(p, cb);
+      ASSERT_EQ((g.neighbor_cb<Mu, Dir>(cb, x)), g.cb_index(g.neighbor(x, Mu, Dir)))
+          << g.dims().to_string() << " mu " << Mu << " dir " << Dir << " cb " << cb;
+    }
+}
+
+TEST(Geometry, NeighborCbMatchesNeighbor) {
+  for (const LatticeDims d : {LatticeDims{4, 4, 4, 8}, LatticeDims{2, 3, 1, 5},
+                              LatticeDims{6, 2, 5, 4}, LatticeDims{8, 1, 3, 2}}) {
+    const Geometry g(d);
+    expect_neighbor_cb<0, +1>(g);
+    expect_neighbor_cb<0, -1>(g);
+    expect_neighbor_cb<1, +1>(g);
+    expect_neighbor_cb<1, -1>(g);
+    expect_neighbor_cb<2, +1>(g);
+    expect_neighbor_cb<2, -1>(g);
+    expect_neighbor_cb<3, +1>(g);
+    expect_neighbor_cb<3, -1>(g);
+  }
+}
+
 TEST(Geometry, RejectsOddX) {
   EXPECT_THROW(Geometry({3, 4, 4, 4}), std::invalid_argument);
   EXPECT_THROW(Geometry({0, 4, 4, 4}), std::invalid_argument);

@@ -5,6 +5,11 @@
 // bit these kernels write goes through the fields' load/store and the half
 // codec, so a change to either moves a digest here before it can reach a
 // solve.  FNV-1a as in field_pins.h.
+//
+// The single-precision kernels are pinned a second time on an input that
+// holds an all-zero site, an all -0 site and a site with an Inf and a NaN on
+// each parity: a device bit flip can leave such values in a field, and the
+// kernels must then write the same bits as before too.
 
 #include "dirac/clover_term.h"
 #include "dirac/dslash.h"
@@ -16,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace quda {
@@ -25,16 +31,35 @@ namespace {
 // ghost reads cover a spatial and the temporal face
 constexpr PartitionMask kPinMask{false, false, true, true};
 
+// per parity (even, odd): an all-zero site, an all -0 site, and a site on a
+// cut z face holding +Inf and a NaN
+void plant_specials(HostSpinorField& f) {
+  const Coords zero[2] = {{0, 0, 0, 0}, {1, 0, 0, 0}};
+  const Coords minus_zero[2] = {{1, 1, 2, 2}, {1, 2, 1, 3}};
+  const Coords inf_nan[2] = {{2, 3, 3, 4}, {0, 1, 3, 5}};
+  for (int p = 0; p < 2; ++p) {
+    f.at(zero[p]) = Spinor<double>{};
+    Spinor<double>& m = f.at(minus_zero[p]);
+    for (auto& cv : m.s)
+      for (std::size_t c = 0; c < 3; ++c) cv[c] = complexd(-0.0, -0.0);
+    Spinor<double>& s = f.at(inf_nan[p]);
+    s.s[0][0].re = std::numeric_limits<double>::infinity();
+    s.s[2][1].im = std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
 struct PinData {
   Geometry g{LatticeDims{4, 4, 4, 8}};
   HostGaugeField u;
-  HostSpinorField a, b;
+  HostSpinorField a, b, specials;
   HostCloverField t;
 
-  PinData() : u(g), a(g), b(g) {
+  PinData() : u(g), a(g), b(g), specials(g) {
     make_weak_field_gauge(u, 0.25, 41);
     make_random_spinor(a, 42);
     make_random_spinor(b, 43);
+    specials = a;
+    plant_specials(specials);
     t = make_clover_term(u, 1.1);
     add_diag(t, 4.1);
   }
@@ -46,7 +71,7 @@ const PinData& pdata() {
 }
 
 template <typename V> std::uint64_t vec_digest(std::uint64_t h, const std::vector<V>& v) {
-  return fnv1a(h, v.data(), v.size() * sizeof(V));
+  return fnv1a_values(h, v.data(), v.size());
 }
 
 template <typename P> std::uint64_t face_digest(std::uint64_t h, const FaceBuffer<P>& buf) {
@@ -93,9 +118,10 @@ struct ReconPins {
 };
 
 template <typename P>
-void expect_dslash_pinned(std::uint64_t faces, const std::array<ReconPins, 3>& want) {
+void expect_dslash_pinned(const HostSpinorField& src, std::uint64_t faces,
+                          const std::array<ReconPins, 3>& want) {
   const PinData& d = pdata();
-  SpinorField<P> in = upload_spinor<P>(d.a, Parity::Odd, kPinMask);
+  SpinorField<P> in = upload_spinor<P>(src, Parity::Odd, kPinMask);
   const std::uint64_t got_faces = fill_ghosts(in, d.g);
   EXPECT_EQ(got_faces, faces) << "face buffers: 0x" << std::hex << got_faces;
 
@@ -125,7 +151,8 @@ void expect_dslash_pinned(std::uint64_t faces, const std::array<ReconPins, 3>& w
 
 // the loaded clover sites of both parities, then the clover apply with
 // b = 0 (overwrite) and b != 0 (xpay on the old output)
-template <typename P> void expect_clover_pinned(const std::array<std::uint64_t, 3>& want) {
+template <typename P>
+void expect_clover_pinned(const HostSpinorField& src, const std::array<std::uint64_t, 3>& want) {
   const PinData& d = pdata();
   const CloverField<P> clover = upload_clover<P>(d.t);
   std::uint64_t loaded = kFnvBasis;
@@ -136,7 +163,7 @@ template <typename P> void expect_clover_pinned(const std::array<std::uint64_t, 
     }
   EXPECT_EQ(loaded, want[0]) << "clover load: 0x" << std::hex << loaded;
 
-  const SpinorField<P> x = upload_spinor<P>(d.a, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> x = upload_spinor<P>(src, Parity::Even, kPartitionTimeOnly);
   constexpr double bs[2] = {0.0, -0.43};
   for (int k = 0; k < 2; ++k) {
     SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, kPartitionTimeOnly);
@@ -150,7 +177,7 @@ template <typename P> void expect_clover_pinned(const std::array<std::uint64_t, 
 
 TEST(KernelPinned, DslashHalf) {
   expect_dslash_pinned<PrecHalf>(
-      0x22378c621195dc5eull,
+      pdata().a, 0x22378c621195dc5eull,
       {{{Reconstruct::Eight, 0xb6e9437c1f90ada9ull,
          {0x9519e7f0628b757dull, 0xbb50dcce26b722d5ull, 0xb459bcf52e11ad52ull,
           0xaa4f0d04d84e018cull, 0xc5b554d6e9e1b6deull, 0x5736d5540182eac4ull}},
@@ -163,7 +190,7 @@ TEST(KernelPinned, DslashHalf) {
 }
 TEST(KernelPinned, DslashSingle) {
   expect_dslash_pinned<PrecSingle>(
-      0x8d5ff1d898b70565ull,
+      pdata().a, 0x8d5ff1d898b70565ull,
       {{{Reconstruct::Eight, 0xcd368767a19d92acull,
          {0xae91de45e8fd36f5ull, 0x4d9e703ab9266adfull, 0xc08cbd24ee225d98ull,
           0x635ac20b75607ca2ull, 0xe7f7d7194b6ebc5cull, 0xc414029fd8db3f0cull}},
@@ -176,11 +203,28 @@ TEST(KernelPinned, DslashSingle) {
 }
 TEST(KernelPinned, CloverApplyHalf) {
   expect_clover_pinned<PrecHalf>(
-      {0xc757145cf34c0e4dull, 0x00ba87b083bbd124ull, 0xd76ef563afe4ce55ull});
+      pdata().a, {0xc757145cf34c0e4dull, 0x00ba87b083bbd124ull, 0xd76ef563afe4ce55ull});
 }
 TEST(KernelPinned, CloverApplySingle) {
   expect_clover_pinned<PrecSingle>(
-      {0x8c7d6823ebc03d30ull, 0xc601f63703218622ull, 0xea6292efea926b54ull});
+      pdata().a, {0x8c7d6823ebc03d30ull, 0xc601f63703218622ull, 0xea6292efea926b54ull});
+}
+TEST(KernelPinned, DslashSingleSpecials) {
+  expect_dslash_pinned<PrecSingle>(
+      pdata().specials, 0x24aba15461255290ull,
+      {{{Reconstruct::Eight, 0xcd368767a19d92acull,
+         {0xdf3c5c4ef596ef73ull, 0xeb0425fb439a9894ull, 0xe18f636640c0267bull,
+          0x280bdae3519be204ull, 0x66483aba50387a61ull, 0x3eb514778e872fb1ull}},
+        {Reconstruct::Twelve, 0x3ca221076f2e5540ull,
+         {0xba6fda3c678de5bcull, 0x40f1702fd8bcd0b0ull, 0xaa4f54a00be3c558ull,
+          0x9c8aee1ca735fa47ull, 0xbee4a084baa968d1ull, 0xe9336eca62a8da9eull}},
+        {Reconstruct::Eighteen, 0xd3168a09b576b640ull,
+         {0x51bf3d3db9c795f4ull, 0x26dc0cf2780f576aull, 0x9c4060cdb713d1ccull,
+          0xadcc293950caa88full, 0xd9a4b47d416400b9ull, 0xef2d6e2da5755048ull}}}});
+}
+TEST(KernelPinned, CloverApplySingleSpecials) {
+  expect_clover_pinned<PrecSingle>(
+      pdata().specials, {0x8c7d6823ebc03d30ull, 0x46845c3ebdeacf39ull, 0x4ca44961357987b4ull});
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 // results exactly, for both communication policies.
 
 #include "core/partition.h"
+#include "core/quda_api.h"
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
 #include "dirac/wilson_ref.h"
@@ -393,6 +394,34 @@ TEST(MultiDim, ModeledSolverRejectsMismatchedTopology) {
   cfg.topology = GridTopology{{1, 1, 2, 4}};
   VirtualCluster matching(ClusterSpec::jlab_9g(8));
   EXPECT_EQ(parallel::run_modeled_solver(matching, cfg).iterations, 1);
+}
+
+TEST(MultiDim, XCutNeedsEvenLocalY) {
+  // the face perpendicular to x is checkerboarded along y, its fastest
+  // remaining dimension, so an x cut needs an even local y even where y is
+  // not cut; with an odd one the face sites landed on the wrong sites and
+  // the operator came out wrong without an error
+  for (int y : {3, 5})
+    EXPECT_THROW(core::local_geometry(Geometry({8, y, 4, 4}), GridTopology{{2, 1, 1, 1}}),
+                 std::invalid_argument)
+        << "Y = " << y;
+
+  const auto apply = [](int y, std::array<int, 4> grid, int ranks) {
+    const Geometry g({8, y, 4, 4});
+    HostGaugeField u(g);
+    HostSpinorField x(g), mx(g);
+    make_weak_field_gauge(u, 0.2, 77);
+    make_random_spinor(x, 78);
+    InvertParams params;
+    params.mass = 0.1;
+    params.csw = 1.0;
+    params.precision = Precision::Double;
+    params.grid = grid;
+    apply_matrix_multi_gpu(ClusterSpec::jlab_9g(ranks), u, x, mx, params);
+    return mx;
+  };
+  EXPECT_THROW(apply(3, {2, 1, 1, 1}, 2), std::invalid_argument);
+  EXPECT_EQ(rel_dist2(apply(4, {2, 1, 1, 1}, 2), apply(4, {1, 1, 1, 1}, 1)), 0.0);
 }
 
 TEST(MultiDim, RejectsOddLocalExtent) {

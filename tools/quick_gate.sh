@@ -22,13 +22,15 @@
 #      and tools/report.py renders its JSONL + trace into the
 #      self-contained HTML run report;
 #   7. perf gate: run the quick fig5 sweep and diff its BENCH JSON against
-#      the stored baseline with tools/bench_diff.py.  The first run seeds
-#      the baseline ($BUILD/bench_baseline_fig5_strong.json); later runs
-#      fail when any gated modeled metric (time, gflops, critical path, ...)
-#      differs from it at all -- the exact default of bench_diff, which
-#      prints the per-category attribution of every changed point.  After
-#      an intentional model change, delete the baseline file (or re-run
-#      with QUICK_GATE_REBASELINE=1) to accept the new numbers.
+#      the committed baseline bench/baselines/fig5_strong_quick.json with
+#      tools/bench_diff.py; the gate fails when any gated modeled metric
+#      (time, gflops, critical path, ...) differs from it at all -- the
+#      exact default of bench_diff, which prints the per-category
+#      attribution of every changed point -- and when the baseline is
+#      missing.  After an intentional model change, re-run with
+#      QUICK_GATE_REBASELINE=1 to rewrite the baseline from this build
+#      (config and points; wall time and provenance are left out) and
+#      commit it with the change.  ctest BenchBaseline.* runs the same diff.
 # Usage: tools/quick_gate.sh [--sanitize [thread|address]] [build-dir]
 #   default build-dir: build (or build-<sanitizer> under --sanitize).
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
@@ -127,13 +129,23 @@ grep -q '</html>' "$BUILD/tests/seq256_report.html" || {
   --gtest_filter='SU3.EightReal*:DslashCompression.EightMatchesEighteen:PublicApi.Recon8SolveMatchesRecon12' \
   > /dev/null)
 
-# perf-regression gate on the quick fig5 sweep
-baseline="$BUILD/bench_baseline_fig5_strong.json"
+# perf-regression gate on the quick fig5 sweep, against the committed
+# baseline
+baseline="bench/baselines/fig5_strong_quick.json"
 current="$BUILD/bench/BENCH_fig5_strong.json"
 (cd "$BUILD/bench" && ./bench_fig5_strong --quick > /dev/null)
-if [ "${QUICK_GATE_REBASELINE:-0}" = "1" ] || [ ! -f "$baseline" ]; then
-  cp "$current" "$baseline"
-  echo "quick_gate: seeded perf baseline at $baseline"
+if [ "${QUICK_GATE_REBASELINE:-0}" = "1" ]; then
+  python3 - "$current" "$baseline" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc = {k: v for k, v in doc.items() if k not in ("provenance", "wall_seconds")}
+with open(sys.argv[2], "w") as f:
+    f.write(json.dumps(doc, indent=2) + "\n")
+EOF
+  echo "quick_gate: rewrote perf baseline $baseline; commit it with the change"
+elif [ ! -f "$baseline" ]; then
+  echo "quick_gate: perf baseline $baseline is missing" >&2
+  exit 1
 else
   python3 tools/bench_diff.py "$baseline" "$current"
 fi
