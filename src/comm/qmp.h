@@ -107,7 +107,6 @@ public:
   // --- reliability policy ------------------------------------------------------
 
   void set_retry_policy(const sim::RetryPolicy& p) { policy_ = p; }
-  const sim::RetryPolicy& retry_policy() const { return policy_; }
 
   // --- face exchange helpers ---------------------------------------------------
 

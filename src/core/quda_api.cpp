@@ -240,13 +240,9 @@ RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometr
   RankOutcome out;
   const double setup_begin_us = ctx.clock().now_us;
 
-  OperatorParams op_params;
-  op_params.mass = p.mass;
-  op_params.time_bc = p.time_bc;
-
   RankFields<POuter> hi(grid, lg, lu, lt, ltinv, p.reconstruct);
   out.gauge_bytes = hi.gauge.device_bytes();
-  ParallelWilsonCloverOp<POuter> op_hi(grid, lg, hi.gauge, hi.clover, hi.clover_inv, op_params,
+  ParallelWilsonCloverOp<POuter> op_hi(grid, lg, hi.gauge, hi.clover, hi.clover_inv, p.time_bc,
                                        p.overlap);
 
   const PartitionMask mask = topo.partition_mask();
@@ -280,7 +276,7 @@ RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometr
     using PS = PSloppy;
     RankFields<PS> lo(grid, lg, lu, lt, ltinv, p.reconstruct_sloppy.value_or(p.reconstruct));
     out.gauge_bytes += lo.gauge.device_bytes();
-    ParallelWilsonCloverOp<PS> op_lo(grid, lg, lo.gauge, lo.clover, lo.clover_inv, op_params,
+    ParallelWilsonCloverOp<PS> op_lo(grid, lg, lo.gauge, lo.clover, lo.clover_inv, p.time_bc,
                                      p.overlap);
     charge_solver_vectors<PS>(grid, lg, 7); // sloppy r, r0, p, v, s, t, x
     grid.barrier();
@@ -500,13 +496,9 @@ void apply_matrix_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaug
     const HostCloverField ltinv = slice_clover(clover.tinv, topo, rank);
     const HostSpinorField lin = slice_spinor(in_nr, topo, rank);
 
-    OperatorParams op_params;
-    op_params.mass = params.mass;
-    op_params.time_bc = params.time_bc;
-
     RankFields<PrecDouble> fields(grid, local, lu, lt, ltinv, params.reconstruct);
-    parallel::ParallelWilsonCloverOp<PrecDouble> op(grid, local, fields.gauge, fields.clover,
-                                                    fields.clover_inv, op_params, params.overlap);
+    ParallelWilsonCloverOp<PrecDouble> op(grid, local, fields.gauge, fields.clover,
+                                          fields.clover_inv, params.time_bc, params.overlap);
 
     const PartitionMask mask = topo.partition_mask();
     SpinorFieldD in_e = upload_spinor<PrecDouble>(lin, Parity::Even, mask);

@@ -148,10 +148,11 @@ struct InvertResult {
   telemetry::TelemetryReport telemetry{}; // flight recorder (QUDA_SIM_TELEMETRY)
 };
 
-// Solve M x = b on `ranks` simulated GPUs (time-direction decomposition).
-// `gauge` and `b` are full-lattice host fields in `params.interface_basis`;
-// `x` receives the solution in the same basis.  The global T must divide
-// evenly into even local slabs.
+// Solve M x = b on the cluster's simulated GPUs, decomposed over the rank
+// grid `params.grid` (all ones: the time slicing over every rank).  `gauge`
+// and `b` are full-lattice host fields in `params.interface_basis`; `x`
+// receives the solution in the same basis.  Every cut dimension must divide
+// evenly into even local extents (a cut x also needs an even local y).
 InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGaugeField& gauge,
                               const HostSpinorField& b, HostSpinorField& x,
                               const InvertParams& params);

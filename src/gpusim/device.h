@@ -66,7 +66,6 @@ public:
     const double start = std::max(host_now, engine);
     const double done = start + bus_.transfer_time_us(bytes, dir, /*async=*/false, good_numa_);
     engine = done;
-    bytes_transferred_ += bytes;
     if (trace::RankTracer* tr = trace::current()) {
       tr->span(dir == CopyDir::HostToDevice ? trace::Kind::MemcpyH2D : trace::Kind::MemcpyD2H,
                start, done, bytes);
@@ -86,7 +85,6 @@ public:
     const double done = start + bus_.transfer_time_us(bytes, dir, /*async=*/true, good_numa_);
     engine = done;
     s = done;
-    bytes_transferred_ += bytes;
     if (trace::RankTracer* tr = trace::current()) {
       tr->span(dir == CopyDir::HostToDevice ? trace::Kind::MemcpyAsyncH2D
                                             : trace::Kind::MemcpyAsyncD2H,
@@ -104,7 +102,6 @@ public:
     double& s = stream_ready_.at(static_cast<std::size_t>(stream));
     const double start = std::max(host_now, s) + kKernelLaunchOverheadUs;
     s = start + kernel_duration_us(cost, launch, spec_, double_precision);
-    flops_executed_ += cost.flops;
     if (trace::RankTracer* tr = trace::current()) {
       tr->span(cost.kind, trace::Stream{stream}, start, s, static_cast<std::int64_t>(cost.bytes));
       // edge: issued by the host at host_now, weight = execution duration
@@ -149,16 +146,6 @@ public:
     return stream_ready_.at(static_cast<std::size_t>(stream));
   }
 
-  // --- counters ----------------------------------------------------------------
-
-  double flops_executed() const { return flops_executed_; }
-  std::int64_t pcie_bytes() const { return bytes_transferred_; }
-
-  void reset_counters() {
-    flops_executed_ = 0;
-    bytes_transferred_ = 0;
-  }
-
 private:
   double& pick_engine(CopyDir dir) {
     // dual-engine devices dedicate one engine per direction
@@ -174,8 +161,6 @@ private:
   std::vector<double> copy_engines_;
   std::int64_t used_ = 0;
   std::int64_t peak_ = 0;
-  double flops_executed_ = 0;
-  std::int64_t bytes_transferred_ = 0;
 };
 
 } // namespace quda::gpusim

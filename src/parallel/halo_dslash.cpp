@@ -101,7 +101,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   if (cuts.empty()) {
     auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
     cost.kind = trace::Kind::DslashLocal;
-    dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
+    dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
                 cfg.accumulate);
@@ -171,7 +171,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
     // one kernel over the entire local volume
     auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
     cost.kind = trace::Kind::DslashLocal;
-    clk = dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
+    clk = dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
                 cfg.accumulate);
@@ -186,7 +186,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   if (n_interior > 0) {
     auto cost = perf::dslash_kernel_cost(prec, n_interior, cfg.reconstruct);
     cost.kind = trace::Kind::DslashInterior;
-    clk = dev.launch_kernel(clk, kInteriorStream, cost, cfg.launch, prec == Precision::Double);
+    clk = dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
     if (real)
       dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
                 cfg.accumulate, KernelRegion::Interior);
@@ -241,7 +241,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   dev.stream_wait_stream(kInteriorStream, kForwardFaceStream);
   auto boundary_cost = perf::dslash_kernel_cost(prec, vh - n_interior, cfg.reconstruct);
   boundary_cost.kind = trace::Kind::DslashBoundary;
-  clk = dev.launch_kernel(clk, kInteriorStream, boundary_cost, cfg.launch,
+  clk = dev.launch_kernel(clk, kInteriorStream, boundary_cost, kKernelLaunch,
                           prec == Precision::Double);
   if (real)
     dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),

@@ -41,6 +41,10 @@ inline constexpr int kForwardFaceStream = 2;  // face send forward / receive bac
 inline constexpr int face_tag(int mu, int travel_dir) { return 2 * mu + (travel_dir > 0); }
 inline constexpr int gauge_tag(int mu) { return 16 + mu; }
 
+// launch geometry of every modeled kernel: 256 threads a block, the block
+// size with the peak occupancy factor (gpusim/kernel_model.h)
+inline constexpr gpusim::LaunchConfig kKernelLaunch{256, 0};
+
 struct HaloDslashConfig {
   CommPolicy policy = CommPolicy::Overlap;
   Execution exec = Execution::Real;
@@ -51,7 +55,6 @@ struct HaloDslashConfig {
   // gauge storage format of the field this dslash streams: sets the modeled
   // gauge bytes per site (Real callers mirror gauge->reconstruct() here)
   Reconstruct reconstruct = Reconstruct::Twelve;
-  gpusim::LaunchConfig launch{256, 0}; // dslash launch geometry (auto-tunable)
 };
 
 // field set for one halo dslash; all pointers may be null in Modeled mode

@@ -41,7 +41,7 @@ void modeled_blas(sim::RankContext& ctx, Precision prec, std::int64_t sites, int
   double& clk = ctx.clock().now_us;
   clk = ctx.device().launch_kernel(clk, kInteriorStream,
                                    perf::blas_kernel_cost(prec, sites, reads, writes),
-                                   gpusim::LaunchConfig{256, 0});
+                                   kKernelLaunch);
   clk = ctx.device().device_synchronize(clk);
   eff_flops += perf::effective_blas_flops(sites, reads);
 }

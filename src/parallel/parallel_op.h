@@ -1,8 +1,22 @@
 #pragma once
-// The multi-GPU even-odd Wilson-clover operator: the single-device Schur
-// operator with every dslash routed through the halo exchange, global sums
-// through QMP/MPI reductions (Section VI-E), and all device work charged to
-// the rank's simulated GPU.
+// The even-odd Wilson-clover operator in QUDA order: the full two-parity
+// matrix and the even-odd (Schur complement) preconditioned operator that
+// the Krylov solvers actually invert (Section II).
+//
+//   M = [ T_e        -1/2 D_eo ]        T_p = (4 + m) + A_p
+//       [ -1/2 D_oe   T_o      ]
+//
+//   Mhat = T_e - 1/4 D_eo T_o^{-1} D_oe          (solved for x_e)
+//   source prep:   b' = b_e + 1/2 D_eo T_o^{-1} b_o
+//   reconstruct:   x_o = T_o^{-1} (b_o + 1/2 D_oe x_e)
+//
+// Wilson without clover is the csw = 0 special case (T diagonal), so one
+// code path serves both discretizations.  The mass is folded into T.
+//
+// One GPU runs it as a one-rank grid.  Every dslash goes through the halo
+// exchange, which is the plain local kernel on a grid that cuts no
+// dimension; global sums go through QMP/MPI reductions (Section VI-E), and
+// all device work is charged to the rank's simulated GPU.
 //
 // Clover applications are fused into the dslash kernels on the real device
 // (the paper's per-site cost of 3696 flops / 2976 bytes already assumes
@@ -10,7 +24,6 @@
 // time; the fused cost is carried by the dslash launches inside
 // halo_dslash.
 
-#include "dirac/wilson_clover_op.h"
 #include "parallel/halo_dslash.h"
 #include "solvers/linear_operator.h"
 
@@ -19,12 +32,13 @@ namespace quda::parallel {
 template <typename P> class ParallelWilsonCloverOp final : public LinearOperator<P> {
 public:
   // fields are local-lattice fields; the gauge field must already contain
-  // its ghost links (exchange_gauge_ghost)
+  // its ghost links (exchange_gauge_ghost); `clover` holds T = (4+m)+A for
+  // both parities, `clover_inv` its inverse
   ParallelWilsonCloverOp(comm::QmpGrid& grid, const Geometry& local, const GaugeField<P>& gauge,
                          const CloverField<P>& clover, const CloverField<P>& clover_inv,
-                         const OperatorParams& params, CommPolicy policy)
+                         TimeBoundary time_bc, CommPolicy policy)
       : grid_(grid), local_(local), gauge_(gauge), clover_(clover), clover_inv_(clover_inv),
-        params_(params), policy_(policy),
+        time_bc_(time_bc), policy_(policy),
         tmp_o_(local, grid.topology().partition_mask()),
         tmp2_o_(local, grid.topology().partition_mask()) {}
 
@@ -54,6 +68,7 @@ public:
     maybe_inject_device_flip(out);
   }
 
+  // gamma_5 Mhat gamma_5 = Mhat^dag (gamma_5 Hermiticity)
   void apply_dagger(SpinorField<P>& out, const SpinorField<P>& in) override {
     SpinorField<P> g5in = SpinorField<P>::like(in);
     apply_gamma5<P>(g5in, in);
@@ -77,7 +92,8 @@ public:
     apply_clover_xpay<P>(x_o, clover_inv_, Parity::Odd, tmp_o_, local_, 0, vh, 0);
   }
 
-  // full (two-parity) operator for end-to-end residual checks
+  // full (two-parity) operator for end-to-end residual checks:
+  // out_p = T_p in_p - 1/2 D in_{p'}
   void apply_full(SpinorField<P>& out_e, SpinorField<P>& out_o, SpinorField<P>& in_e,
                   SpinorField<P>& in_o) {
     const std::int64_t vh = local_.half_volume();
@@ -104,7 +120,7 @@ public:
     double& clk = ctx.clock().now_us;
     clk = ctx.device().launch_kernel(
         clk, kInteriorStream, perf::blas_kernel_cost(P::value, sites(), reads, writes),
-        gpusim::LaunchConfig{256, 0});
+        kKernelLaunch);
     clk = ctx.device().device_synchronize(clk);
     effective_flops_ += perf::effective_blas_flops(sites(), reads);
   }
@@ -137,7 +153,7 @@ private:
     cfg.out_parity = out_parity;
     cfg.scale = scale;
     cfg.accumulate = acc;
-    cfg.time_bc = params_.time_bc;
+    cfg.time_bc = time_bc_;
     cfg.reconstruct = gauge_.reconstruct();
     HaloFields<P> f;
     f.out = &out;
@@ -151,7 +167,7 @@ private:
   const GaugeField<P>& gauge_;
   const CloverField<P>& clover_;
   const CloverField<P>& clover_inv_;
-  OperatorParams params_;
+  TimeBoundary time_bc_;
   CommPolicy policy_;
   SpinorField<P> tmp_o_, tmp2_o_;
   double effective_flops_ = 0;

@@ -141,16 +141,7 @@ inline int face_copy_blocks(Precision p) {
 // received faces go up in a single copy (plus norms in half)
 inline int ghost_upload_copies(Precision p) { return p == Precision::Half ? 2 : 1; }
 
-// --- modeled wire costs (hierarchical interconnect aware) ---------------------
-
-// Wire time of one point-to-point message under the spec's interconnect:
-// same-node shm, one-hop IB, or the cross-switch fat-tree path with its
-// deterministic oversubscription charge.  Flat specs (the default) reduce
-// to NetworkModel::transfer_time_us bit-for-bit.
-inline double comm_path_us(const sim::ClusterSpec& spec, int src, int dst,
-                           std::int64_t bytes) {
-  return spec.path_time_us(src, dst, bytes);
-}
+// --- modeled allreduce costs (hierarchical interconnect aware) ----------------
 
 // Per-step cost of the modeled recursive-doubling allreduce: every step is
 // one small-message IB exchange plus the host-side MPI call overhead.

@@ -155,10 +155,6 @@ struct ClusterSpec {
     return s;
   }
 
-  // the companion "9q" cluster: identical nodes and network, no GPUs
-  // (used for the CPU baseline comparison in Section VII-C)
-  static ClusterSpec jlab_9q(int ranks) { return jlab_9g(ranks); }
-
   // A 9g-style cluster scaled past one switch: dual-GPU nodes grouped under
   // 2:1-oversubscribed leaf switches, the shape of the "Scaling Lattice QCD
   // beyond 100 GPUs" installations.  Big sims (256-1024 ranks) exceed any

@@ -248,7 +248,7 @@ RecvHandle RankContext::wait(PendingRecv& pending) {
   // cross-switch fat-tree path (flat specs reproduce the historical
   // NetworkModel::transfer_time_us bit-for-bit)
   const double path =
-      perf::comm_path_us(spec_, pending.src, rank_, h.msg_.modeled_bytes) * h.msg_.delay_factor;
+      spec_.path_time_us(pending.src, rank_, h.msg_.modeled_bytes) * h.msg_.delay_factor;
   h.arrival_us_ = std::max(h.msg_.send_time_us, pending.post_time_us) + path;
   clock_.now_us = std::max(clock_.now_us, h.arrival_us_);
   clock_.advance(spec_.net.mpi_overhead_us);

@@ -8,6 +8,7 @@
 #include "solvers/linear_operator.h"
 #include "solvers/solver.h"
 #include "trace/telemetry.h"
+#include "trace/trace.h"
 
 #include <cmath>
 #include <cstdio>
@@ -86,6 +87,8 @@ SolverStats solve_cgnr(LinearOperator<P>& op, SpinorField<P>& x, const SpinorFie
     op.account_blas(2, 1);
 
     ++k;
+    if (trace::RankTracer* tr = trace::current())
+      tr->instant(trace::Kind::Iteration, tr->now_us(), 0, -1, -1, k);
     if (auto* rec = telemetry::current()) rec->iteration(k, rr, to_string(P::value)[0]);
     if (k % 10 == 0 || rr < stop) {
       op.apply(tmp, x);

@@ -126,8 +126,6 @@ public:
     return committed_.iteration;
   }
 
-  bool has_committed() const { return committed_.valid; }
-  int committed_iteration() const { return committed_.valid ? committed_.iteration : -1; }
   std::uint64_t committed_digest() const { return committed_.valid ? committed_.digest : 0; }
   const std::vector<CheckpointEvent>& log() const { return log_; }
 

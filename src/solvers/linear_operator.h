@@ -1,9 +1,10 @@
 #pragma once
-// Abstract linear operator interface shared by the single-device and
-// multi-GPU even-odd Wilson-clover operators.  Solvers see only this
-// interface, so the same Krylov code runs unchanged on one device or on a
-// 32-GPU simulated cluster -- the parallel operator supplies halo-exchanged
-// matrix application and MPI-reduced global sums (Section VI-E).
+// Abstract linear operator interface of the Krylov solvers.  Solvers see
+// only this interface, so the same Krylov code runs unchanged on one device
+// or on a 32-GPU simulated cluster -- the even-odd Wilson-clover operator
+// (parallel/parallel_op.h) supplies halo-exchanged matrix application and
+// MPI-reduced global sums (Section VI-E).  The interface keeps the solvers
+// below the parallel layer.
 
 #include "blas/blas.h"
 #include "lattice/spinor_field.h"
@@ -26,16 +27,13 @@ public:
   // its decomposition); solvers allocate their temporaries through this
   virtual SpinorField<P> make_vector() const = 0;
 
-  // reduce a locally-computed sum across all ranks; identity on one device
-  virtual double global_sum(double local) { return local; }
-  virtual complexd global_sum(const complexd& local) { return local; }
+  // reduce a locally-computed sum across all ranks
+  virtual double global_sum(double local) = 0;
+  virtual complexd global_sum(const complexd& local) = 0;
 
   // notify the timing layer that a fused BLAS kernel swept `vectors` of
   // this operator's size; the numerics layer has already done the work
-  virtual void account_blas(int vectors_read, int vectors_written) {
-    (void)vectors_read;
-    (void)vectors_written;
-  }
+  virtual void account_blas(int vectors_read, int vectors_written) = 0;
 };
 
 } // namespace quda

@@ -5,10 +5,15 @@
 #include "dirac/dslash.h"
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
-#include "dirac/wilson_clover_op.h"
 #include "dirac/wilson_ref.h"
+#include "field_pins.h"
+#include "one_gpu.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <string>
 
 namespace quda {
 namespace {
@@ -202,21 +207,20 @@ TEST_P(FullOperator, WilsonCloverMatchesReference) {
   const CloverField<PrecDouble> cl = upload_clover<PrecDouble>(t);
   const CloverField<PrecDouble> clinv = upload_clover<PrecDouble>(tinv);
 
-  OperatorParams op_params;
-  op_params.mass = mass;
-  op_params.time_bc = TimeBoundary::Antiperiodic;
-  WilsonCloverOp<PrecDouble> op(s.g, gauge, cl, clinv, op_params);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = one_gpu_op(grid, s.g, gauge, cl, clinv, TimeBoundary::Antiperiodic);
 
-  const SpinorFieldD in_e = upload_spinor<PrecDouble>(s.in, Parity::Even, kPartitionTimeOnly);
-  const SpinorFieldD in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
-  SpinorFieldD out_e(s.g, kPartitionTimeOnly), out_o(s.g, kPartitionTimeOnly);
-  op.apply_full(out_e, out_o, in_e, in_o);
+    SpinorFieldD in_e = upload_spinor<PrecDouble>(s.in, Parity::Even, kPartitionTimeOnly);
+    SpinorFieldD in_o = upload_spinor<PrecDouble>(s.in, Parity::Odd, kPartitionTimeOnly);
+    SpinorFieldD out_e(s.g, kPartitionTimeOnly), out_o(s.g, kPartitionTimeOnly);
+    op.apply_full(out_e, out_o, in_e, in_o);
 
-  HostSpinorField dev(s.g);
-  download_spinor(out_e, Parity::Even, dev);
-  download_spinor(out_o, Parity::Odd, dev);
+    HostSpinorField dev(s.g);
+    download_spinor(out_e, Parity::Even, dev);
+    download_spinor(out_o, Parity::Odd, dev);
 
-  EXPECT_LT(rel_dist2(dev, ref), 1e-22) << "csw = " << csw;
+    EXPECT_LT(rel_dist2(dev, ref), 1e-22) << "csw = " << csw;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(CswValues, FullOperator, ::testing::Values(0.0, 1.0, 1.72),
@@ -224,7 +228,11 @@ INSTANTIATE_TEST_SUITE_P(CswValues, FullOperator, ::testing::Values(0.0, 1.0, 1.
                            return "csw_" + std::to_string(static_cast<int>(info.param * 100));
                          });
 
-TEST(SchurOperator, DaggerIsAdjoint) {
+// one fixture for the whole suite: gtest requires it of a suite that mixes
+// the plain DaggerIsAdjoint with the per-precision pins below
+class SchurOperator : public ::testing::TestWithParam<Precision> {};
+
+TEST_F(SchurOperator, DaggerIsAdjoint) {
   // <y, Mhat x> == <Mhat^dag y, x> for random x, y
   const DslashFixture s({4, 4, 4, 4}, 77);
   const double mass = 0.2, csw = 1.0;
@@ -235,24 +243,97 @@ TEST(SchurOperator, DaggerIsAdjoint) {
   const GaugeField<PrecDouble> gauge = upload_gauge<PrecDouble>(s.u, Reconstruct::Twelve);
   const CloverField<PrecDouble> cl = upload_clover<PrecDouble>(t);
   const CloverField<PrecDouble> clinv = upload_clover<PrecDouble>(tinv);
-  OperatorParams p;
-  p.mass = mass;
-  WilsonCloverOp<PrecDouble> op(s.g, gauge, cl, clinv, p);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = one_gpu_op(grid, s.g, gauge, cl, clinv, TimeBoundary::Periodic);
 
-  HostSpinorField hx(s.g), hy(s.g);
-  make_random_spinor(hx, 5);
-  make_random_spinor(hy, 6);
-  const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even, kPartitionTimeOnly);
-  const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
-  SpinorFieldD mx(s.g, kPartitionTimeOnly), mdy(s.g, kPartitionTimeOnly);
-  op.apply(mx, x);
-  op.apply_dagger(mdy, y);
+    HostSpinorField hx(s.g), hy(s.g);
+    make_random_spinor(hx, 5);
+    make_random_spinor(hy, 6);
+    const SpinorFieldD x = upload_spinor<PrecDouble>(hx, Parity::Even, kPartitionTimeOnly);
+    const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
+    SpinorFieldD mx(s.g, kPartitionTimeOnly), mdy(s.g, kPartitionTimeOnly);
+    op.apply(mx, x);
+    op.apply_dagger(mdy, y);
 
-  const complexd lhs = blas::cdot(y, mx);
-  const complexd rhs = blas::cdot(mdy, x);
-  EXPECT_NEAR(lhs.re, rhs.re, 1e-8 * std::abs(lhs.re) + 1e-10);
-  EXPECT_NEAR(lhs.im, rhs.im, 1e-8 * std::abs(lhs.re) + 1e-10);
+    const complexd lhs = blas::cdot(y, mx);
+    const complexd rhs = blas::cdot(mdy, x);
+    EXPECT_NEAR(lhs.re, rhs.re, 1e-8 * std::abs(lhs.re) + 1e-10);
+    EXPECT_NEAR(lhs.im, rhs.im, 1e-8 * std::abs(lhs.re) + 1e-10);
+  });
 }
+
+// The Schur operator's outputs pinned bit for bit on a one-rank grid, the
+// way invert() runs one GPU: Mhat, Mhat^dag, the prepared source, the
+// reconstructed odd parity and the full matrix on both parities, by the
+// stored digest of each output field (half norms included).  The pins were
+// taken from the former single-device operator, which these outputs matched
+// bit for bit.
+template <typename P>
+std::array<std::uint64_t, 6> schur_digests(parallel::ParallelWilsonCloverOp<P>& op,
+                                           const Geometry& g, SpinorField<P>& in_e,
+                                           SpinorField<P>& in_o) {
+  SpinorField<P> out(g, kPartitionNone), dag(g, kPartitionNone), bprime(g, kPartitionNone),
+      x_o(g, kPartitionNone), full_e(g, kPartitionNone), full_o(g, kPartitionNone);
+  op.apply(out, in_e);
+  op.apply_dagger(dag, in_e);
+  op.prepare_source(bprime, in_e, in_o);
+  op.reconstruct_odd(x_o, in_e, in_o);
+  op.apply_full(full_e, full_o, in_e, in_o);
+  return {stored_digest(out), stored_digest(dag),    stored_digest(bprime),
+          stored_digest(x_o), stored_digest(full_e), stored_digest(full_o)};
+}
+
+template <typename P> void expect_schur_pinned(const std::array<std::uint64_t, 6>& pins) {
+  const Geometry g({4, 4, 4, 8});
+  HostGaugeField u(g);
+  make_weak_field_gauge(u, 0.2, 2401);
+  HostCloverField t = make_clover_term(u, 1.2);
+  add_diag(t, 4.0 + 0.1);
+  const HostCloverField tinv = invert_clover(t);
+  const GaugeField<P> gauge = upload_gauge<P>(u, Reconstruct::Twelve);
+  const CloverField<P> cl = upload_clover<P>(t);
+  const CloverField<P> clinv = upload_clover<P>(tinv);
+  HostSpinorField h(g);
+  make_random_spinor(h, 2402);
+  SpinorField<P> in_e = upload_spinor<P>(h, Parity::Even, kPartitionNone);
+  SpinorField<P> in_o = upload_spinor<P>(h, Parity::Odd, kPartitionNone);
+
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = one_gpu_op(grid, g, gauge, cl, clinv, TimeBoundary::Antiperiodic);
+    const std::array<std::uint64_t, 6> got = schur_digests(op, g, in_e, in_o);
+    for (std::size_t k = 0; k < got.size(); ++k)
+      EXPECT_EQ(got[k], pins[k]) << "output " << k << ": 0x" << std::hex << got[k];
+  });
+}
+
+TEST_P(SchurOperator, OneRankGridMatchesSingleDevice) {
+  switch (GetParam()) {
+    case Precision::Double:
+      expect_schur_pinned<PrecDouble>({0x62bcde550cc995d6ull, 0x55a9fb7acb623b3dull,
+                                       0x3cfc4367bf41e9b3ull, 0x0e2e452350cc4e63ull,
+                                       0x5f67ea172f77e7d4ull, 0x18095b106a4222acull});
+      break;
+    case Precision::Single:
+      expect_schur_pinned<PrecSingle>({0x7099a3f83c915bd2ull, 0x4c2fd66a6da27161ull,
+                                       0x28a473736eec58daull, 0x36f0289ce578baf4ull,
+                                       0x372599b87accdc51ull, 0xb1c595d48acb347bull});
+      break;
+    case Precision::Half:
+      expect_schur_pinned<PrecHalf>({0x40974c2c0eb23525ull, 0x4f2d6ed084faeb33ull,
+                                     0x672b4eaad368f490ull, 0xdb3db27335558e05ull,
+                                     0x1c304fc290da2c84ull, 0x149f9a35bff83630ull});
+      break;
+  }
+}
+
+std::string precision_name(const ::testing::TestParamInfo<Precision>& info) {
+  const char* names[] = {"Double", "Single", "Half"};
+  return names[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(, SchurOperator,
+                         ::testing::Values(Precision::Double, Precision::Single, Precision::Half),
+                         precision_name);
 
 TEST(BasisRotationEquivalence, ReferenceOperatorsRelatedByRotation) {
   // M^NR (S psi) == S (M^DR psi): rotating the field and applying the

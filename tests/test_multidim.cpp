@@ -225,11 +225,8 @@ TEST(MultiDimSolver, TwoDimensionalSolveMatchesReference) {
     const CloverField<PrecDouble> dev_t = upload_clover<PrecDouble>(lt);
     const CloverField<PrecDouble> dev_tinv = upload_clover<PrecDouble>(ltinv);
 
-    OperatorParams params;
-    params.mass = mass;
-    params.time_bc = TimeBoundary::Antiperiodic;
-    parallel::ParallelWilsonCloverOp<PrecDouble> op(grid, lg, dev_u, dev_t, dev_tinv, params,
-                                                    CommPolicy::Overlap);
+    parallel::ParallelWilsonCloverOp<PrecDouble> op(
+        grid, lg, dev_u, dev_t, dev_tinv, TimeBoundary::Antiperiodic, CommPolicy::Overlap);
 
     SpinorFieldD b_e = upload_spinor<PrecDouble>(lb, Parity::Even, mask);
     SpinorFieldD b_o = upload_spinor<PrecDouble>(lb, Parity::Odd, mask);

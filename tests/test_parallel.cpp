@@ -240,11 +240,8 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
     const CloverField<PrecDouble> dev_t = upload_clover<PrecDouble>(lt);
     const CloverField<PrecDouble> dev_tinv = upload_clover<PrecDouble>(ltinv);
 
-    OperatorParams params;
-    params.mass = s.mass;
-    params.time_bc = TimeBoundary::Antiperiodic;
-    parallel::ParallelWilsonCloverOp<PrecDouble> op(grid, lg, dev_u, dev_t, dev_tinv, params,
-                                                    CommPolicy::Overlap);
+    parallel::ParallelWilsonCloverOp<PrecDouble> op(
+        grid, lg, dev_u, dev_t, dev_tinv, TimeBoundary::Antiperiodic, CommPolicy::Overlap);
 
     SpinorFieldD b_e = upload_spinor<PrecDouble>(lb, Parity::Even, mask);
     SpinorFieldD b_o = upload_spinor<PrecDouble>(lb, Parity::Odd, mask);
@@ -310,12 +307,11 @@ TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
     const CloverField<PrecHalf> t_h = upload_clover<PrecHalf>(lt);
     const CloverField<PrecHalf> tinv_h = upload_clover<PrecHalf>(ltinv);
 
-    OperatorParams params;
-    params.mass = s.mass;
-    params.time_bc = TimeBoundary::Antiperiodic;
-    parallel::ParallelWilsonCloverOp<PrecSingle> op_hi(grid, lg, u_s, t_s, tinv_s, params,
+    parallel::ParallelWilsonCloverOp<PrecSingle> op_hi(grid, lg, u_s, t_s, tinv_s,
+                                                       TimeBoundary::Antiperiodic,
                                                        CommPolicy::Overlap);
-    parallel::ParallelWilsonCloverOp<PrecHalf> op_lo(grid, lg, u_h, t_h, tinv_h, params,
+    parallel::ParallelWilsonCloverOp<PrecHalf> op_lo(grid, lg, u_h, t_h, tinv_h,
+                                                     TimeBoundary::Antiperiodic,
                                                      CommPolicy::Overlap);
 
     SpinorFieldS b_e = upload_spinor<PrecSingle>(lb, Parity::Even, mask);

@@ -6,7 +6,7 @@
 #include "dirac/clover_term.h"
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
-#include "dirac/wilson_clover_op.h"
+#include "one_gpu.h"
 #include "solvers/bicgstab.h"
 #include "solvers/cg.h"
 
@@ -21,9 +21,9 @@ struct Sys {
   HostCloverField t, tinv;
   GaugeFieldD gauge;
   CloverFieldD clover, clover_inv;
-  OperatorParams params;
+  TimeBoundary bc;
 
-  explicit Sys(TimeBoundary bc = TimeBoundary::Antiperiodic) : u(g) {
+  explicit Sys(TimeBoundary bc_ = TimeBoundary::Antiperiodic) : u(g), bc(bc_) {
     make_weak_field_gauge(u, 0.2, 50001);
     t = make_clover_term(u, 1.0);
     add_diag(t, 4.1);
@@ -31,9 +31,9 @@ struct Sys {
     gauge = upload_gauge<PrecDouble>(u, Reconstruct::Twelve);
     clover = upload_clover<PrecDouble>(t);
     clover_inv = upload_clover<PrecDouble>(tinv);
-    params.mass = 0.1;
-    params.time_bc = bc;
   }
+
+  auto op(comm::QmpGrid& grid) { return one_gpu_op(grid, g, gauge, clover, clover_inv, bc); }
 };
 
 double field_rel_dist2(const SpinorFieldD& a, const SpinorFieldD& b) {
@@ -47,43 +47,47 @@ double field_rel_dist2(const SpinorFieldD& a, const SpinorFieldD& b) {
 
 TEST(SolverCrossChecks, CgnrAndBicgstabAgreeOnTheSolution) {
   Sys s;
-  WilsonCloverOp<PrecDouble> op(s.g, s.gauge, s.clover, s.clover_inv, s.params);
-  HostSpinorField hb(s.g);
-  make_random_spinor(hb, 50002);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = s.op(grid);
+    HostSpinorField hb(s.g);
+    make_random_spinor(hb, 50002);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
-  SpinorFieldD x_bi(s.g, kPartitionTimeOnly), x_cg(s.g, kPartitionTimeOnly);
-  SolverParams sp;
-  sp.tol = 1e-10;
-  sp.max_iter = 4000;
-  const SolverStats s1 = solve_bicgstab(op, x_bi, b, sp);
-  const SolverStats s2 = solve_cgnr(op, x_cg, b, sp);
-  ASSERT_TRUE(s1.converged) << s1.summary();
-  ASSERT_TRUE(s2.converged) << s2.summary();
-  EXPECT_LT(field_rel_dist2(x_bi, x_cg), 1e-16);
-  // CG on the normal equations squares the condition number: more iterations
-  EXPECT_GT(s2.iterations, s1.iterations);
+    SpinorFieldD x_bi(s.g, kPartitionTimeOnly), x_cg(s.g, kPartitionTimeOnly);
+    SolverParams sp;
+    sp.tol = 1e-10;
+    sp.max_iter = 4000;
+    const SolverStats s1 = solve_bicgstab(op, x_bi, b, sp);
+    const SolverStats s2 = solve_cgnr(op, x_cg, b, sp);
+    ASSERT_TRUE(s1.converged) << s1.summary();
+    ASSERT_TRUE(s2.converged) << s2.summary();
+    EXPECT_LT(field_rel_dist2(x_bi, x_cg), 1e-16);
+    // CG on the normal equations squares the condition number: more iterations
+    EXPECT_GT(s2.iterations, s1.iterations);
+  });
 }
 
 TEST(SolverCrossChecks, NonzeroInitialGuessConvergesToSameSolution) {
   Sys s;
-  WilsonCloverOp<PrecDouble> op(s.g, s.gauge, s.clover, s.clover_inv, s.params);
-  HostSpinorField hb(s.g), hguess(s.g);
-  make_random_spinor(hb, 50003);
-  make_random_spinor(hguess, 50004);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = s.op(grid);
+    HostSpinorField hb(s.g), hguess(s.g);
+    make_random_spinor(hb, 50003);
+    make_random_spinor(hguess, 50004);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
-  SolverParams sp;
-  sp.tol = 1e-11;
-  sp.max_iter = 4000;
+    SolverParams sp;
+    sp.tol = 1e-11;
+    sp.max_iter = 4000;
 
-  SpinorFieldD x_zero(s.g, kPartitionTimeOnly);
-  SpinorFieldD x_guess = upload_spinor<PrecDouble>(hguess, Parity::Even, kPartitionTimeOnly);
-  const SolverStats s1 = solve_bicgstab(op, x_zero, b, sp);
-  const SolverStats s2 = solve_bicgstab(op, x_guess, b, sp);
-  ASSERT_TRUE(s1.converged);
-  ASSERT_TRUE(s2.converged);
-  EXPECT_LT(field_rel_dist2(x_guess, x_zero), 1e-18);
+    SpinorFieldD x_zero(s.g, kPartitionTimeOnly);
+    SpinorFieldD x_guess = upload_spinor<PrecDouble>(hguess, Parity::Even, kPartitionTimeOnly);
+    const SolverStats s1 = solve_bicgstab(op, x_zero, b, sp);
+    const SolverStats s2 = solve_bicgstab(op, x_guess, b, sp);
+    ASSERT_TRUE(s1.converged);
+    ASSERT_TRUE(s2.converged);
+    EXPECT_LT(field_rel_dist2(x_guess, x_zero), 1e-18);
+  });
 }
 
 TEST(SolverCrossChecks, BoundaryConditionChangesTheSolution) {
@@ -91,21 +95,21 @@ TEST(SolverCrossChecks, BoundaryConditionChangesTheSolution) {
   // ignored the phase would pass the residual check of the wrong system
   Sys s_apbc(TimeBoundary::Antiperiodic);
   Sys s_pbc(TimeBoundary::Periodic);
-  WilsonCloverOp<PrecDouble> op_a(s_apbc.g, s_apbc.gauge, s_apbc.clover, s_apbc.clover_inv,
-                                  s_apbc.params);
-  WilsonCloverOp<PrecDouble> op_p(s_pbc.g, s_pbc.gauge, s_pbc.clover, s_pbc.clover_inv,
-                                  s_pbc.params);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op_a = s_apbc.op(grid);
+    auto op_p = s_pbc.op(grid);
 
-  HostSpinorField hb(s_apbc.g);
-  make_random_spinor(hb, 50005);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
-  SpinorFieldD xa(s_apbc.g, kPartitionTimeOnly), xp(s_pbc.g, kPartitionTimeOnly);
-  SolverParams sp;
-  sp.tol = 1e-10;
-  sp.max_iter = 4000;
-  ASSERT_TRUE(solve_bicgstab(op_a, xa, b, sp).converged);
-  ASSERT_TRUE(solve_bicgstab(op_p, xp, b, sp).converged);
-  EXPECT_GT(field_rel_dist2(xa, xp), 1e-6);
+    HostSpinorField hb(s_apbc.g);
+    make_random_spinor(hb, 50005);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+    SpinorFieldD xa(s_apbc.g, kPartitionTimeOnly), xp(s_pbc.g, kPartitionTimeOnly);
+    SolverParams sp;
+    sp.tol = 1e-10;
+    sp.max_iter = 4000;
+    ASSERT_TRUE(solve_bicgstab(op_a, xa, b, sp).converged);
+    ASSERT_TRUE(solve_bicgstab(op_p, xp, b, sp).converged);
+    EXPECT_GT(field_rel_dist2(xa, xp), 1e-6);
+  });
 }
 
 TEST(SolverCrossChecks, CloverXpayFusionMatchesComposition) {
@@ -143,17 +147,19 @@ TEST(CpuCluster, BaselineModelMatchesPaperNumbers) {
 
 TEST(SolverCrossChecks, MaxIterZeroReturnsNotConverged) {
   Sys s;
-  WilsonCloverOp<PrecDouble> op(s.g, s.gauge, s.clover, s.clover_inv, s.params);
-  HostSpinorField hb(s.g);
-  make_random_spinor(hb, 50008);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
-  SpinorFieldD x(s.g, kPartitionTimeOnly);
-  SolverParams sp;
-  sp.tol = 1e-10;
-  sp.max_iter = 0;
-  const SolverStats stats = solve_bicgstab(op, x, b, sp);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(stats.iterations, 0);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = s.op(grid);
+    HostSpinorField hb(s.g);
+    make_random_spinor(hb, 50008);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+    SpinorFieldD x(s.g, kPartitionTimeOnly);
+    SolverParams sp;
+    sp.tol = 1e-10;
+    sp.max_iter = 0;
+    const SolverStats stats = solve_bicgstab(op, x, b, sp);
+    EXPECT_FALSE(stats.converged);
+    EXPECT_EQ(stats.iterations, 0);
+  });
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 
 #include "dirac/gauge_init.h"
 #include "dirac/transfer.h"
-#include "dirac/wilson_clover_op.h"
+#include "one_gpu.h"
 #include "parallel/halo_dslash.h"
 #include "perfmodel/footprint.h"
 #include "solvers/bicgstab.h"
@@ -69,7 +69,6 @@ struct SolveSetup {
   HostCloverField t, tinv;
   GaugeFieldD gauge;
   CloverFieldD clover, clover_inv;
-  OperatorParams params;
 
   SolveSetup() : u(g) {
     make_weak_field_gauge(u, 0.2, 40001);
@@ -79,7 +78,10 @@ struct SolveSetup {
     gauge = upload_gauge<PrecDouble>(u, Reconstruct::Twelve);
     clover = upload_clover<PrecDouble>(t);
     clover_inv = upload_clover<PrecDouble>(tinv);
-    params.mass = 0.1;
+  }
+
+  auto op(comm::QmpGrid& grid) {
+    return one_gpu_op(grid, g, gauge, clover, clover_inv, TimeBoundary::Periodic);
   }
 };
 
@@ -89,19 +91,20 @@ TEST_P(ToleranceSweep, BiCGstabReachesTarget) {
   // NOLINT(sim-static-state): fixture cached across the parameter sweep --
   // construction dominates the test time and the setup is read-only after init
   static SolveSetup setup;
-  WilsonCloverOp<PrecDouble> op(setup.g, setup.gauge, setup.clover, setup.clover_inv,
-                                setup.params);
-  HostSpinorField hb(setup.g);
-  make_random_spinor(hb, 40002);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
-  SpinorFieldD x(setup.g, kPartitionTimeOnly);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = setup.op(grid);
+    HostSpinorField hb(setup.g);
+    make_random_spinor(hb, 40002);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+    SpinorFieldD x(setup.g, kPartitionTimeOnly);
 
-  SolverParams sp;
-  sp.tol = GetParam();
-  sp.max_iter = 2000;
-  const SolverStats stats = solve_bicgstab(op, x, b, sp);
-  EXPECT_TRUE(stats.converged) << stats.summary();
-  EXPECT_LE(stats.true_residual, GetParam() * 2.5);
+    SolverParams sp;
+    sp.tol = GetParam();
+    sp.max_iter = 2000;
+    const SolverStats stats = solve_bicgstab(op, x, b, sp);
+    EXPECT_TRUE(stats.converged) << stats.summary();
+    EXPECT_LE(stats.true_residual, GetParam() * 2.5);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Tolerances, ToleranceSweep,
@@ -114,23 +117,24 @@ INSTANTIATE_TEST_SUITE_P(Tolerances, ToleranceSweep,
 // tighter tolerance must not need fewer iterations (monotonicity)
 TEST(ToleranceMonotonicity, IterationsGrowWithPrecision) {
   SolveSetup setup;
-  WilsonCloverOp<PrecDouble> op(setup.g, setup.gauge, setup.clover, setup.clover_inv,
-                                setup.params);
-  HostSpinorField hb(setup.g);
-  make_random_spinor(hb, 40003);
-  const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
+  on_one_gpu([&](comm::QmpGrid& grid) {
+    auto op = setup.op(grid);
+    HostSpinorField hb(setup.g);
+    make_random_spinor(hb, 40003);
+    const SpinorFieldD b = upload_spinor<PrecDouble>(hb, Parity::Even, kPartitionTimeOnly);
 
-  int prev_iters = 0;
-  for (double tol : {1e-4, 1e-7, 1e-10}) {
-    SpinorFieldD x(setup.g, kPartitionTimeOnly);
-    SolverParams sp;
-    sp.tol = tol;
-    sp.max_iter = 2000;
-    const SolverStats stats = solve_bicgstab(op, x, b, sp);
-    ASSERT_TRUE(stats.converged);
-    EXPECT_GE(stats.iterations, prev_iters);
-    prev_iters = stats.iterations;
-  }
+    int prev_iters = 0;
+    for (double tol : {1e-4, 1e-7, 1e-10}) {
+      SpinorFieldD x(setup.g, kPartitionTimeOnly);
+      SolverParams sp;
+      sp.tol = tol;
+      sp.max_iter = 2000;
+      const SolverStats stats = solve_bicgstab(op, x, b, sp);
+      ASSERT_TRUE(stats.converged);
+      EXPECT_GE(stats.iterations, prev_iters);
+      prev_iters = stats.iterations;
+    }
+  });
 }
 
 // --- precision conversion round trips --------------------------------------------

@@ -8,11 +8,18 @@
 // ledger, anomaly stream, and merged registry replay bitwise across
 // budgets.
 
+#include "core/partition.h"
 #include "core/quda_api.h"
+#include "dirac/clover_term.h"
 #include "dirac/gauge_init.h"
+#include "dirac/transfer.h"
 #include "exec/host_engine.h"
 #include "parallel/modeled_solver.h"
+#include "parallel/parallel_op.h"
 #include "sim/event_sim.h"
+#include "solvers/bicgstab.h"
+#include "solvers/cg.h"
+#include "solvers/mixed_precision.h"
 #include "trace/telemetry.h"
 #include "trace/trace.h"
 
@@ -560,6 +567,102 @@ TEST(TelemetryReal, CrashRecoveryPureAndDeterministic) {
     }
   }
   exec::set_thread_budget(0);
+}
+
+// --- trace instants and ledger mark the same iterations -----------------------
+
+// rank 0's Iteration instants, in trace order
+std::vector<long> iteration_instants(const trace::TraceReport& trace) {
+  std::vector<long> iters;
+  for (const trace::Event& e : trace.per_rank.at(0))
+    if (e.kind == trace::Kind::Iteration) iters.push_back(static_cast<long>(e.seq));
+  return iters;
+}
+
+std::vector<long> ledger_iterations(const TelemetryReport& t) {
+  std::vector<long> iters;
+  for (const telemetry::IterationRecord& rec : t.ledger) iters.push_back(rec.iter);
+  return iters;
+}
+
+enum class RealSolver { CG, BiCGstab, MixedBiCGstab };
+
+// a real 2-rank single-precision solve (half sloppy for the mixed solver)
+// with trace and telemetry on; every solver marks each iteration on both
+void expect_instants_match_ledger(RealSolver solver) {
+  const Geometry g(LatticeDims{4, 4, 4, 8});
+  HostGaugeField u(g);
+  make_weak_field_gauge(u, 0.2, 9100);
+  HostCloverField t = make_clover_term(u, 1.0);
+  add_diag(t, 4.1);
+  const HostCloverField tinv = invert_clover(t);
+  HostSpinorField b(g);
+  make_random_spinor(b, 9101);
+
+  const comm::GridTopology topo = comm::GridTopology::time_only(2);
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(2);
+  spec.trace.enabled = true;
+  spec.telemetry.enabled = true;
+  sim::VirtualCluster cluster(spec);
+  cluster.run([&](sim::RankContext& ctx) {
+    comm::QmpGrid grid(ctx, topo);
+    const int rank = ctx.rank();
+    const Geometry lg = core::local_geometry(g, topo);
+    const HostGaugeField lu = core::slice_gauge(u, topo, rank);
+    const HostCloverField lt = core::slice_clover(t, topo, rank);
+    const HostCloverField ltinv = core::slice_clover(tinv, topo, rank);
+    GaugeFieldS u_s = upload_gauge<PrecSingle>(lu, Reconstruct::Twelve);
+    GaugeFieldH u_h = upload_gauge<PrecHalf>(lu, Reconstruct::Twelve);
+    parallel::exchange_gauge_ghost<PrecSingle>(grid, lg, &u_s, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecHalf>(grid, lg, &u_h, Execution::Real);
+    const CloverFieldS t_s = upload_clover<PrecSingle>(lt);
+    const CloverFieldS tinv_s = upload_clover<PrecSingle>(ltinv);
+    const CloverFieldH t_h = upload_clover<PrecHalf>(lt);
+    const CloverFieldH tinv_h = upload_clover<PrecHalf>(ltinv);
+    const TimeBoundary bc = TimeBoundary::Antiperiodic;
+    parallel::ParallelWilsonCloverOp<PrecSingle> op_s(grid, lg, u_s, t_s, tinv_s, bc,
+                                                      CommPolicy::Overlap);
+    parallel::ParallelWilsonCloverOp<PrecHalf> op_h(grid, lg, u_h, t_h, tinv_h, bc,
+                                                    CommPolicy::Overlap);
+
+    const PartitionMask mask = topo.partition_mask();
+    const SpinorFieldS b_e =
+        upload_spinor<PrecSingle>(core::slice_spinor(b, topo, rank), Parity::Even, mask);
+    SpinorFieldS x(lg, mask);
+    SolverParams sp;
+    sp.tol = 1e-5;
+    sp.max_iter = 500;
+    SolverStats st;
+    switch (solver) {
+      case RealSolver::CG: st = solve_cgnr(op_s, x, b_e, sp); break;
+      case RealSolver::BiCGstab: st = solve_bicgstab(op_s, x, b_e, sp); break;
+      case RealSolver::MixedBiCGstab: st = solve_bicgstab_reliable(op_s, op_h, x, b_e, sp); break;
+    }
+    EXPECT_TRUE(st.converged) << st.summary();
+  });
+  const std::vector<long> ledger = ledger_iterations(cluster.telemetry());
+  EXPECT_FALSE(ledger.empty());
+  EXPECT_EQ(iteration_instants(cluster.trace()), ledger);
+}
+
+TEST(IterationMarks, CgInstantsMatchLedger) { expect_instants_match_ledger(RealSolver::CG); }
+
+TEST(IterationMarks, BicgstabInstantsMatchLedger) {
+  expect_instants_match_ledger(RealSolver::BiCGstab);
+}
+
+TEST(IterationMarks, MixedBicgstabInstantsMatchLedger) {
+  expect_instants_match_ledger(RealSolver::MixedBiCGstab);
+}
+
+TEST(IterationMarks, ModeledSolverInstantsMatchLedger) {
+  sim::ClusterSpec spec = sim::ClusterSpec::jlab_9g(2);
+  spec.trace.enabled = true;
+  spec.telemetry.enabled = true;
+  sim::VirtualCluster cluster(spec);
+  const parallel::ModeledSolverResult r = parallel::run_modeled_solver(cluster, modeled_config());
+  EXPECT_EQ(ledger_iterations(r.telemetry).size(), 25u);
+  EXPECT_EQ(iteration_instants(cluster.trace()), ledger_iterations(r.telemetry));
 }
 
 } // namespace

@@ -2,9 +2,9 @@
 """Perf-regression gate: diff two BENCH_<name>.json files.
 
 Stdlib only.  Points are matched across the two files by their join key --
-every string-valued field plus the small-integer axes ("gpus", "bytes") --
-so reordering points or adding new ones never produces a spurious failure;
-only points present in BOTH files are gated.
+every string-valued field plus the numeric axes ("gpus", "bytes",
+"fault_rate") -- so reordering points or adding new ones never produces a
+spurious failure; only points present in BOTH files are gated.
 
 Every gated metric is a deterministic output of the simulated cluster, so
 the default gate is exact: a point fails when any gated value differs from
@@ -55,7 +55,7 @@ GATED_METRICS = {
 }
 
 # numeric fields that are axes, not measurements -- part of the join key
-AXIS_FIELDS = ("gpus", "bytes")
+AXIS_FIELDS = ("gpus", "bytes", "fault_rate")
 
 # under a relative threshold, baselines smaller than this are gated by
 # absolute difference instead of ratio (relative thresholds explode as the
@@ -261,6 +261,17 @@ def self_test():
     noisy = index_points(doc(1000.0, 40.0, anomalies=2.0), "noisy")
     regressions, _ = compare(base, noisy, thresholds)
     assert [r["metric"] for r in regressions] == ["anomaly_count"], regressions
+
+    # a numeric axis tells points of one series apart: the fault-rate sweep
+    # of one series indexes without a duplicate key, each rate gated alone
+    def sweep(time_us):
+        return {"points": [{"series": "faulted", "fault_rate": rate, "time_us": t}
+                           for rate, t in ((0, 100.0), (0.001, time_us))]}
+    swept = index_points(sweep(110.0), "sweep")
+    assert len(swept) == 2, swept
+    regressions, compared = compare(swept, index_points(sweep(120.0), "slower"), exact)
+    assert compared == 2, compared
+    assert [dict(r["key"])["fault_rate"] for r in regressions] == [0.001], regressions
 
     # near-zero baseline: jitter below the absolute floor is not a regression
     zbase = index_points({"points": [{"series": "z", "gpus": 1, "time_us": 0.0}]}, "z0")

@@ -27,10 +27,12 @@
 #      (time, gflops, critical path, ...) differs from it at all -- the
 #      exact default of bench_diff, which prints the per-category
 #      attribution of every changed point -- and when the baseline is
-#      missing.  After an intentional model change, re-run with
-#      QUICK_GATE_REBASELINE=1 to rewrite the baseline from this build
-#      (config and points; wall time and provenance are left out) and
-#      commit it with the change.  ctest BenchBaseline.* runs the same diff.
+#      missing.  ctest BenchBaseline.* runs the same diff for every file
+#      under bench/baselines/ (fig4's pair is labelled slow).  After an
+#      intentional model change, re-run with QUICK_GATE_REBASELINE=1: right
+#      after the build it reruns every BenchBaseline.*_run and rewrites each
+#      committed baseline from this build (config and points; wall time and
+#      provenance are left out); commit them with the change.
 # Usage: tools/quick_gate.sh [--sanitize [thread|address]] [build-dir]
 #   default build-dir: build (or build-<sanitizer> under --sanitize).
 #   --sanitize re-runs the whole gate in a QUDA_SIM_SANITIZE-instrumented
@@ -60,6 +62,29 @@ fi
 
 cmake -B "$BUILD" -S . "${CMAKE_EXTRA[@]}"
 cmake --build "$BUILD" -j"$(nproc)"
+shopt -s nullglob
+
+# rebaseline before anything diffs against the committed baselines: each
+# bench/baselines/<stem>.json is rewritten from the BENCH JSON its ctest
+# run left in $BUILD/tests/baselines/<stem>/
+if [ "${QUICK_GATE_REBASELINE:-0}" = "1" ]; then
+  ctest --test-dir "$BUILD" -R '^BenchBaseline\..*_run$' --output-on-failure -j"$(nproc)"
+  for baseline in bench/baselines/*.json; do
+    runs=("$BUILD/tests/baselines/$(basename "$baseline" .json)"/BENCH_*.json)
+    if [ "${#runs[@]}" -ne 1 ]; then
+      echo "quick_gate: no BenchBaseline run writes $baseline" >&2
+      exit 1
+    fi
+    python3 - "${runs[0]}" "$baseline" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc = {k: v for k, v in doc.items() if k not in ("provenance", "wall_seconds")}
+with open(sys.argv[2], "w") as f:
+    f.write(json.dumps(doc, indent=2) + "\n")
+EOF
+  done
+  echo "quick_gate: rewrote the perf baselines under bench/baselines; commit them with the change"
+fi
 
 # static analysis gate: fails fast with the file:line rule table and the
 # per-rule summary line on stderr
@@ -74,7 +99,6 @@ if [ "$SANITIZE" = "address" ]; then
     --output-on-failure -j"$(nproc)"
 fi
 
-shopt -s nullglob
 traces=("$BUILD"/tests/trace_fig5_acceptance.json*)
 if [ "${#traces[@]}" -eq 0 ]; then
   echo "quick_gate: the acceptance test produced no trace export" >&2
@@ -134,19 +158,9 @@ grep -q '</html>' "$BUILD/tests/seq256_report.html" || {
 baseline="bench/baselines/fig5_strong_quick.json"
 current="$BUILD/bench/BENCH_fig5_strong.json"
 (cd "$BUILD/bench" && ./bench_fig5_strong --quick > /dev/null)
-if [ "${QUICK_GATE_REBASELINE:-0}" = "1" ]; then
-  python3 - "$current" "$baseline" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc = {k: v for k, v in doc.items() if k not in ("provenance", "wall_seconds")}
-with open(sys.argv[2], "w") as f:
-    f.write(json.dumps(doc, indent=2) + "\n")
-EOF
-  echo "quick_gate: rewrote perf baseline $baseline; commit it with the change"
-elif [ ! -f "$baseline" ]; then
+if [ ! -f "$baseline" ]; then
   echo "quick_gate: perf baseline $baseline is missing" >&2
   exit 1
-else
-  python3 tools/bench_diff.py "$baseline" "$current"
 fi
+python3 tools/bench_diff.py "$baseline" "$current"
 echo "quick gate OK (${#traces[@]} trace file(s) linted, perf gate passed)"
