@@ -18,7 +18,10 @@
 // index range; since the time coordinate runs slowest, a timeslice range
 // [t0, t1] maps to the cb range [t0*Vs/2, (t1+1)*Vs/2).  For
 // multi-dimensional overlap the interior/boundary split is not contiguous,
-// so a region filter selects sites instead.
+// so a region selects the runs of consecutive sites each pass visits.
+//
+// The site bodies run W consecutive sites of a run at once, one per SIMD
+// lane (su3/lanes.h): the host analogue of one CUDA thread per site.
 //
 // Local parity equals global parity only when every rank's coordinate
 // offsets are even; the parallel driver enforces an even local extent in

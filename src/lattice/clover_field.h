@@ -53,13 +53,26 @@ public:
   // of CloverSite's members: gathered by the layout, half decoded with the
   // site's norm
   CloverSite<real_t> load(Parity parity, std::int64_t cb) const {
-    assert(cb >= 0 && cb < layout_.sites);
-    std::array<store_t, kNint> raw;
-    layout_.gather<P::nvec>(data_.data() + parity_int(parity) * slab_, cb, raw);
-    if constexpr (P::has_norm)
-      return std::bit_cast<CloverSite<real_t>>(decode(raw, norm_[norm_index(parity, cb)]));
-    else
-      return std::bit_cast<CloverSite<real_t>>(raw);
+    return std::bit_cast<CloverSite<real_t>>(load<1>(parity, cb));
+  }
+
+  // the W consecutive sites from cb as lanes (su3/lanes.h), built from
+  // whole blocks, each lane decoded under its own site's norm in half
+  template <std::size_t W> CloverSite<Lanes<real_t, W>> load(Parity parity, std::int64_t cb) const {
+    assert(cb >= 0 && cb + std::int64_t(W) <= layout_.sites);
+    const store_t* body = data_.data() + parity_int(parity) * slab_;
+    CloverSite<Lanes<real_t, W>> c;
+    if constexpr (P::has_norm) {
+      const float* norm = norm_.data() + norm_index(parity, cb);
+      layout_.gather_lanes<P::nvec, kNint>(body, consecutive_sites<W>(cb), c,
+                                          [&](store_t h, std::size_t k) {
+                                            return from_half(h) * norm[k];
+                                          });
+    } else {
+      layout_.gather_lanes<P::nvec, kNint>(body, consecutive_sites<W>(cb), c,
+                                          [](store_t r, std::size_t) { return r; });
+    }
+    return c;
   }
 
   // half stores under the site's max-abs, taken and inverted in double (1e-37

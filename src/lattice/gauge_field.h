@@ -77,12 +77,21 @@ public:
   // R must be reconstruct(): the kernels dispatch on it once per call and
   // load with the reconstruction fixed at compile time
   template <Reconstruct R> SU3<real_t> load(int mu, Parity parity, std::int64_t cb) const {
-    assert(R == recon_ && cb >= 0 && cb < layouts_[static_cast<std::size_t>(mu)].sites);
-    return load_at<R>(mu, slab_base(mu, parity), cb);
+    return std::bit_cast<SU3<real_t>>(load<R>(mu, parity, LaneSites<1>{cb}));
   }
   SU3<real_t> load(int mu, Parity parity, std::int64_t cb) const {
     assert(cb >= 0 && cb < layouts_[static_cast<std::size_t>(mu)].sites);
     return load_at(mu, slab_base(mu, parity), cb);
+  }
+
+  // the links of the W sites cb as lanes (su3/lanes.h), bit for bit W calls
+  // of load<R>(), each lane from its own site's blocks
+  template <Reconstruct R, std::size_t W>
+  SU3<Lanes<real_t, W>> load(int mu, Parity parity, const LaneSites<W>& cb) const {
+    assert(R == recon_);
+    for ([[maybe_unused]] std::int64_t x : cb)
+      assert(x >= 0 && x < layouts_[static_cast<std::size_t>(mu)].sites);
+    return load_at<R>(mu, slab_base(mu, parity), cb);
   }
 
   void store(int mu, Parity parity, std::int64_t cb, const SU3<double>& u) {
@@ -94,12 +103,22 @@ public:
   // the backward neighbor's last slice, living in the pad of the mu slab
   template <Reconstruct R>
   SU3<real_t> load_ghost(int mu, Parity parity, std::int64_t face_site) const {
-    assert(R == recon_ && face_site >= 0 && face_site < ghost_capacity(mu));
-    return load_at<R>(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site);
+    return std::bit_cast<SU3<real_t>>(load_ghost<R>(mu, parity, LaneSites<1>{face_site}));
   }
   SU3<real_t> load_ghost(int mu, Parity parity, std::int64_t face_site) const {
     assert(face_site >= 0 && face_site < ghost_capacity(mu));
     return load_at(mu, slab_base(mu, parity), layouts_[static_cast<std::size_t>(mu)].sites + face_site);
+  }
+  // the ghost links of the W face sites fs as lanes
+  template <Reconstruct R, std::size_t W>
+  SU3<Lanes<real_t, W>> load_ghost(int mu, Parity parity, const LaneSites<W>& fs) const {
+    assert(R == recon_);
+    LaneSites<W> slot;
+    for (std::size_t k = 0; k < W; ++k) {
+      assert(fs[k] >= 0 && fs[k] < ghost_capacity(mu));
+      slot[k] = layouts_[static_cast<std::size_t>(mu)].sites + fs[k];
+    }
+    return load_at<R>(mu, slab_base(mu, parity), slot);
   }
 
   void store_ghost(int mu, Parity parity, std::int64_t face_site, const SU3<double>& u) {
@@ -120,48 +139,64 @@ private:
   // always uses 2-vectors (QUDA stores uncompressed links as float2)
   static constexpr int kFullNvec = 2;
 
-  // the N stored reals of link x (N = the reconstruct's reals, in Nvec W
-  // short vectors), gathered by the layout; half decodes them (links carry
-  // no norm)
-  template <std::size_t N, std::size_t W = P::nvec>
-  std::array<real_t, N> load_reals(const BlockLayout& l, std::int64_t base,
-                                   std::int64_t x) const {
-    std::array<store_t, N> raw;
-    l.gather<W>(data_.data() + base, x, raw);
+  // the N stored reals of the W links in slots x into the first N reals of
+  // the aggregate of lanes a (N = the reconstruct's reals, in short vectors
+  // of Nv), gathered by the layout; half decodes them (links carry no norm)
+  template <std::size_t N, std::size_t Nv = P::nvec, std::size_t W, typename A>
+  void load_lanes(const BlockLayout& l, std::int64_t base, const LaneSites<W>& x, A& a) const {
     if constexpr (kHalf)
-      return decode(raw, 1.0f);
+      l.gather_lanes<Nv, N>(data_.data() + base, x, a,
+                            [](store_t h, std::size_t) { return from_half(h); });
     else
-      return raw;
+      l.gather_lanes<Nv, N>(data_.data() + base, x, a, [](store_t r, std::size_t) { return r; });
   }
 
-  template <std::size_t W = P::nvec, std::size_t N>
+  template <std::size_t Nv = P::nvec, std::size_t N>
   void store_reals(const BlockLayout& l, std::int64_t base, std::int64_t x,
                    const std::array<real_t, N>& v) {
     if constexpr (kHalf)
-      l.scatter<W>(encode(v, 1.0f), x, data_.data() + base);
+      l.scatter<Nv>(encode(v, 1.0f), x, data_.data() + base);
     else
-      l.scatter<W>(v, x, data_.data() + base);
+      l.scatter<Nv>(v, x, data_.data() + base);
   }
 
-  template <Reconstruct R>
-  SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {
+  // the links in slots x of slab mu, lane k from slot x[k]
+  template <Reconstruct R, std::size_t W>
+  SU3<Lanes<real_t, W>> load_at(int mu, std::int64_t base, const LaneSites<W>& x) const {
+    using L = Lanes<real_t, W>;
     const BlockLayout& l = layouts_[static_cast<std::size_t>(mu)];
+    // the stored reals, then the matrix built from them member by member
+    // (a matrix cleared first and then filled costs a block clear per load)
+    std::array<L, static_cast<std::size_t>(R)> v;
+    load_lanes<static_cast<std::size_t>(R), R == Reconstruct::Eighteen ? kFullNvec : P::nvec>(
+        l, base, x, v);
     if constexpr (R == Reconstruct::Eight) {
-      SU3Packed8<real_t> p{load_reals<8>(l, base, x)};
-      if constexpr (kHalf) // phases are stored as theta/pi
-        for (std::size_t k = 0; k < 2; ++k) p.v[k] = unit_to_phase(p.v[k]);
-      return unpack_eight(p);
-    } else if constexpr (R == Reconstruct::Eighteen) {
-      return std::bit_cast<SU3<real_t>>(load_reals<18, kFullNvec>(l, base, x));
-    } else {
-      // the two stored rows are the first 12 reals of the row-major matrix
-      const auto rows = load_reals<12>(l, base, x);
-      std::array<real_t, 18> m{};
-      std::copy(rows.begin(), rows.end(), m.begin());
-      SU3<real_t> u = std::bit_cast<SU3<real_t>>(m);
-      u.e[2] = reconstruct_third_row(u.e[0], u.e[1]);
+      // the parameterization's phases and branch are per link: lane by lane
+      SU3<L> u;
+      for (std::size_t k = 0; k < W; ++k) {
+        SU3Packed8<real_t> p;
+        for (std::size_t i = 0; i < 8; ++i) p.v[i] = v[i][k];
+        if constexpr (kHalf) // phases are stored as theta/pi
+          for (std::size_t i = 0; i < 2; ++i) p.v[i] = unit_to_phase(p.v[i]);
+        set_lane(u, k, std::bit_cast<SU3<Lanes<real_t, 1>>>(unpack_eight(p)));
+      }
       return u;
+    } else {
+      const auto row = [&](std::size_t r) {
+        return std::array<Complex<L>, 3>{Complex<L>(v[6 * r], v[6 * r + 1]),
+                                         Complex<L>(v[6 * r + 2], v[6 * r + 3]),
+                                         Complex<L>(v[6 * r + 4], v[6 * r + 5])};
+      };
+      // recon 12: the two stored rows are the first 12 reals of the
+      // row-major matrix, and the third is rebuilt from them
+      if constexpr (R == Reconstruct::Eighteen)
+        return SU3<L>{{row(0), row(1), row(2)}};
+      else
+        return SU3<L>{{row(0), row(1), reconstruct_third_row(row(0), row(1))}};
     }
+  }
+  template <Reconstruct R> SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {
+    return std::bit_cast<SU3<real_t>>(load_at<R>(mu, base, LaneSites<1>{x}));
   }
 
   SU3<real_t> load_at(int mu, std::int64_t base, std::int64_t x) const {

@@ -134,19 +134,74 @@ public:
     store_reals(site, std::bit_cast<Reals>(s));
   }
 
+  // --- site lanes (su3/lanes.h) ------------------------------------------------
+
+  // the W sites x as the lanes of one spinor, site x[k] in lane k: bit for
+  // bit W calls of load().  Each lane reads its own site's blocks of the
+  // layout, so a hop whose lanes wrap an edge costs no more than one whose
+  // sites are consecutive.  Half decodes each lane under its own site's
+  // norm.
+  template <std::size_t W> Spinor<Lanes<real_t, W>> load(const LaneSites<W>& x) const {
+    for ([[maybe_unused]] std::int64_t site : x) assert(site >= 0 && site < layout_.sites);
+    std::array<Lanes<real_t, W>, kNint> v;
+    if constexpr (P::has_norm) {
+      Lanes<float, W> norm;
+      for (std::size_t k = 0; k < W; ++k) norm[k] = norm_[static_cast<std::size_t>(x[k])];
+      layout_.gather_lanes<P::nvec, kNint>(data_.data(), x, v, [&](store_t h, std::size_t k) {
+        return from_half(h) * norm[k];
+      });
+    } else {
+      layout_.gather_lanes<P::nvec, kNint>(data_.data(), x, v,
+                                          [](store_t r, std::size_t) { return r; });
+    }
+    return spinor_from_reals(v);
+  }
+
+  // the W consecutive sites from x0 from the lanes of s, bit for bit W calls
+  // of store(): half takes each lane's norm over its own 24 reals
+  template <std::size_t W> void store(std::int64_t x0, const Spinor<Lanes<real_t, W>>& s) {
+    assert(x0 >= 0 && x0 + std::int64_t(W) <= layout_.sites);
+    if constexpr (P::has_norm) {
+      using L = Lanes<real_t, W>;
+      const L m = max_abs_norm(std::bit_cast<std::array<L, kNint>>(s));
+      for (std::size_t k = 0; k < W; ++k) norm_[static_cast<std::size_t>(x0) + k] = m[k];
+      // scaled in lanes, then quantized in site order, where the encode
+      // runs on whole runs of the block
+      Spinor<L> scaled = s;
+      scaled *= L(1.0f) / m;
+      layout_.scatter_lanes<P::nvec, kNint>(scaled, x0, data_.data(),
+                                           [](float r, std::size_t) { return to_half(r); });
+    } else {
+      layout_.scatter_lanes<P::nvec, kNint>(s, x0, data_.data(),
+                                           [](real_t r, std::size_t) { return r; });
+    }
+  }
+
   // --- ghost end zone --------------------------------------------------------
 
   // a ghost face site is 12 contiguous reals; half decodes them with the
   // face site's norm and stores them under the norm it is given (the
   // sender's), with 0 for a norm that is not positive
   HalfSpinor<real_t> load_ghost(int mu, GhostFace face, std::int64_t fs) const {
-    assert(fs >= 0 && fs < ghost_sites(mu));
-    std::array<store_t, kFaceReals> raw;
-    std::copy_n(data_.data() + ghost_base(mu, face, fs), kFaceReals, raw.data());
-    if constexpr (P::has_norm)
-      return std::bit_cast<HalfSpinor<real_t>>(decode(raw, ghost_norm(mu, face, fs)));
-    else
-      return std::bit_cast<HalfSpinor<real_t>>(raw);
+    return std::bit_cast<HalfSpinor<real_t>>(load_ghost(mu, face, LaneSites<1>{fs}));
+  }
+
+  // the W face sites fs as lanes, bit for bit W calls of load_ghost()
+  template <std::size_t W>
+  HalfSpinor<Lanes<real_t, W>> load_ghost(int mu, GhostFace face, const LaneSites<W>& fs) const {
+    std::array<Lanes<real_t, W>, kFaceReals> v;
+    for (std::size_t k = 0; k < W; ++k) {
+      assert(fs[k] >= 0 && fs[k] < ghost_sites(mu));
+      const store_t* run = data_.data() + ghost_base(mu, face, fs[k]);
+      const float norm = ghost_norm(mu, face, fs[k]);
+      for (std::size_t n = 0; n < kFaceReals; ++n) {
+        if constexpr (P::has_norm)
+          v[n][k] = from_half(run[n]) * norm;
+        else
+          v[n][k] = run[n];
+      }
+    }
+    return spinor_from_reals(v);
   }
 
   void store_ghost(int mu, GhostFace face, std::int64_t fs, const HalfSpinor<real_t>& h,

@@ -72,6 +72,16 @@ template <typename T> struct CloverSite {
   HermitianBlock<T> block[2]; // [0]: +chirality, [1]: -chirality
 };
 
+// real n of a clover site in memory order (per block: the diagonal, then
+// the lower triangle's re/im pairs)
+template <typename T> constexpr T& real_at(CloverSite<T>& c, std::size_t n) {
+  HermitianBlock<T>& b = c.block[n / 36];
+  const std::size_t m = n % 36;
+  if (m < 6) return b.diag[m];
+  Complex<T>& z = b.lower[(m - 6) / 2];
+  return m % 2 ? z.im : z.re;
+}
+
 // Invert a packed Hermitian 6x6 block (Gaussian elimination with partial
 // pivoting on the dense form).  Used once at setup to build the A^{-1}
 // needed by even-odd preconditioning; not performance critical.

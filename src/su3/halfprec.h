@@ -17,10 +17,15 @@
 //
 // Arithmetic on half-precision fields is performed in float after
 // conversion, as on the GPU.  decode()/encode() convert a site's block of
-// int16 at once, in straight-line loops the compiler vectorizes: the
-// element conversions are written without division and without
-// data-dependent branches, and equal the textbook forms bit for bit on
-// every input (tests/test_halfcodec.cpp checks all 2^16 and all 2^32).
+// int16 at once, in straight-line loops the compiler vectorizes: the decode
+// is the textbook division, which converts four elements an instruction in
+// float, and the encode is written without data-dependent branches and
+// equals the textbook form bit for bit on every input
+// (tests/test_halfcodec.cpp checks all 2^16 decodes and all 2^32 encodes).
+// The fields' site and lane loads (su3/lanes.h) all decode with
+// from_half().
+
+#include "su3/lanes.h"
 
 #include <algorithm>
 #include <array>
@@ -51,11 +56,9 @@ inline half_t to_half(float x) {
   return static_cast<half_t>(static_cast<int>(t + std::copysign(0.5f, t)));
 }
 
-// float(h) / 32767.0f, as a multiply: the double product rounds to the same
-// float on all 65,536 inputs (the all-float h * (1.0f / 32767.0f) does not)
-inline float from_half(half_t h) {
-  return static_cast<float>(static_cast<double>(h) * (1.0 / 32767.0));
-}
+// the textbook float(h) / 32767.0f; a multiply must round alike on all
+// 65,536 inputs to replace it (the all-float h * (1.0f / 32767.0f) does not)
+inline float from_half(half_t h) { return static_cast<float>(h) / kHalfPointScale; }
 
 // out[k] = from_half(in[k]) * scale
 template <std::size_t N>
@@ -77,14 +80,22 @@ std::array<half_t, N> encode(const std::array<float, N>& in, float inv) {
 // for an all-zero site.  Taken as an integer max over the |v| bit patterns
 // (ordered like the magnitudes, Inf included) with NaN mapped to 0, which
 // equals the float loop and vectorizes; signed, because SSE2 compares
-// signed 32-bit integers but not unsigned ones.
+// signed 32-bit integers but not unsigned ones.  For W sites as lanes
+// (su3/lanes.h), lane k of the result is the norm of the reals v[n][k].
+template <std::size_t N, std::size_t W>
+Lanes<float, W> max_abs_norm(const std::array<Lanes<float, W>, N>& v) {
+  Lanes<std::int32_t, W> m{};
+  for (std::size_t n = 0; n < N; ++n)
+    for (std::size_t k = 0; k < W; ++k) {
+      const std::int32_t a = std::bit_cast<std::int32_t>(v[n][k]) & 0x7fffffff;
+      m[k] = std::max(m[k], a > 0x7f800000 ? 0 : a);
+    }
+  Lanes<float, W> norm;
+  for (std::size_t k = 0; k < W; ++k) norm[k] = m[k] == 0 ? 1e-37f : std::bit_cast<float>(m[k]);
+  return norm;
+}
 template <std::size_t N> float max_abs_norm(const std::array<float, N>& v) {
-  std::int32_t m = 0;
-  for (std::size_t k = 0; k < N; ++k) {
-    const std::int32_t a = std::bit_cast<std::int32_t>(v[k]) & 0x7fffffff;
-    m = std::max(m, a > 0x7f800000 ? 0 : a);
-  }
-  return m == 0 ? 1e-37f : std::bit_cast<float>(m);
+  return max_abs_norm(std::bit_cast<std::array<Lanes<float, 1>, N>>(v))[0];
 }
 
 // --- 8-real gauge phases ----------------------------------------------------

@@ -55,6 +55,17 @@ template <typename T> struct HalfSpinor {
   constexpr const ColorVector<T>& operator[](std::size_t spin) const { return s[spin]; }
 };
 
+// real n of a spinor or half spinor in memory order (spin, colour, re/im),
+// for the lane loads and stores of the fields
+template <typename T> constexpr T& real_at(Spinor<T>& p, std::size_t n) {
+  Complex<T>& z = p.s[n / 6][n / 2 % 3];
+  return n % 2 ? z.im : z.re;
+}
+template <typename T> constexpr T& real_at(HalfSpinor<T>& p, std::size_t n) {
+  Complex<T>& z = p.s[n / 6][n / 2 % 3];
+  return n % 2 ? z.im : z.re;
+}
+
 template <typename T> inline T norm2(const Spinor<T>& p) {
   T n = 0;
   for (std::size_t i = 0; i < 4; ++i) n += norm2(p.s[i]);
@@ -80,21 +91,35 @@ template <typename T> inline T max_abs(const Spinor<T>& p) {
   return m;
 }
 
-// U acting on color index of every spin component.
+// U acting on color index of every spin component.  The results are built
+// member by member, not cleared and then filled: for site lanes a cleared
+// aggregate is too large for the compiler to drop the clear.
 template <typename T>
 constexpr HalfSpinor<T> operator*(const SU3<T>& u, const HalfSpinor<T>& h) {
-  HalfSpinor<T> o;
-  o.s[0] = u * h.s[0];
-  o.s[1] = u * h.s[1];
-  return o;
+  return HalfSpinor<T>{{u * h.s[0], u * h.s[1]}};
 }
 
 template <typename T>
 constexpr HalfSpinor<T> adj_mul(const SU3<T>& u, const HalfSpinor<T>& h) {
-  HalfSpinor<T> o;
-  o.s[0] = adj_mul(u, h.s[0]);
-  o.s[1] = adj_mul(u, h.s[1]);
-  return o;
+  return HalfSpinor<T>{{adj_mul(u, h.s[0]), adj_mul(u, h.s[1])}};
+}
+
+// the spinor or half spinor with reals v in memory order (real_at), member
+// by member
+namespace detail {
+template <typename T, std::size_t N>
+constexpr ColorVector<T> colour_vector_at(const std::array<T, N>& v, std::size_t i) {
+  return ColorVector<T>{{Complex<T>(v[6 * i], v[6 * i + 1]), Complex<T>(v[6 * i + 2], v[6 * i + 3]),
+                         Complex<T>(v[6 * i + 4], v[6 * i + 5])}};
+}
+} // namespace detail
+template <typename T> constexpr Spinor<T> spinor_from_reals(const std::array<T, 24>& v) {
+  using detail::colour_vector_at;
+  return Spinor<T>{{colour_vector_at(v, 0), colour_vector_at(v, 1), colour_vector_at(v, 2),
+                    colour_vector_at(v, 3)}};
+}
+template <typename T> constexpr HalfSpinor<T> spinor_from_reals(const std::array<T, 12>& v) {
+  return HalfSpinor<T>{{detail::colour_vector_at(v, 0), detail::colour_vector_at(v, 1)}};
 }
 
 template <typename T> constexpr Spinor<T> operator*(const SU3<T>& u, const Spinor<T>& p) {

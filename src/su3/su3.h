@@ -86,6 +86,12 @@ template <typename T> struct SU3 {
   friend constexpr SU3 operator*(SU3 a, T s) { return a *= s; }
 };
 
+// real n of a matrix in memory order (row, column, re/im)
+template <typename T> constexpr T& real_at(SU3<T>& m, std::size_t n) {
+  Complex<T>& z = m.e[n / 6][n / 2 % 3];
+  return n % 2 ? z.im : z.re;
+}
+
 template <typename T> constexpr SU3<T> adjoint(const SU3<T>& m) {
   SU3<T> a;
   for (std::size_t r = 0; r < 3; ++r)
@@ -107,26 +113,24 @@ template <typename T> constexpr SU3<T> operator*(const SU3<T>& a, const SU3<T>& 
 // U * v
 template <typename T>
 constexpr ColorVector<T> operator*(const SU3<T>& m, const ColorVector<T>& v) {
-  ColorVector<T> o;
-  for (std::size_t r = 0; r < 3; ++r) {
+  const auto row = [&](std::size_t r) {
     Complex<T> s{};
     for (std::size_t k = 0; k < 3; ++k) cmad(s, m.e[r][k], v.c[k]);
-    o.c[r] = s;
-  }
-  return o;
+    return s;
+  };
+  return ColorVector<T>{{row(0), row(1), row(2)}};
 }
 
 // U^dagger * v without forming the adjoint ("matrix conjugation performed at
 // no cost through register relabeling", Section V-B).
 template <typename T>
 constexpr ColorVector<T> adj_mul(const SU3<T>& m, const ColorVector<T>& v) {
-  ColorVector<T> o;
-  for (std::size_t r = 0; r < 3; ++r) {
+  const auto row = [&](std::size_t r) {
     Complex<T> s{};
     for (std::size_t k = 0; k < 3; ++k) conj_cmad(s, m.e[k][r], v.c[k]);
-    o.c[r] = s;
-  }
-  return o;
+    return s;
+  };
+  return ColorVector<T>{{row(0), row(1), row(2)}};
 }
 
 template <typename T> constexpr Complex<T> det(const SU3<T>& m) {

@@ -1,9 +1,9 @@
 // The half-precision codec of su3/halfprec.h against the textbook element
-// conversions it replaced, kept here as reference implementations: the
-// division-free decode on every int16, the branch-free encode on every float
-// bit pattern (four slow shards of 2^30 patterns each) and, fast, on every
-// float in [-1.01, 1.01] at a fixed stride plus the special values, and the
-// bit-pattern norm against the float max-abs loop.
+// conversions, kept here as reference implementations: the decode on every
+// int16 (a faster form must round alike), the branch-free encode on every
+// float bit pattern (four slow shards of 2^30 patterns each) and, fast, on
+// every float in [-1.01, 1.01] at a fixed stride plus the special values,
+// and the bit-pattern norm against the float max-abs loop.
 
 #include "su3/halfprec.h"
 

@@ -1,4 +1,4 @@
-// Bitwise pins of the device kernels one by one, in half and in single: the
+// Bitwise pins of the device kernels one by one, in every precision: the
 // dslash over every region with and without accumulation (ghost zones filled
 // by the face pack/unpack path, for each link reconstruction), the clover
 // apply, the spinor face buffers and the gauge ghost exchange.  Every stored
@@ -6,10 +6,15 @@
 // codec, so a change to either moves a digest here before it can reach a
 // solve.  FNV-1a as in field_pins.h.
 //
-// The single-precision kernels are pinned a second time on an input that
-// holds an all-zero site, an all -0 site and a site with an Inf and a NaN on
-// each parity: a device bit flip can leave such values in a field, and the
-// kernels must then write the same bits as before too.
+// The dslash runs on two decompositions: z and t cut, and x and y cut.  On
+// the second, four consecutive checkerboard sites span two x rows, so a
+// group of sites mixes hops that read a ghost with hops that wrap or stay
+// in the body, and mixes Interior with Boundary sites.
+//
+// The single- and half-precision kernels are pinned a second time on an
+// input that holds an all-zero site, an all -0 site and a site with an Inf
+// and a NaN on each parity: a device bit flip can leave such values in a
+// field, and the kernels must then write the same bits as before too.
 
 #include "dirac/clover_term.h"
 #include "dirac/dslash.h"
@@ -30,6 +35,9 @@ namespace {
 // z and t cut: two ghost dimensions, so Interior and Boundary differ and the
 // ghost reads cover a spatial and the temporal face
 constexpr PartitionMask kPinMask{false, false, true, true};
+// x and y cut: the x ghost is read by single sites of an x row, the y ghost
+// by one of the two rows a group of four sites spans; t wraps with its phase
+constexpr PartitionMask kPinMaskXY{true, true, false, false};
 
 // per parity (even, odd): an all-zero site, an all -0 site, and a site on a
 // cut z face holding +Inf and a NaN
@@ -82,11 +90,12 @@ template <typename P> std::uint64_t face_digest(std::uint64_t h, const FaceBuffe
 // periodic one-rank neighbour): the backward ghost is the P+mu projection
 // of the last slice, the forward ghost the P-mu projection of slice 0.
 // Returns the digest of every face buffer that crossed.
-template <typename P> std::uint64_t fill_ghosts(SpinorField<P>& in, const Geometry& g) {
+template <typename P>
+std::uint64_t fill_ghosts(SpinorField<P>& in, const Geometry& g, const PartitionMask& mask) {
   std::uint64_t h = kFnvBasis;
   FaceBuffer<P> buf;
   for (int mu = 0; mu < 4; ++mu) {
-    if (!kPinMask[static_cast<std::size_t>(mu)]) continue;
+    if (!mask[static_cast<std::size_t>(mu)]) continue;
     pack_face(in, g, Parity::Odd, mu, g.dims()[mu] - 1, +1, buf);
     h = face_digest(h, buf);
     unpack_ghost(in, g, mu, GhostFace::Backward, buf);
@@ -98,11 +107,13 @@ template <typename P> std::uint64_t fill_ghosts(SpinorField<P>& in, const Geomet
 }
 
 // the wire buffers and the gauge field after its ghost pads are filled
-template <typename P> std::uint64_t fill_gauge_ghosts(GaugeField<P>& gauge, const Geometry& g) {
+template <typename P>
+std::uint64_t fill_gauge_ghosts(GaugeField<P>& gauge, const Geometry& g,
+                                const PartitionMask& mask) {
   std::uint64_t h = kFnvBasis;
   GaugeFaceBuffer<P> buf;
   for (int mu = 0; mu < 4; ++mu) {
-    if (!kPinMask[static_cast<std::size_t>(mu)]) continue;
+    if (!mask[static_cast<std::size_t>(mu)]) continue;
     pack_gauge_face(gauge, g, mu, g.dims()[mu] - 1, buf);
     h = vec_digest(h, buf.data);
     unpack_gauge_ghost(gauge, g, mu, buf);
@@ -119,26 +130,27 @@ struct ReconPins {
 
 template <typename P>
 void expect_dslash_pinned(const HostSpinorField& src, std::uint64_t faces,
-                          const std::array<ReconPins, 3>& want) {
+                          const std::array<ReconPins, 3>& want,
+                          const PartitionMask& mask = kPinMask) {
   const PinData& d = pdata();
-  SpinorField<P> in = upload_spinor<P>(src, Parity::Odd, kPinMask);
-  const std::uint64_t got_faces = fill_ghosts(in, d.g);
+  SpinorField<P> in = upload_spinor<P>(src, Parity::Odd, mask);
+  const std::uint64_t got_faces = fill_ghosts(in, d.g, mask);
   EXPECT_EQ(got_faces, faces) << "face buffers: 0x" << std::hex << got_faces;
 
   DslashOptions opt;
   opt.out_parity = Parity::Even;
-  opt.ghost = kPinMask;
+  opt.ghost = mask;
   opt.bc_backward = -1.0;
   opt.bc_forward = -1.0;
   constexpr KernelRegion regions[3] = {KernelRegion::All, KernelRegion::Interior,
                                        KernelRegion::Boundary};
   for (const ReconPins& pins : want) {
     GaugeField<P> gauge = upload_gauge<P>(d.u, pins.recon);
-    const std::uint64_t got_gauge = fill_gauge_ghosts(gauge, d.g);
+    const std::uint64_t got_gauge = fill_gauge_ghosts(gauge, d.g, mask);
     EXPECT_EQ(got_gauge, pins.gauge_ghost)
         << "recon " << to_string(pins.recon) << " gauge ghost: 0x" << std::hex << got_gauge;
     for (int k = 0; k < 6; ++k) {
-      SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, kPinMask);
+      SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, mask);
       const Accumulate acc = k % 2 ? Accumulate::Yes : Accumulate::No;
       dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), typename P::real_t(-0.37), acc,
                 regions[k / 2]);
@@ -225,6 +237,77 @@ TEST(KernelPinned, DslashSingleSpecials) {
 TEST(KernelPinned, CloverApplySingleSpecials) {
   expect_clover_pinned<PrecSingle>(
       pdata().specials, {0x8c7d6823ebc03d30ull, 0x46845c3ebdeacf39ull, 0x4ca44961357987b4ull});
+}
+
+TEST(KernelPinned, DslashDouble) {
+  expect_dslash_pinned<PrecDouble>(
+      pdata().a, 0x786e051abc09d687ull,
+      {{{Reconstruct::Eight, 0xcae904aceaf31d0eull,
+         {0x76ef91331bef2118ull, 0xd471d2fdbfff1708ull, 0x32cf14d4521dd7a8ull, 0x380081ea12cb26c3ull, 0x56ef313aed8b913dull, 0x185cce50d04fda2aull}},
+        {Reconstruct::Twelve, 0xae366190ceda2941ull,
+         {0xad51ed7379bd1268ull, 0x1f02edd1299f6a68ull, 0xae5d5eeab0c9e954ull, 0x6b931d321d013c1dull, 0x418d6fe01c59445dull, 0x2c6e0b45425e7110ull}},
+        {Reconstruct::Eighteen, 0x680aa2f492234aefull,
+         {0xad51ed7379bd1268ull, 0x1f02edd1299f6a68ull, 0xae5d5eeab0c9e954ull, 0x6b931d321d013c1dull, 0x418d6fe01c59445dull, 0x2c6e0b45425e7110ull}}}});
+}
+TEST(KernelPinned, CloverApplyDouble) {
+  expect_clover_pinned<PrecDouble>(pdata().a, {0xbb3c81a38abea25cull, 0x63651bc8ab1d7033ull, 0x9df83ad1011dfb2full});
+}
+TEST(KernelPinned, DslashHalfSpecials) {
+  expect_dslash_pinned<PrecHalf>(
+      pdata().specials, 0xde6f30411e7a2b89ull,
+      {{{Reconstruct::Eight, 0xb6e9437c1f90ada9ull,
+         {0xc9dedce4510f87ecull, 0x4d811a77832a47eeull, 0x3c0693305005f81eull, 0x63f9f3c711038379ull, 0x2a20c6f8815bac0full, 0x7a60883675a1543aull}},
+        {Reconstruct::Twelve, 0x20f335e15e3c9e0bull,
+         {0x22292742dc82ba93ull, 0xe2b7f1c4f15a9823ull, 0x183805a1cc2128c2ull, 0x20e870ffc089b538ull, 0xcdceb651b0b266ccull, 0x86146e48d2f35ab2ull}},
+        {Reconstruct::Eighteen, 0xbd878e31205aeb87ull,
+         {0x9f4d46609d2ae231ull, 0xbaef9d5a27a76c22ull, 0xc8f55239c87ae076ull, 0xad384e866c839ef8ull, 0x707e6810ecc1968aull, 0xdbb486e7c96a1f7bull}}}});
+}
+TEST(KernelPinned, CloverApplyHalfSpecials) {
+  expect_clover_pinned<PrecHalf>(pdata().specials, {0xc757145cf34c0e4dull, 0x6f9302acdfde2c3eull, 0xbeaac6f4f2c964a6ull});
+}
+TEST(KernelPinned, DslashHalfXYCut) {
+  expect_dslash_pinned<PrecHalf>(
+      pdata().a, 0xd66432f26debb6a9ull,
+      {{{Reconstruct::Eight, 0x5e81830994a718caull,
+         {0xd0ae6505c21cabf6ull, 0x3322da4cebf5dc81ull, 0x5af34c33bfa33e3eull, 0x113a33fe250cac86ull, 0xb33dd2d0a502d95dull, 0x99130cb7f313b79eull}},
+        {Reconstruct::Twelve, 0x84b91009152b9c9cull,
+         {0x063771de070313dfull, 0xbe6fb6e0f79e5ce1ull, 0xc472f288d74f6f95ull, 0x2591cf6dd6bc642dull, 0x2e4bac00e620580bull, 0xb1051162e86b5931ull}},
+        {Reconstruct::Eighteen, 0x40d95e50a756c57full,
+         {0x3758d0c5e2307706ull, 0x25854a7093f8cbb7ull, 0x7fb07ab8bfccfac4ull, 0xf784051e1e49b0d4ull, 0x52195dc4758e79dfull, 0xcf25288ba0a45fe2ull}}}},
+      kPinMaskXY);
+}
+TEST(KernelPinned, DslashSingleXYCut) {
+  expect_dslash_pinned<PrecSingle>(
+      pdata().a, 0xc384aa373a31d10aull,
+      {{{Reconstruct::Eight, 0x93fb3487c32612c8ull,
+         {0x5b7b71b38ff2454eull, 0x8570f08e5fef1577ull, 0x839073ad6f85df45ull, 0xb0b6d78ce8dc1ab4ull, 0xa44181fc49d5cb52ull, 0x3a106339d63ef536ull}},
+        {Reconstruct::Twelve, 0xf1b2ada30f4f3f10ull,
+         {0x45b6e91a72fc73d9ull, 0x8d7dd9327cd5339cull, 0x2d2262bdad77b8cdull, 0xba62de2c904cf484ull, 0x4c36adcd26404c71ull, 0x69b09422dfc354d9ull}},
+        {Reconstruct::Eighteen, 0xd107143d37474e94ull,
+         {0xd21efbf9e5e7c3bcull, 0xc5652b96f035a6b2ull, 0x4626545cc06f0bafull, 0xf1c9982700bde85eull, 0xbf9bef354eed950eull, 0x2310de12b6b119e5ull}}}},
+      kPinMaskXY);
+}
+TEST(KernelPinned, DslashDoubleXYCut) {
+  expect_dslash_pinned<PrecDouble>(
+      pdata().a, 0xc052a0a20c5d0e5aull,
+      {{{Reconstruct::Eight, 0x1771a67be3a31b21ull,
+         {0xd1d4b87a58428823ull, 0x0e95781d46709995ull, 0xaa182a3023b54f03ull, 0xb42cf237adde4079ull, 0x5189fe120cd034f9ull, 0xfc539dee03b19881ull}},
+        {Reconstruct::Twelve, 0x5d5432ebe17e00d1ull,
+         {0x85613e7ede641268ull, 0x14107125af466a68ull, 0xe3f0b8f3e4ee0fd3ull, 0xdddbeead8a04571eull, 0x561d895649bcb2b2ull, 0xca03ee5c51ab72ffull}},
+        {Reconstruct::Eighteen, 0x6d6cf80c83354ca3ull,
+         {0x85613e7ede641268ull, 0x14107125af466a68ull, 0xe3f0b8f3e4ee0fd3ull, 0xdddbeead8a04571eull, 0x561d895649bcb2b2ull, 0xca03ee5c51ab72ffull}}}},
+      kPinMaskXY);
+}
+TEST(KernelPinned, DslashSingleSpecialsXYCut) {
+  expect_dslash_pinned<PrecSingle>(
+      pdata().specials, 0x3b63504fa18ace27ull,
+      {{{Reconstruct::Eight, 0x93fb3487c32612c8ull,
+         {0xfedb6ffb9b1d33fcull, 0x9cd4971ad6fa2ab4ull, 0x1fbec1f37ab0ecf6ull, 0x29a2b33e7f377d44ull, 0x21c35674aa65d8dbull, 0x12cd453732c14abdull}},
+        {Reconstruct::Twelve, 0xf1b2ada30f4f3f10ull,
+         {0x2f987221347125bcull, 0xf39b26e80c1dd0b0ull, 0xe1fc8c2f6f996c12ull, 0xa316ee04877d73c2ull, 0x983f83cbd482ab47ull, 0x3c9b7f4934c6adb7ull}},
+        {Reconstruct::Eighteen, 0xd107143d37474e94ull,
+         {0xac55b83e045555f4ull, 0x05b7a14f30eb376aull, 0x273fd4efa7145a8dull, 0x15dbbfdb619362a0ull, 0xd320d1ab6b8d1970ull, 0x896eab3b04fd185full}}}},
+      kPinMaskXY);
 }
 
 } // namespace
