@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the *real* (host-executed) kernels:
-// the QUDA-order dslash in all precisions, the fused BLAS kernels, clover
-// application, and the face gather.  These measure the reproduction's own
+// the QUDA-order dslash in all precisions, the fused BLAS kernels and
+// reductions, clover application, and the face gather.  These measure the reproduction's own
 // host throughput (useful when hacking on the kernels); the simulated-GPU
 // numbers in the figure benches come from the device model, not from here.
 // BM_AnalyzeSolve times the post-run critical-path analysis of one recorded
@@ -168,6 +168,39 @@ template <typename P> void BM_BlasCaxpy(benchmark::State& state) {
 BENCHMARK(BM_BlasCaxpy<PrecDouble>)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BlasCaxpy<PrecSingle>)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BlasCaxpy<PrecHalf>)->Unit(benchmark::kMicrosecond);
+
+// the reductions beside axpyNorm: cdot reads two fields; the fused BiCGstab
+// r-update reads three, writes one and returns <r, r> and <r0, r>
+template <typename P> void BM_BlasCdot(benchmark::State& state) {
+  const auto& d = data();
+  const SpinorField<P> x = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> y = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  complexd acc{};
+  for (auto _ : state) acc += blas::cdot(x, y);
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * d.g.half_volume());
+}
+BENCHMARK(BM_BlasCdot<PrecSingle>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasCdot<PrecHalf>)->Unit(benchmark::kMicrosecond);
+
+template <typename P> void BM_BlasRUpdate(benchmark::State& state) {
+  const auto& d = data();
+  const SpinorField<P> s = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
+  const SpinorField<P> t = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
+  SpinorField<P> r = SpinorField<P>::like(s);
+  complexd omega{0.97, 0.01};
+  benchmark::DoNotOptimize(omega);
+  double r2 = 0;
+  complexd rho;
+  for (auto _ : state) {
+    blas::bicgstab_r_update(r, s, t, omega, r2, rho, s);
+    benchmark::DoNotOptimize(r2);
+    benchmark::DoNotOptimize(rho);
+  }
+  state.SetItemsProcessed(state.iterations() * d.g.half_volume());
+}
+BENCHMARK(BM_BlasRUpdate<PrecSingle>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BlasRUpdate<PrecHalf>)->Unit(benchmark::kMicrosecond);
 
 template <typename P> void BM_FacePack(benchmark::State& state) {
   const auto& d = data();

@@ -19,9 +19,11 @@
 // precision decides how a kernel touches memory: double and single hand the
 // body raw component-block spans (stride-1 sweeps the compiler vectorizes),
 // half hands it each site's 24 reals decoded by load_reals() and re-encoded
-// by store_reals().  Reductions and apply_gamma5 keep their site-major
-// load() loops: the reductions accumulate in that order inside fixed-shape
-// chunks (see the determinism contract in exec/host_engine.h).
+// by store_reals().  The reductions run on site lanes (su3/lanes.h): W
+// consecutive sites at a time, each site's float sum in its own lane, and
+// each lane's double added in site order, so they accumulate exactly as a
+// site-by-site loop inside fixed-shape chunks (see the determinism contract
+// in exec/host_engine.h).  A chunk's last sites run at W = 1.
 
 #include "exec/host_engine.h"
 #include "lattice/spinor_field.h"
@@ -86,6 +88,24 @@ void elementwise(const Body& body, SpinorField<P>& w, const In&... in) {
   });
 }
 
+// body(x0, LaneCount<W>) for the lane groups of [b, e): the W consecutive
+// sites from x0, W = kSiteLanes of the compute type and then 1 for the
+// last sites
+template <typename P, typename Body>
+void each_lane_group(std::int64_t b, std::int64_t e, Body&& body) {
+  for_each_lane_group<kSiteLanes<typename P::real_t>>(
+      b, e, [&](auto w, std::int64_t x0) { body(x0, w); });
+}
+
+// acc += each lane as a double, in lane (site) order
+template <typename T, std::size_t W> void add_lanes(double& acc, const Lanes<T, W>& v) {
+  for (std::size_t k = 0; k < W; ++k) acc += static_cast<double>(v[k]);
+}
+template <typename T, std::size_t W> void add_lanes(complexd& acc, const Complex<Lanes<T, W>>& z) {
+  for (std::size_t k = 0; k < W; ++k)
+    acc += complexd(static_cast<double>(z.re[k]), static_cast<double>(z.im[k]));
+}
+
 // partial sums of the fused r-update reduction pair
 struct RUpdatePartial {
   double r2 = 0;
@@ -110,10 +130,9 @@ template <typename P> double norm2(const SpinorField<P>& x) {
   return exec::parallel_reduce<double>(
       0, x.sites(), exec::kBlasGrain, [&](std::int64_t b, std::int64_t e) {
         double n = 0;
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto s = x.load(i);
-          n += static_cast<double>(quda::norm2(s));
-        }
+        detail::each_lane_group<P>(b, e, [&]<std::size_t W>(std::int64_t i, LaneCount<W>) {
+          detail::add_lanes(n, quda::norm2(x.template load<W>(i)));
+        });
         return n;
       });
 }
@@ -122,10 +141,9 @@ template <typename P> complexd cdot(const SpinorField<P>& a, const SpinorField<P
   return exec::parallel_reduce<complexd>(
       0, a.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
         complexd d{};
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const auto da = dot(a.load(i), b.load(i));
-          d += complexd(static_cast<double>(da.re), static_cast<double>(da.im));
-        }
+        detail::each_lane_group<P>(lo, hi, [&]<std::size_t W>(std::int64_t i, LaneCount<W>) {
+          detail::add_lanes(d, dot(a.template load<W>(i), b.template load<W>(i)));
+        });
         return d;
       });
 }
@@ -192,12 +210,12 @@ double axpy_norm(double a, const SpinorField<P>& x, SpinorField<P>& y) {
   return exec::parallel_reduce<double>(
       0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
         double n = 0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          auto yi = y.load(i);
-          yi += x.load(i) * ar;
+        detail::each_lane_group<P>(lo, hi, [&]<std::size_t W>(std::int64_t i, LaneCount<W>) {
+          auto yi = y.template load<W>(i);
+          yi += x.template load<W>(i) * ar;
           y.store(i, yi);
-          n += static_cast<double>(quda::norm2(yi));
-        }
+          detail::add_lanes(n, quda::norm2(yi));
+        });
         return n;
       });
 }
@@ -208,12 +226,12 @@ double xmy_norm(const SpinorField<P>& x, SpinorField<P>& y) {
   return exec::parallel_reduce<double>(
       0, x.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
         double n = 0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          auto yi = x.load(i);
-          yi -= y.load(i);
+        detail::each_lane_group<P>(lo, hi, [&]<std::size_t W>(std::int64_t i, LaneCount<W>) {
+          auto yi = x.template load<W>(i);
+          yi -= y.template load<W>(i);
           y.store(i, yi);
-          n += static_cast<double>(quda::norm2(yi));
-        }
+          detail::add_lanes(n, quda::norm2(yi));
+        });
         return n;
       });
 }
@@ -269,16 +287,16 @@ void bicgstab_r_update(SpinorField<P>& r, const SpinorField<P>& s, const SpinorF
   const auto acc = exec::parallel_reduce<detail::RUpdatePartial>(
       0, r.sites(), exec::kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
         detail::RUpdatePartial part;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          auto ti = t.load(i);
-          ti *= w;
-          auto ri = s.load(i);
+        detail::each_lane_group<P>(lo, hi, [&]<std::size_t W>(std::int64_t i, LaneCount<W>) {
+          using L = Lanes<real_t, W>;
+          auto ti = t.template load<W>(i);
+          ti *= Complex<L>(L(w.re), L(w.im));
+          auto ri = s.template load<W>(i);
           ri -= ti;
           r.store(i, ri);
-          part.r2 += static_cast<double>(quda::norm2(ri));
-          const auto d = dot(r0.load(i), ri);
-          part.rho += complexd(static_cast<double>(d.re), static_cast<double>(d.im));
-        }
+          detail::add_lanes(part.r2, quda::norm2(ri));
+          detail::add_lanes(part.rho, dot(r0.template load<W>(i), ri));
+        });
         return part;
       });
   r2 = acc.r2;

@@ -74,10 +74,10 @@ std::vector<CbSpan> region_spans(const Geometry& g, Parity parity,
   return spans;
 }
 
-// group(w, cb0) over the sites of `spans`: w = W consecutive sites of a
-// span from cb0 at a time, then w = 1 for the span's last sites, where
-// w is std::integral_constant<std::size_t, w>.  The spans' sites are split
-// into chunks of kSiteGrain for the engine; no bit depends on the chunks.
+// group(w, cb0) over the sites of `spans` in groups of W consecutive sites,
+// with w = 1 for a span's last sites (for_each_lane_group).  The spans'
+// sites are split into chunks of kSiteGrain for the engine; no bit depends
+// on the chunks.
 template <std::size_t W, typename Group>
 void for_each_group(const std::vector<CbSpan>& spans, Group&& group) {
   std::vector<std::int64_t> first(spans.size() + 1, 0); // ordinal of each span's first site
@@ -87,11 +87,8 @@ void for_each_group(const std::vector<CbSpan>& spans, Group&& group) {
     auto s = static_cast<std::size_t>(std::upper_bound(first.begin(), first.end(), lo) - first.begin() - 1);
     for (; lo < hi; ++s) {
       const std::int64_t n = std::min(hi, first[s + 1]) - lo;
-      std::int64_t cb = spans[s].begin + (lo - first[s]);
-      const std::int64_t end = cb + n;
-      for (; cb + std::int64_t(W) <= end; cb += std::int64_t(W))
-        group(std::integral_constant<std::size_t, W>{}, cb);
-      for (; cb < end; ++cb) group(std::integral_constant<std::size_t, 1>{}, cb);
+      const std::int64_t cb = spans[s].begin + (lo - first[s]);
+      for_each_lane_group<W>(cb, cb + n, group);
       lo += n;
     }
   });

@@ -103,6 +103,27 @@ struct BlockLayout {
         for (std::size_t j = 0; j < Nv; ++j) real_at(lanes, n + j)[k] = sites[k * Nv + j];
     }
   }
+  // the W consecutive sites from x0, whose block b is one run of W * Nv
+  // elements, converted whole by f(element) in one loop: four elements an
+  // instruction where f decodes half, where the per-lane form converts
+  // element by element.  A per-site scale (the half norm) is the caller's,
+  // in lanes.
+  template <std::size_t Nv, std::size_t N, typename T, typename A, typename F>
+  void gather_run(const T* body, std::int64_t x0, A& lanes, F&& f) const {
+    using U = std::remove_cvref_t<decltype(real_at(lanes, 0)[0])>;
+    constexpr std::size_t W = sizeof(real_at(lanes, 0)) / sizeof(U);
+    static_assert(sizeof(A) >= N * W * sizeof(U) && N % Nv == 0);
+    assert(Nv == std::size_t(nvec) && N == std::size_t(nint));
+    const T* run = body + std::int64_t(Nv) * x0;
+#pragma GCC unroll 128
+    for (std::size_t n = 0; n < N; n += Nv, run += std::int64_t(Nv) * stride()) {
+      U sites[W * Nv];
+      for (std::size_t i = 0; i < W * Nv; ++i) sites[i] = f(run[i]);
+#pragma GCC unroll 1
+      for (std::size_t k = 0; k < W; ++k)
+        for (std::size_t j = 0; j < Nv; ++j) real_at(lanes, n + j)[k] = sites[k * Nv + j];
+    }
+  }
   // the W consecutive sites from x
   template <std::size_t Nv, std::size_t N, typename T, typename A, typename F>
   void scatter_lanes(const A& lanes, std::int64_t x, T* body, F&& f) const {

@@ -157,6 +157,24 @@ public:
     return spinor_from_reals(v);
   }
 
+  // the W consecutive sites from x0 as lanes, bit for bit load(LaneSites):
+  // each block is read and decoded as one run, and half multiplies each
+  // lane by its site's norm after the transpose
+  template <std::size_t W> Spinor<Lanes<real_t, W>> load(std::int64_t x0) const {
+    assert(x0 >= 0 && x0 + std::int64_t(W) <= layout_.sites);
+    std::array<Lanes<real_t, W>, kNint> v;
+    if constexpr (P::has_norm) {
+      layout_.gather_run<P::nvec, kNint>(data_.data(), x0, v,
+                                        [](store_t h) { return from_half(h); });
+      Lanes<float, W> norm;
+      for (std::size_t k = 0; k < W; ++k) norm[k] = norm_[static_cast<std::size_t>(x0) + k];
+      for (Lanes<float, W>& r : v) r *= norm;
+    } else {
+      layout_.gather_run<P::nvec, kNint>(data_.data(), x0, v, [](store_t r) { return r; });
+    }
+    return spinor_from_reals(v);
+  }
+
   // the W consecutive sites from x0 from the lanes of s, bit for bit W calls
   // of store(): half takes each lane's norm over its own 24 reals
   template <std::size_t W> void store(std::int64_t x0, const Spinor<Lanes<real_t, W>>& s) {

@@ -3,13 +3,22 @@
 // analogue of one CUDA thread per site (Section V of the paper).
 //
 // Lanes<S, W> is an arithmetic type whose every operation runs the scalar
-// operation once per lane, in plain loops the compiler turns into SIMD
-// instructions.  The Complex, ColorVector, SU3, Spinor, HalfSpinor and
-// HermitianBlock templates and the compile-time spin algebra instantiate on
-// it unchanged, so a kernel body written once runs W sites at a time, and
-// each lane computes exactly the bits the scalar type computes for its site:
-// the same operations on the same operands in the same order (the default
-// flags contract no multiply-adds).  W = 1 is the scalar body.
+// operation once per lane.  The Complex, ColorVector, SU3, Spinor,
+// HalfSpinor and HermitianBlock templates and the compile-time spin algebra
+// instantiate on it unchanged, so a kernel body written once runs W sites at
+// a time, and each lane computes exactly the bits the scalar type computes
+// for its site: the same operations on the same operands in the same order
+// (the default flags contract no multiply-adds).  W = 1 is the scalar body.
+//
+// The lanes are stored as a std::array, so element access and the constexpr
+// spin tables work as for any array.  For the 16-byte shapes (float x 4,
+// double x 2) + - * / and negation run on whole vectors: the operands are
+// bit_cast to a GCC/Clang vector_size(16) type, which the compiler maps
+// to one SSE instruction, and the result back.  Each such instruction is
+// the scalar IEEE operation in every lane, under the same rounding mode and
+// denormal handling, so no bit moves.  Other shapes, and constant
+// evaluation, run the element loop.  No vector type is ever stored or
+// referenced element by element.
 //
 // Aggregates of lanes (Spinor<Lanes<S, W>>, ...) hold W sites' values;
 // set_lane() moves one site's aggregate into lane k, for the lanes a kernel
@@ -19,7 +28,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
+#include <utility>
 
 namespace quda {
 
@@ -31,9 +42,7 @@ template <typename S, std::size_t W> struct Lanes {
   // them unset, as for S
   constexpr Lanes() = default;
   // every lane s
-  constexpr Lanes(S s) : v{} {
-    for (std::size_t k = 0; k < W; ++k) v[k] = s;
-  }
+  constexpr Lanes(S s) : v(splat(s)) {}
   // every lane static_cast<S>(u)
   template <typename U>
     requires(std::is_arithmetic_v<U> && !std::is_same_v<U, S>)
@@ -42,28 +51,18 @@ template <typename S, std::size_t W> struct Lanes {
   constexpr S& operator[](std::size_t k) { return v[k]; }
   constexpr const S& operator[](std::size_t k) const { return v[k]; }
 
-  constexpr Lanes& operator+=(const Lanes& o) {
-    for (std::size_t k = 0; k < W; ++k) v[k] += o.v[k];
-    return *this;
-  }
-  constexpr Lanes& operator-=(const Lanes& o) {
-    for (std::size_t k = 0; k < W; ++k) v[k] -= o.v[k];
-    return *this;
-  }
-  constexpr Lanes& operator*=(const Lanes& o) {
-    for (std::size_t k = 0; k < W; ++k) v[k] *= o.v[k];
-    return *this;
-  }
-  constexpr Lanes& operator/=(const Lanes& o) {
-    for (std::size_t k = 0; k < W; ++k) v[k] /= o.v[k];
-    return *this;
-  }
+  constexpr Lanes& operator+=(const Lanes& o) { return lanewise(o, std::plus<>{}); }
+  constexpr Lanes& operator-=(const Lanes& o) { return lanewise(o, std::minus<>{}); }
+  constexpr Lanes& operator*=(const Lanes& o) { return lanewise(o, std::multiplies<>{}); }
+  constexpr Lanes& operator/=(const Lanes& o) { return lanewise(o, std::divides<>{}); }
 
   friend constexpr Lanes operator+(Lanes a, const Lanes& b) { return a += b; }
   friend constexpr Lanes operator-(Lanes a, const Lanes& b) { return a -= b; }
   friend constexpr Lanes operator*(Lanes a, const Lanes& b) { return a *= b; }
   friend constexpr Lanes operator/(Lanes a, const Lanes& b) { return a /= b; }
   friend constexpr Lanes operator-(Lanes a) {
+    if constexpr (kVectorShape)
+      if (!std::is_constant_evaluated()) return std::bit_cast<Lanes>(-std::bit_cast<Vector>(a));
     for (std::size_t k = 0; k < W; ++k) a.v[k] = -a.v[k];
     return a;
   }
@@ -74,6 +73,37 @@ template <typename S, std::size_t W> struct Lanes {
     for (std::size_t k = 0; k < W; ++k)
       if (!(a.v[k] == b.v[k])) return false;
     return true;
+  }
+
+private:
+  // the vector type of the 16-byte shapes
+  static constexpr bool kVectorShape =
+      sizeof(S) * W == 16 && (std::is_same_v<S, float> || std::is_same_v<S, double>);
+  using VectorElement = std::conditional_t<kVectorShape, S, float>;
+  typedef VectorElement Vector __attribute__((vector_size(16)));
+
+  // s in every lane; the vector shapes build one vector, which the compiler
+  // keeps in a register where it splits an array filled element by element
+  // into integer pieces
+  static constexpr std::array<S, W> splat(S s) {
+    if constexpr (kVectorShape)
+      if (!std::is_constant_evaluated())
+        return [s]<std::size_t... K>(std::index_sequence<K...>) {
+          return std::bit_cast<std::array<S, W>>(Vector{((void)K, s)...});
+        }(std::make_index_sequence<W>{});
+    std::array<S, W> a{};
+    for (std::size_t k = 0; k < W; ++k) a[k] = s;
+    return a;
+  }
+
+  // *this = *this op o, lane by lane
+  template <typename Op> constexpr Lanes& lanewise(const Lanes& o, Op op) {
+    if constexpr (kVectorShape)
+      if (!std::is_constant_evaluated())
+        return *this =
+                   std::bit_cast<Lanes>(op(std::bit_cast<Vector>(*this), std::bit_cast<Vector>(o)));
+    for (std::size_t k = 0; k < W; ++k) v[k] = op(v[k], o.v[k]);
+    return *this;
   }
 };
 
@@ -88,6 +118,18 @@ template <std::size_t W> constexpr LaneSites<W> consecutive_sites(std::int64_t x
   LaneSites<W> x{};
   for (std::size_t k = 0; k < W; ++k) x[k] = x0 + std::int64_t(k);
   return x;
+}
+
+// a lane count as a type
+template <std::size_t W> using LaneCount = std::integral_constant<std::size_t, W>;
+
+// group(w, x0) over the sites [b, e): W consecutive sites from x0 at a time,
+// then the last sites one at a time, with w = LaneCount<W> or LaneCount<1>
+template <std::size_t W, typename Group>
+void for_each_lane_group(std::int64_t b, std::int64_t e, Group&& group) {
+  std::int64_t x0 = b;
+  for (; x0 + std::int64_t(W) <= e; x0 += std::int64_t(W)) group(LaneCount<W>{}, x0);
+  for (; x0 < e; ++x0) group(LaneCount<1>{}, x0);
 }
 
 // real n of an array, as of the aggregates (Spinor, SU3, ...) that name

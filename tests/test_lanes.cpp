@@ -7,7 +7,9 @@
 // that wrap (the lanes a hop across an edge gathers site by site).  The
 // spinor input holds, on both parities, an all-zero site, an all -0 site
 // and a site with an Inf and a NaN, so half lanes decode and encode sites
-// whose norm is the 1e-37 floor or Inf.
+// whose norm is the 1e-37 floor or Inf.  A load of consecutive sites as one
+// run equals their lane load.  The lane arithmetic itself is checked lane by
+// lane against the scalar operations, on special values and seeded normals.
 
 #include "dirac/clover_term.h"
 #include "dirac/dslash.h"
@@ -18,8 +20,11 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -123,6 +128,10 @@ template <typename P> void expect_spinor_lanes() {
     const auto lanes = f.load(x);
     for (std::size_t k = 0; k < W; ++k)
       EXPECT_TRUE(same_bits(lane(lanes, k), f.load(x[k]))) << "load " << show(x) << "lane " << k;
+    // consecutive sites also load as one run a block
+    if (x == consecutive_sites<W>(x[0])) {
+      EXPECT_TRUE(same_bits(f.template load<W>(x[0]), lanes)) << "run load " << show(x);
+    }
   }
 
   for (int mu = 0; mu < 4; ++mu)
@@ -193,6 +202,86 @@ template <typename P> void expect_clover_lanes() {
         EXPECT_TRUE(same_bits(lane(lanes, k), clover.load(parity, cb[k])))
             << "clover " << show(cb) << "lane " << k;
     }
+}
+
+// --- lane arithmetic ----------------------------------------------------------
+// Every operation of Lanes<S, W> against the scalar operation on each lane:
+// the vector shapes (float x 4, double x 2) run whole-vector instructions,
+// the others the element loop, and every lane must hold the scalar result's
+// bits.  A NaN result only has to be a NaN: IEEE 754 leaves its sign and
+// payload open, and they follow the operand order the compiler picks (see
+// tests/field_pins.h).
+
+// the sign and payload of a NaN are open; every other value is exact
+template <typename S> bool same_value_bits(S got, S want) {
+  if (std::isnan(want)) return std::isnan(got);
+  return std::memcmp(&got, &want, sizeof(S)) == 0;
+}
+
+// +-0, +-Inf, a quiet NaN, the smallest subnormal, the largest finite value
+// and seeded normals
+template <typename S> std::vector<S> arithmetic_inputs() {
+  using lim = std::numeric_limits<S>;
+  std::vector<S> v = {S(0),          -S(0),         lim::infinity(), -lim::infinity(),
+                      lim::quiet_NaN(), lim::denorm_min(), -lim::denorm_min(), lim::max(),
+                      -lim::max()};
+  std::mt19937_64 rng(73);
+  std::normal_distribution<S> normal(S(0), S(1));
+  for (int i = 0; i < 16; ++i) v.push_back(normal(rng));
+  return v;
+}
+
+template <typename S, std::size_t W> void expect_arithmetic_matches_scalar() {
+  using L = Lanes<S, W>;
+  const std::vector<S> in = arithmetic_inputs<S>();
+  const std::size_t n = in.size();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      L a, b;
+      for (std::size_t k = 0; k < W; ++k) {
+        a[k] = in[(i + k) % n];
+        b[k] = in[(j + 3 * k) % n];
+      }
+      const L sum = a + b, diff = a - b, prod = a * b, quot = a / b, neg = -a, splat(a[0]);
+      L compound = a;
+      compound *= b;
+      compound += a;
+      compound -= b;
+      compound /= b;
+      for (std::size_t k = 0; k < W; ++k) {
+        const S x = a[k], y = b[k];
+        const std::string at = "lanes " + std::to_string(W) + " inputs " + std::to_string(i) +
+                               "," + std::to_string(j) + " lane " + std::to_string(k);
+        EXPECT_TRUE(same_value_bits(sum[k], S(x + y))) << "+ " << at;
+        EXPECT_TRUE(same_value_bits(diff[k], S(x - y))) << "- " << at;
+        EXPECT_TRUE(same_value_bits(prod[k], S(x * y))) << "* " << at;
+        EXPECT_TRUE(same_value_bits(quot[k], S(x / y))) << "/ " << at;
+        EXPECT_TRUE(same_value_bits(neg[k], S(-x))) << "unary - " << at;
+        EXPECT_TRUE(same_value_bits(splat[k], a[0])) << "broadcast " << at;
+        EXPECT_TRUE(same_value_bits(compound[k], S(S(S(x * y) + x) - y) / y)) << "compound " << at;
+      }
+    }
+}
+
+// constant evaluation takes the element loop, and agrees with the scalar
+static_assert([] {
+  constexpr Lanes<float, 4> a(1.5f), b(-2.0f);
+  constexpr Lanes<float, 4> c = -(a * b + a / b - b);
+  return c[0] == -(1.5f * -2.0f + 1.5f / -2.0f - -2.0f) && c == Lanes<float, 4>(c[3]);
+}());
+
+TEST(SiteLanes, ArithmeticMatchesScalar) {
+  expect_arithmetic_matches_scalar<float, 4>();
+  expect_arithmetic_matches_scalar<double, 2>();
+  expect_arithmetic_matches_scalar<float, 1>();
+  // integer lanes (the norm rule's bit patterns) have no vector shape:
+  // element access and the broadcast
+  Lanes<std::int32_t, 4> m(-7);
+  m[2] = 0x7f800000;
+  EXPECT_EQ(m[0], -7);
+  EXPECT_EQ(m[1], -7);
+  EXPECT_EQ(m[2], 0x7f800000);
+  EXPECT_EQ(m[3], -7);
 }
 
 TEST(SiteLanes, SpinorDouble) { expect_spinor_lanes<PrecDouble>(); }

@@ -7,7 +7,8 @@
 //  * Modeled and Real execution charge *identical* simulated time (the
 //    benchmark harness times exactly the code path the tests validate);
 //  * BLAS kernels against naive recompositions, in all precisions, and the
-//    element-wise kernels' stored bits pinned;
+//    stored bits and returned values of every BLAS kernel, precision
+//    conversion and gamma_5 pinned;
 //  * the auto-tuner's sweep semantics.
 
 #include "field_pins.h"
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
 #include <random>
 
 namespace quda {
@@ -306,9 +308,11 @@ constexpr int kNumElementwise = 7;
 constexpr const char* kElementwiseNames[kNumElementwise] = {
     "copy", "axpy", "xpay", "axpby", "caxpy", "bicgstab_p_update", "bicgstab_x_update"};
 
-template <typename P> SpinorField<P> seeded_field(std::uint64_t seed, std::int64_t pad = kPinFace) {
+template <typename P>
+SpinorField<P> seeded_field(std::uint64_t seed, std::int64_t pad = kPinFace,
+                            std::int64_t sites = kPinSites) {
   using real_t = typename P::real_t;
-  SpinorField<P> f(kPinSites, kPinFace, pad);
+  SpinorField<P> f(sites, kPinFace, pad);
   std::mt19937_64 rng(seed);
   std::normal_distribution<double> d(0.0, 1.0);
   for (std::int64_t i = 0; i < f.sites(); ++i) {
@@ -379,6 +383,120 @@ template <typename P> void expect_output_pad_irrelevant() {
 
 TEST(BlasPinned, OutputPadDoesNotChangeBitsDouble) { expect_output_pad_irrelevant<PrecDouble>(); }
 TEST(BlasPinned, OutputPadDoesNotChangeBitsSingle) { expect_output_pad_irrelevant<PrecSingle>(); }
+
+// --- pinned reduction, conversion and gamma_5 bits --------------------------------
+// Two sizes: the 101 sites above, and 2 kBlasGrain + 5 sites, whose
+// reductions fold three chunks' partials.  A reduction's digest hashes the
+// bit patterns of the doubles it returns, then the stored digest of the
+// field it writes.
+
+constexpr std::array<std::int64_t, 2> kFoldSizes = {kPinSites, 2 * exec::kBlasGrain + 5};
+constexpr int kNumReductions = 5;
+constexpr const char* kReductionNames[kNumReductions] = {"norm2", "cdot", "axpy_norm", "xmy_norm",
+                                                         "bicgstab_r_update"};
+using SizeDigests = std::array<std::uint64_t, kFoldSizes.size()>;
+
+std::uint64_t hash_doubles(std::uint64_t h, std::initializer_list<double> v) {
+  for (const double d : v) h = fnv1a(h, &d, sizeof d);
+  return h;
+}
+
+template <typename P> std::uint64_t run_reduction(int k, std::int64_t sites) {
+  const SpinorField<P> x = seeded_field<P>(1, kPinFace, sites);
+  const SpinorField<P> z = seeded_field<P>(2, kPinFace, sites);
+  SpinorField<P> out = seeded_field<P>(3, kPinFace, sites);
+  std::uint64_t h = kFnvBasis;
+  switch (k) {
+    case 0: h = hash_doubles(h, {blas::norm2(x)}); break;
+    case 1: {
+      const complexd d = blas::cdot(x, z);
+      h = hash_doubles(h, {d.re, d.im});
+      break;
+    }
+    case 2: h = hash_doubles(h, {blas::axpy_norm(0.37, x, out)}); break;
+    case 3: h = hash_doubles(h, {blas::xmy_norm(x, out)}); break;
+    case 4: {
+      const SpinorField<P> r0 = seeded_field<P>(4, kPinFace, sites);
+      double r2 = 0;
+      complexd rho;
+      blas::bicgstab_r_update(out, x, z, complexd{0.9, 0.05}, r2, rho, r0);
+      h = hash_doubles(h, {r2, rho.re, rho.im});
+      break;
+    }
+  }
+  const std::uint64_t written = stored_digest(out);
+  return fnv1a(h, &written, sizeof written);
+}
+
+template <typename P>
+void expect_reductions_pinned(const std::array<std::array<std::uint64_t, kNumReductions>,
+                                               kFoldSizes.size()>& want) {
+  for (std::size_t s = 0; s < kFoldSizes.size(); ++s)
+    for (int k = 0; k < kNumReductions; ++k) {
+      const std::uint64_t got = run_reduction<P>(k, kFoldSizes[s]);
+      EXPECT_EQ(got, want[s][static_cast<std::size_t>(k)])
+          << kReductionNames[k] << " on " << kFoldSizes[s] << " sites: 0x" << std::hex << got;
+    }
+}
+
+TEST(BlasPinned, ReductionsDouble) {
+  expect_reductions_pinned<PrecDouble>(
+      {{{0xccdabb5e1e71c094, 0x5b695f598d397800, 0x97cdaec6265f2bf1,
+        0x9039f9265f964adf, 0xba168f123a09d639},
+       {0x0f92af67dad15301, 0xdaf6276d11c44db9, 0x92ff2da2bbd5f058,
+        0x8d575396f46a6b58, 0xc723f4e7c2cc14b3}}});
+}
+TEST(BlasPinned, ReductionsSingle) {
+  expect_reductions_pinned<PrecSingle>(
+      {{{0x7937ba6382598e6d, 0xa171399169bec9a1, 0x75b870f21f5d6666,
+        0x6a75bb371d96df37, 0x578ecf9b75e32341},
+       {0xb422ebc7fdd00f3c, 0x94b77ba1ee8b750d, 0x7c927a086ba3268a,
+        0x57be6768bf852cd2, 0x8bef29feaca81799}}});
+}
+TEST(BlasPinned, ReductionsHalf) {
+  expect_reductions_pinned<PrecHalf>(
+      {{{0x54d1a996815b5f91, 0x2fb15c2aa6890d88, 0x49d612324f797cd5,
+        0x4b5dd498055e464e, 0xed76433ba4213e6b},
+       {0xf74dc5207b2d6ac7, 0x8104cc7578b357b2, 0x6c996d24d95d6d70,
+        0xae887768f8ea0dd2, 0x403b34949c61482a}}});
+}
+
+template <typename PDst, typename PSrc> void expect_convert_pinned(const SizeDigests& want) {
+  for (std::size_t s = 0; s < kFoldSizes.size(); ++s) {
+    const SpinorField<PSrc> src = seeded_field<PSrc>(5, kPinFace, kFoldSizes[s]);
+    SpinorField<PDst> dst = seeded_field<PDst>(6, kPinFace, kFoldSizes[s]);
+    convert_field(src, dst);
+    const std::uint64_t got = stored_digest(dst);
+    EXPECT_EQ(got, want[s]) << to_string(PSrc::value) << " -> " << to_string(PDst::value)
+                            << " on " << kFoldSizes[s] << " sites: 0x" << std::hex << got;
+  }
+}
+
+TEST(BlasPinned, ConvertField) {
+  expect_convert_pinned<PrecSingle, PrecDouble>({0xdb597e211ad5738e, 0x080c183e73c6a110});
+  expect_convert_pinned<PrecHalf, PrecDouble>({0xfa06811d86b0fd28, 0xae18922bb9cd30fc});
+  expect_convert_pinned<PrecDouble, PrecSingle>({0x17ce3ca0f16c1a5f, 0x22b71f39dae16c98});
+  expect_convert_pinned<PrecHalf, PrecSingle>({0xfa06811d86b0fd28, 0xae18922bb9cd30fc});
+  expect_convert_pinned<PrecDouble, PrecHalf>({0x495bbac52dd0b2c9, 0x642f83c047365cc7});
+  expect_convert_pinned<PrecSingle, PrecHalf>({0x69b1664b66df4cdd, 0x0c1034b04bb70dbd});
+}
+
+template <typename P> void expect_gamma5_pinned(const SizeDigests& want) {
+  for (std::size_t s = 0; s < kFoldSizes.size(); ++s) {
+    const SpinorField<P> in = seeded_field<P>(7, kPinFace, kFoldSizes[s]);
+    SpinorField<P> out = seeded_field<P>(8, kPinFace, kFoldSizes[s]);
+    apply_gamma5(out, in);
+    const std::uint64_t got = stored_digest(out);
+    EXPECT_EQ(got, want[s]) << to_string(P::value) << " on " << kFoldSizes[s] << " sites: 0x"
+                            << std::hex << got;
+  }
+}
+
+TEST(BlasPinned, Gamma5) {
+  expect_gamma5_pinned<PrecDouble>({0x06c4fca353d635e1, 0x06f9c1d31c39c077});
+  expect_gamma5_pinned<PrecSingle>({0xdfb2a5c1ffdf7247, 0xed77c73fb0a55323});
+  expect_gamma5_pinned<PrecHalf>({0x6fecd0f4d8c7db5d, 0xbaa16eccfb0c8edb});
+}
 
 // --- auto-tuner -----------------------------------------------------------------
 
