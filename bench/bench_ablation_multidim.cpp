@@ -17,6 +17,15 @@ using namespace quda::bench;
 
 namespace {
 
+const SolverSeries kSeries{"single-half, overlap", Precision::Single, Precision::Half,
+                           CommPolicy::Overlap};
+
+// the modeled iteration cost is deterministic, so a short solve gives the
+// same per-iteration throughput as a long one; 20 iterations keeps the
+// 256-1024 rank cases, whose fibers all run on one worker, from dominating
+// the bench suite's wall clock
+constexpr int kIterations = 20;
+
 parallel::ModeledSolverResult run_topo(const comm::GridTopology& topo, LatticeDims global) {
   // the 256-1024 rank cases are fibers on one worker, not hundreds of OS
   // threads, so rank count stays a parameter
@@ -28,14 +37,10 @@ parallel::ModeledSolverResult run_topo(const comm::GridTopology& topo, LatticeDi
   cfg.local.z /= topo.dims[2];
   cfg.local.t /= topo.dims[3];
   cfg.topology = topo;
-  cfg.outer = Precision::Single;
-  cfg.sloppy = Precision::Half;
-  cfg.policy = CommPolicy::Overlap;
-  // the modeled iteration cost is deterministic, so a short solve gives the
-  // same per-iteration throughput as a long one; 20 iterations keeps the
-  // 256-rank DES cases (256 OS threads in rendezvous) from dominating the
-  // bench suite's wall clock
-  cfg.iterations = 20;
+  cfg.outer = kSeries.outer;
+  cfg.sloppy = kSeries.sloppy;
+  cfg.policy = kSeries.policy;
+  cfg.iterations = kIterations;
   return parallel::run_modeled_solver(cluster, cfg);
 }
 
@@ -45,6 +50,12 @@ int main() {
   std::printf("Multi-dimensional decomposition ablation: 32^3 x 256, mixed single-half,\n");
   std::printf("overlapped communication, scaling beyond the paper's 32 GPUs\n\n");
   std::printf("%-8s %-16s %14s %16s\n", "GPUs", "grid (x,y,z,t)", "Gflops", "GF per GPU");
+
+  BenchJson json("ablation_multidim");
+  json.config("lattice", "32^3 x 256");
+  json.config("precision", "single/half");
+  json.config("policy", "overlap");
+  json.config("iterations", static_cast<double>(kIterations));
 
   struct Case {
     comm::GridTopology topo;
@@ -59,14 +70,13 @@ int main() {
 
   for (const auto& c : cases) {
     const auto r = run_topo(c.topo, {32, 32, 32, 256});
-    char grid[32];
-    std::snprintf(grid, sizeof grid, "%dx%dx%dx%d", c.topo.dims[0], c.topo.dims[1],
-                  c.topo.dims[2], c.topo.dims[3]);
+    record_point(json, "multidim", kSeries, c.topo.num_ranks(), &c.topo, r);
+    const std::string grid = grid_label(c.topo);
     if (!r.fits) {
-      std::printf("%-8d %-16s %14s\n", c.topo.num_ranks(), grid, "OOM");
+      std::printf("%-8d %-16s %14s\n", c.topo.num_ranks(), grid.c_str(), "OOM");
       continue;
     }
-    std::printf("%-8d %-16s %12.1f GF %13.1f GF\n", c.topo.num_ranks(), grid,
+    std::printf("%-8d %-16s %12.1f GF %13.1f GF\n", c.topo.num_ranks(), grid.c_str(),
                 r.effective_gflops, r.effective_gflops / c.topo.num_ranks());
   }
 
@@ -78,5 +88,6 @@ int main() {
   std::printf("aggregate Gflops show this 2010-sized lattice is already at its strong-\n");
   std::printf("scaling ceiling -- the regime where the paper notes that 'small local\n");
   std::printf("volumes ... require rethinking of the fundamental algorithms'.\n");
+  json.write();
   return 0;
 }

@@ -26,20 +26,11 @@ double dslash_time_us(const LatticeDims& local, Precision prec, CommPolicy polic
     comm::QmpGrid grid(ctx, comm::GridTopology::time_only(ranks));
     parallel::HaloDslashConfig cfg;
     cfg.policy = policy;
-    cfg.exec = Execution::Modeled;
     for (int r = 0; r < reps; ++r) {
       cfg.out_parity = r % 2 == 0 ? Parity::Even : Parity::Odd;
-      switch (prec) {
-        case Precision::Double:
-          parallel::halo_dslash<PrecDouble>(grid, lg, cfg, {});
-          break;
-        case Precision::Single:
-          parallel::halo_dslash<PrecSingle>(grid, lg, cfg, {});
-          break;
-        case Precision::Half:
-          parallel::halo_dslash<PrecHalf>(grid, lg, cfg, {});
-          break;
-      }
+      with_precision(prec, [&](auto tag) {
+        parallel::halo_dslash<decltype(tag)>(grid, lg, cfg, {});
+      });
     }
   });
   return cluster.makespan_us() / reps;

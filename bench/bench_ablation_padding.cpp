@@ -43,8 +43,9 @@ int main() {
     const double banks_pad = gpusim::partition_camping_factor(stride_pad, dev) *
                              dev.memory_partitions;
 
-    auto cost_raw = perf::dslash_kernel_cost(Precision::Single, vh, stride_raw);
-    auto cost_pad = perf::dslash_kernel_cost(Precision::Single, vh, stride_pad);
+    constexpr Reconstruct recon = Reconstruct::Twelve;
+    auto cost_raw = perf::dslash_kernel_cost(Precision::Single, vh, recon, stride_raw);
+    auto cost_pad = perf::dslash_kernel_cost(Precision::Single, vh, recon, stride_pad);
     const double t_raw = gpusim::kernel_duration_us(cost_raw, {256, 0}, dev, false);
     const double t_pad = gpusim::kernel_duration_us(cost_pad, {256, 0}, dev, false);
 

@@ -63,7 +63,7 @@ int main() {
                             p == Precision::Double)
                      .time_us;
     }
-    const auto mv = perf::dslash_kernel_cost(p, sites);
+    const auto mv = perf::dslash_kernel_cost(p, sites, Reconstruct::Twelve);
     const double mv_us =
         4.0 * gpusim::kernel_duration_us(mv, {256, 0}, dev, p == Precision::Double);
     std::printf("  %-8s matrix %8.0f us + blas %8.0f us  -> solver %4.0f%% slower than M alone\n",

@@ -53,7 +53,7 @@ template <typename P> void BM_Dslash(benchmark::State& state) {
   SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
-    dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
+    dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_volume());
@@ -76,7 +76,7 @@ template <typename P> void BM_DslashCompressed(benchmark::State& state) {
   SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
-    dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
+    dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
   state.counters["gauge_mb"] =
@@ -106,7 +106,7 @@ template <typename P> void BM_CloverApply(benchmark::State& state) {
   const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
   SpinorField<P> out(d.g, kPartitionTimeOnly);
   for (auto _ : state) {
-    apply_clover_xpay<P>(out, clover, Parity::Even, in, d.g, 0, d.g.half_volume(), 0);
+    apply_clover_xpay<P>(out, clover, Parity::Even, in, 0);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
 }
@@ -207,7 +207,7 @@ template <typename P> void BM_FacePack(benchmark::State& state) {
   const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, kPartitionTimeOnly);
   FaceBuffer<P> buf;
   for (auto _ : state) {
-    pack_face(in, d.g, Parity::Odd, 3, d.g.dims().t - 1, +1, buf);
+    pack_face(in, d.g, Parity::Odd, 3, +1, buf);
     benchmark::DoNotOptimize(buf.data.data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_spatial_volume());
@@ -237,7 +237,7 @@ template <typename P> void BM_DslashThreads(benchmark::State& state) {
   SpinorField<P> out(d.g, kPartitionTimeOnly);
   DslashOptions opt;
   for (auto _ : state) {
-    dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
+    dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_volume());
@@ -294,25 +294,24 @@ template <typename P> void BM_DslashHaloPattern(benchmark::State& state) {
   exec::set_thread_budget(static_cast<int>(state.range(0)));
   static const HaloPatternData d;
   constexpr PartitionMask mask{false, false, false, true};
-  const int t = d.g.dims().t;
   GaugeField<P> gauge = upload_gauge<P>(d.u, Reconstruct::Twelve);
   GaugeFaceBuffer<P> links;
-  pack_gauge_face(gauge, d.g, 3, t - 1, links);
+  pack_gauge_face(gauge, d.g, 3, links);
   unpack_gauge_ghost(gauge, d.g, 3, links);
   // the neighbour ranks' faces, here this field's own (a periodic ring)
   SpinorField<P> in = upload_spinor<P>(d.in, Parity::Odd, mask);
   FaceBuffer<P> face;
-  pack_face(in, d.g, Parity::Odd, 3, t - 1, +1, face);
+  pack_face(in, d.g, Parity::Odd, 3, +1, face);
   unpack_ghost(in, d.g, 3, GhostFace::Backward, face);
-  pack_face(in, d.g, Parity::Odd, 3, 0, -1, face);
+  pack_face(in, d.g, Parity::Odd, 3, -1, face);
   unpack_ghost(in, d.g, 3, GhostFace::Forward, face);
   SpinorField<P> out(d.g, mask);
   DslashOptions opt;
   opt.ghost = mask;
   const std::int64_t vh = d.g.half_volume();
   for (auto _ : state) {
-    dslash<P>(out, gauge, in, d.g, opt, 0, vh, 1, Accumulate::No, KernelRegion::Interior);
-    dslash<P>(out, gauge, in, d.g, opt, 0, vh, 1, Accumulate::No, KernelRegion::Boundary);
+    dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No, KernelRegion::Interior);
+    dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No, KernelRegion::Boundary);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
   state.SetItemsProcessed(state.iterations() * vh);
@@ -330,7 +329,7 @@ template <typename P> void BM_CloverApplyThreads(benchmark::State& state) {
   const SpinorField<P> in = upload_spinor<P>(d.in, Parity::Even, kPartitionTimeOnly);
   SpinorField<P> out(d.g, kPartitionTimeOnly);
   for (auto _ : state) {
-    apply_clover_xpay<P>(out, clover, Parity::Even, in, d.g, 0, d.g.half_volume(), 0);
+    apply_clover_xpay<P>(out, clover, Parity::Even, in, 0);
     benchmark::DoNotOptimize(out.raw_data().data());
   }
   state.SetItemsProcessed(state.iterations() * d.g.half_volume());

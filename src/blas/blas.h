@@ -172,19 +172,6 @@ void xpay(const SpinorField<P>& x, double a, SpinorField<P>& y) {
       y, x);
 }
 
-// y = a * x + b * y
-template <typename P>
-void axpby(double a, const SpinorField<P>& x, double b, SpinorField<P>& y) {
-  using real_t = typename P::real_t;
-  const real_t ar = static_cast<real_t>(a);
-  const real_t br = static_cast<real_t>(b);
-  detail::elementwise(
-      [ar, br](std::int64_t n, real_t* yv, const real_t* xv) {
-        for (std::int64_t k = 0; k < n; ++k) yv[k] = yv[k] * br + xv[k] * ar;
-      },
-      y, x);
-}
-
 // y += a * x, complex a
 template <typename P>
 void caxpy(const complexd& a, const SpinorField<P>& x, SpinorField<P>& y) {

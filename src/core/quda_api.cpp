@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace quda {
 
@@ -49,7 +50,7 @@ template <typename P> struct RankFields {
     auto& dev = grid.context().device();
     dev.malloc_bytes(gauge.device_bytes());
     dev.malloc_bytes(clover.device_bytes() + clover_inv.device_bytes());
-    parallel::exchange_gauge_ghost<P>(grid, lg, &gauge, Execution::Real);
+    parallel::exchange_gauge_ghost<P>(grid, lg, &gauge);
   }
 };
 
@@ -229,12 +230,13 @@ SolverStats run_with_recovery(RankContext& ctx, comm::QmpGrid& grid,
   }
 }
 
-// per-rank solve at outer precision POuter (and optional sloppy PSloppy)
+// per-rank solve at outer precision POuter; a different PSloppy makes it a
+// mixed-precision solve
 template <typename POuter, typename PSloppy>
 RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometry& lg,
                        const HostGaugeField& lu, const HostCloverField& lt,
                        const HostCloverField& ltinv, const HostSpinorField& lb,
-                       const InvertParams& p, bool mixed) {
+                       const InvertParams& p) {
   comm::QmpGrid grid(ctx, topo);
   grid.set_retry_policy(p.retry);
   RankOutcome out;
@@ -264,7 +266,7 @@ RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometr
     grid.barrier();
   };
 
-  if (!mixed) {
+  if constexpr (std::is_same_v<POuter, PSloppy>) {
     grid.barrier();
     out.setup_done_us = ctx.clock().now_us;
     out.stats = run_with_recovery(
@@ -273,12 +275,12 @@ RankOutcome rank_solve(RankContext& ctx, const GridTopology& topo, const Geometr
         epilogue);
     out.effective_flops = op_hi.effective_flops();
   } else {
-    using PS = PSloppy;
-    RankFields<PS> lo(grid, lg, lu, lt, ltinv, p.reconstruct_sloppy.value_or(p.reconstruct));
+    RankFields<PSloppy> lo(grid, lg, lu, lt, ltinv,
+                           p.reconstruct_sloppy.value_or(p.reconstruct));
     out.gauge_bytes += lo.gauge.device_bytes();
-    ParallelWilsonCloverOp<PS> op_lo(grid, lg, lo.gauge, lo.clover, lo.clover_inv, p.time_bc,
-                                     p.overlap);
-    charge_solver_vectors<PS>(grid, lg, 7); // sloppy r, r0, p, v, s, t, x
+    ParallelWilsonCloverOp<PSloppy> op_lo(grid, lg, lo.gauge, lo.clover, lo.clover_inv,
+                                          p.time_bc, p.overlap);
+    charge_solver_vectors<PSloppy>(grid, lg, 7); // sloppy r, r0, p, v, s, t, x
     grid.barrier();
     out.setup_done_us = ctx.clock().now_us;
     out.stats = run_with_recovery(
@@ -362,21 +364,16 @@ InvertResult invert_multi_gpu(const sim::ClusterSpec& cluster_spec, const HostGa
 
     if (params.precision == Precision::Double) {
       if (!mixed)
-        out = rank_solve<PrecDouble, PrecDouble>(ctx, topo, local, lu, lt, ltinv, lb, params,
-                                                 false);
+        out = rank_solve<PrecDouble, PrecDouble>(ctx, topo, local, lu, lt, ltinv, lb, params);
       else if (*params.sloppy == Precision::Single)
-        out = rank_solve<PrecDouble, PrecSingle>(ctx, topo, local, lu, lt, ltinv, lb, params,
-                                                 true);
+        out = rank_solve<PrecDouble, PrecSingle>(ctx, topo, local, lu, lt, ltinv, lb, params);
       else
-        out = rank_solve<PrecDouble, PrecHalf>(ctx, topo, local, lu, lt, ltinv, lb, params,
-                                               true);
+        out = rank_solve<PrecDouble, PrecHalf>(ctx, topo, local, lu, lt, ltinv, lb, params);
     } else {
       if (!mixed)
-        out = rank_solve<PrecSingle, PrecSingle>(ctx, topo, local, lu, lt, ltinv, lb, params,
-                                                 false);
+        out = rank_solve<PrecSingle, PrecSingle>(ctx, topo, local, lu, lt, ltinv, lb, params);
       else
-        out = rank_solve<PrecSingle, PrecHalf>(ctx, topo, local, lu, lt, ltinv, lb, params,
-                                               true);
+        out = rank_solve<PrecSingle, PrecHalf>(ctx, topo, local, lu, lt, ltinv, lb, params);
     }
   });
 

@@ -21,18 +21,15 @@ struct CbSpan {
   std::int64_t begin, end;
 };
 
-// The sites of [cb_begin, cb_end) in `region`, as maximal runs.  The X/2
-// sites of a row share (y, z, t).  A row is interior when none of its cut
-// y, z, t coordinates lies on an edge, less, when x is cut, the one site of
-// the row at x = 0 or x = X - 1 (the row's parity decides which); Boundary
-// sites are the rest.  So each pass visits only its own sites.
+// The sites of one parity in `region`, as maximal runs.  The X/2 sites of a
+// row share (y, z, t).  A row is interior when none of its cut y, z, t
+// coordinates lies on an edge, less, when x is cut, the one site of the row
+// at x = 0 or x = X - 1 (the row's parity decides which); Boundary sites
+// are the rest.  So each pass visits only its own sites.
 std::vector<CbSpan> region_spans(const Geometry& g, Parity parity,
-                                 const std::array<bool, 4>& ghost, KernelRegion region,
-                                 std::int64_t cb_begin, std::int64_t cb_end) {
+                                 const std::array<bool, 4>& ghost, KernelRegion region) {
   std::vector<CbSpan> spans;
   const auto add = [&](std::int64_t b, std::int64_t e) {
-    b = std::max(b, cb_begin);
-    e = std::min(e, cb_end);
     if (b >= e) return;
     if (!spans.empty() && spans.back().end == b)
       spans.back().end = e;
@@ -40,7 +37,7 @@ std::vector<CbSpan> region_spans(const Geometry& g, Parity parity,
       spans.push_back({b, e});
   };
   if (region == KernelRegion::All) {
-    add(cb_begin, cb_end);
+    add(0, g.half_volume());
     return spans;
   }
   const LatticeDims& d = g.dims();
@@ -48,7 +45,7 @@ std::vector<CbSpan> region_spans(const Geometry& g, Parity parity,
   const auto on_edge = [&](int mu, int c) {
     return ghost[static_cast<std::size_t>(mu)] && (c == 0 || c == d[mu] - 1);
   };
-  for (std::int64_t row = cb_begin / xh; row * xh < cb_end; ++row) {
+  for (std::int64_t row = 0; row * xh < g.half_volume(); ++row) {
     const int y = static_cast<int>(row % d.y);
     const int z = static_cast<int>(row / d.y % d.z);
     const int t = static_cast<int>(row / d.y / d.z);
@@ -253,11 +250,10 @@ template <std::size_t W, Reconstruct R, typename P>
 
 template <Reconstruct R, typename P>
 void dslash_sites(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
-                  const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
-                  std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
-                  KernelRegion region) {
+                  const Geometry& g, const DslashOptions& opt, typename P::real_t scale,
+                  Accumulate accumulate, KernelRegion region) {
   for_each_group<kSiteLanes<typename P::real_t>>(
-      region_spans(g, opt.out_parity, opt.ghost, region, cb_begin, cb_end),
+      region_spans(g, opt.out_parity, opt.ghost, region),
       [&](auto w, std::int64_t cb0) {
         dslash_group<decltype(w)::value, R>(out, gauge, in, g, opt, cb0, scale, accumulate);
       });
@@ -284,29 +280,25 @@ template <std::size_t W, typename P>
 
 template <typename P>
 void dslash(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
-            const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
-            std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
-            KernelRegion region) {
+            const Geometry& g, const DslashOptions& opt, typename P::real_t scale,
+            Accumulate accumulate, KernelRegion region) {
   switch (gauge.reconstruct()) {
     case Reconstruct::Eight:
-      return dslash_sites<Reconstruct::Eight>(out, gauge, in, g, opt, cb_begin, cb_end, scale,
-                                              accumulate, region);
+      return dslash_sites<Reconstruct::Eight>(out, gauge, in, g, opt, scale, accumulate, region);
     case Reconstruct::Twelve:
-      return dslash_sites<Reconstruct::Twelve>(out, gauge, in, g, opt, cb_begin, cb_end, scale,
-                                               accumulate, region);
+      return dslash_sites<Reconstruct::Twelve>(out, gauge, in, g, opt, scale, accumulate, region);
     case Reconstruct::Eighteen:
-      return dslash_sites<Reconstruct::Eighteen>(out, gauge, in, g, opt, cb_begin, cb_end,
-                                                 scale, accumulate, region);
+      return dslash_sites<Reconstruct::Eighteen>(out, gauge, in, g, opt, scale, accumulate,
+                                                 region);
   }
 }
 
 template <typename P>
 void apply_clover_xpay(SpinorField<P>& out, const CloverField<P>& clover, Parity parity,
-                       const SpinorField<P>& x, const Geometry& g, std::int64_t cb_begin,
-                       std::int64_t cb_end, typename P::real_t b) {
-  (void)g;
+                       const SpinorField<P>& x, typename P::real_t b) {
+  assert(out.sites() == x.sites());
   for_each_group<kSiteLanes<typename P::real_t>>(
-      {{cb_begin, cb_end}}, [&](auto w, std::int64_t cb0) {
+      {{0, x.sites()}}, [&](auto w, std::int64_t cb0) {
         clover_group<decltype(w)::value>(out, clover, parity, x, cb0, b);
       });
 }
@@ -321,9 +313,10 @@ void apply_clover_xpay(SpinorField<P>& out, const CloverField<P>& clover, Parity
 
 template <typename P>
 void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_parity, int mu,
-               int slice, int sign, FaceBuffer<P>& buf) {
+               int sign, FaceBuffer<P>& buf) {
   using real_t = typename P::real_t;
   const std::int64_t nf = g.face_sites(mu);
+  const int slice = sign > 0 ? g.dims()[mu] - 1 : 0;
   buf.resize(nf);
 
   // the projector is fixed once per face, outside the site loop
@@ -377,11 +370,12 @@ void unpack_ghost(SpinorField<P>& field, const Geometry& g, int mu, GhostFace fa
 }
 
 template <typename P>
-void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int slice,
+void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu,
                      GaugeFaceBuffer<P>& buf) {
   using real_t = typename P::real_t;
   constexpr bool half = P::value == Precision::Half;
   const std::int64_t nf = g.face_sites(mu);
+  const int slice = g.dims()[mu] - 1;
   const int wire = gauge_wire_reals(gauge.reconstruct());
   buf.resize(nf, wire);
 
@@ -467,16 +461,15 @@ void unpack_gauge_ghost(GaugeField<P>& gauge, const Geometry& g, int mu,
 
 #define QUDA_INSTANTIATE(P)                                                                       \
   template void dslash<P>(SpinorField<P>&, const GaugeField<P>&, const SpinorField<P>&,           \
-                          const Geometry&, const DslashOptions&, std::int64_t, std::int64_t,      \
-                          P::real_t, Accumulate, KernelRegion);                                   \
+                          const Geometry&, const DslashOptions&, P::real_t, Accumulate,           \
+                          KernelRegion);                                                          \
   template void apply_clover_xpay<P>(SpinorField<P>&, const CloverField<P>&, Parity,              \
-                                     const SpinorField<P>&, const Geometry&, std::int64_t,        \
-                                     std::int64_t, P::real_t);                                    \
-  template void pack_face<P>(const SpinorField<P>&, const Geometry&, Parity, int, int, int,       \
+                                     const SpinorField<P>&, P::real_t);                           \
+  template void pack_face<P>(const SpinorField<P>&, const Geometry&, Parity, int, int,            \
                              FaceBuffer<P>&);                                                     \
   template void unpack_ghost<P>(SpinorField<P>&, const Geometry&, int, GhostFace,                 \
                                 const FaceBuffer<P>&);                                            \
-  template void pack_gauge_face<P>(const GaugeField<P>&, const Geometry&, int, int,               \
+  template void pack_gauge_face<P>(const GaugeField<P>&, const Geometry&, int,                    \
                                    GaugeFaceBuffer<P>&);                                          \
   template void unpack_gauge_ghost<P>(GaugeField<P>&, const Geometry&, int,                       \
                                       const GaugeFaceBuffer<P>&);

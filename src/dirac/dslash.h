@@ -14,11 +14,9 @@
 // of direction (footnote 3 of the paper), the same pack/unpack path serves
 // all dimensions.
 //
-// The output site range [cb_begin, cb_end) is a contiguous checkerboard
-// index range; since the time coordinate runs slowest, a timeslice range
-// [t0, t1] maps to the cb range [t0*Vs/2, (t1+1)*Vs/2).  For
-// multi-dimensional overlap the interior/boundary split is not contiguous,
-// so a region selects the runs of consecutive sites each pass visits.
+// A kernel sweeps the whole output parity.  For the overlap split a region
+// selects the runs of consecutive checkerboard sites each pass visits; on
+// a multi-dimensional cut the interior/boundary split is not contiguous.
 //
 // The site bodies run W consecutive sites of a run at once, one per SIMD
 // lane (su3/lanes.h): the host analogue of one CUDA thread per site.
@@ -61,15 +59,14 @@ enum class KernelRegion { All, Interior, Boundary };
 // without the -1/2 normalization (the callers fold that into `scale`)
 template <typename P>
 void dslash(SpinorField<P>& out, const GaugeField<P>& gauge, const SpinorField<P>& in,
-            const Geometry& g, const DslashOptions& opt, std::int64_t cb_begin,
-            std::int64_t cb_end, typename P::real_t scale, Accumulate accumulate,
-            KernelRegion region = KernelRegion::All);
+            const Geometry& g, const DslashOptions& opt, typename P::real_t scale,
+            Accumulate accumulate, KernelRegion region = KernelRegion::All);
 
-// out[region] = C * x + b * out  (apply the clover blocks; b=0 overwrites)
+// out = C * x + b * out on every site of parity `parity` (apply the clover
+// blocks; b=0 overwrites)
 template <typename P>
 void apply_clover_xpay(SpinorField<P>& out, const CloverField<P>& clover, Parity parity,
-                       const SpinorField<P>& x, const Geometry& g, std::int64_t cb_begin,
-                       std::int64_t cb_end, typename P::real_t b);
+                       const SpinorField<P>& x, typename P::real_t b);
 
 // --- face exchange ----------------------------------------------------------
 
@@ -92,11 +89,12 @@ template <typename P> struct FaceBuffer {
 };
 
 // gather the spin-projected face of `field` (parity `field_parity`)
-// perpendicular to mu on slice `slice`, projector sign `sign` (+1: P+mu,
-// the face sent to the forward neighbor; -1: P-mu, sent backward)
+// perpendicular to mu with projector sign `sign`: +1 packs P+mu of the last
+// slice, the face sent to the forward neighbor; -1 packs P-mu of slice 0,
+// sent backward
 template <typename P>
 void pack_face(const SpinorField<P>& field, const Geometry& g, Parity field_parity, int mu,
-               int slice, int sign, FaceBuffer<P>& buf);
+               int sign, FaceBuffer<P>& buf);
 
 // scatter a received face buffer into the mu ghost end zone of `field`
 template <typename P>
@@ -124,8 +122,9 @@ template <typename P> struct GaugeFaceBuffer {
   std::int64_t bytes() const { return std::int64_t(data.size()) * sizeof(store_t); }
 };
 
+// gather the U_mu links of the last slice perpendicular to mu
 template <typename P>
-void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu, int slice,
+void pack_gauge_face(const GaugeField<P>& gauge, const Geometry& g, int mu,
                      GaugeFaceBuffer<P>& buf);
 
 template <typename P>

@@ -1,6 +1,6 @@
 #pragma once
 // Host execution engine: a shared, lazily-initialized thread pool driving
-// every Execution::Real kernel (dslash, clover, fused BLAS, face
+// every kernel that runs numerics (dslash, clover, fused BLAS, face
 // gather/scatter, precision conversion) through deterministic work
 // decomposition.  This speeds up *wall clock* only -- simulated-time
 // charging through the device model is completely unchanged.

@@ -58,4 +58,12 @@ struct PrecHalf {
   static constexpr int nvec = 4; // short4
 };
 
+// f(PrecDouble{}), f(PrecSingle{}) or f(PrecHalf{}): a run-time precision
+// as the tag the kernels are templated on
+template <typename F> decltype(auto) with_precision(Precision p, F&& f) {
+  if (p == Precision::Double) return f(PrecDouble{});
+  if (p == Precision::Single) return f(PrecSingle{});
+  return f(PrecHalf{});
+}
+
 } // namespace quda

@@ -9,9 +9,9 @@ namespace {
 
 template <typename P> using Face = FaceBuffer<P>;
 
-// serialize a face buffer (payload + norms) for the wire; Modeled mode
-// ships an empty payload -- the network model charges the modeled bytes
-// either way
+// serialize a face buffer (payload + norms) for the wire; a timing-only
+// call packs no face and so ships an empty payload -- the network model
+// charges the modeled bytes either way
 template <typename P>
 std::vector<std::byte> serialize(const Face<P>& buf) {
   std::vector<std::byte> payload;
@@ -60,9 +60,10 @@ template <typename P>
 void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashConfig& cfg,
                  HaloFields<P> f) {
   const Precision prec = P::value;
-  const bool real = cfg.exec == Execution::Real;
-  if (real && (f.out == nullptr || f.gauge == nullptr || f.in == nullptr))
-    throw std::invalid_argument("Real execution requires fields");
+  const bool real = f.out != nullptr;
+  if ((f.gauge != nullptr) != real || (f.in != nullptr) != real)
+    throw std::invalid_argument("a halo dslash takes all three fields or none");
+  const Reconstruct recon = real ? f.gauge->reconstruct() : cfg.reconstruct;
 
   auto& ctx = grid.context();
   auto& dev = ctx.device();
@@ -71,7 +72,7 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   const double op_begin_us = clk;
 
   const std::int64_t vh = local.half_volume();
-  using real_t = typename P::real_t;
+  const auto scale = static_cast<typename P::real_t>(cfg.scale);
 
   DslashOptions opt;
   opt.out_parity = cfg.out_parity;
@@ -99,12 +100,10 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
 
   // ---- no cut dimensions: plain local kernel with periodic wrap -------------
   if (cuts.empty()) {
-    auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
+    auto cost = perf::dslash_kernel_cost(prec, vh, recon);
     cost.kind = trace::Kind::DslashLocal;
     dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
-    if (real)
-      dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
-                cfg.accumulate);
+    if (real) dslash<P>(*f.out, *f.gauge, *f.in, local, opt, scale, cfg.accumulate);
     clk = dev.device_synchronize(clk);
     tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
     return;
@@ -120,8 +119,8 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   // face is our last slice, P+mu projected
   if (real) {
     for (auto& d : cuts) {
-      pack_face(*f.in, local, in_parity, d.mu, 0, -1, d.send_back);
-      pack_face(*f.in, local, in_parity, d.mu, local.dims()[d.mu] - 1, +1, d.send_fwd);
+      pack_face(*f.in, local, in_parity, d.mu, -1, d.send_back);
+      pack_face(*f.in, local, in_parity, d.mu, +1, d.send_fwd);
       tracer.instant(trace::Kind::PackFace, clk, 2 * d.face_bytes, -1, d.mu);
     }
   }
@@ -141,12 +140,10 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
     for (auto& d : cuts) {
       for (int k = 0; k < d2h_copies; ++k)
         clk = dev.memcpy_sync(clk, d.face_bytes / d2h_copies, gpusim::CopyDir::DeviceToHost);
-      grid.send_to(d.mu, -1, face_tag(d.mu, -1),
-                   real ? serialize<P>(d.send_back) : std::vector<std::byte>{}, d.face_bytes);
+      grid.send_to(d.mu, -1, face_tag(d.mu, -1), serialize<P>(d.send_back), d.face_bytes);
       for (int k = 0; k < d2h_copies; ++k)
         clk = dev.memcpy_sync(clk, d.face_bytes / d2h_copies, gpusim::CopyDir::DeviceToHost);
-      grid.send_to(d.mu, +1, face_tag(d.mu, +1),
-                   real ? serialize<P>(d.send_fwd) : std::vector<std::byte>{}, d.face_bytes);
+      grid.send_to(d.mu, +1, face_tag(d.mu, +1), serialize<P>(d.send_fwd), d.face_bytes);
     }
 
     for (auto& d : cuts) {
@@ -169,12 +166,10 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
     tracer.span(trace::Kind::HaloComm, comm_begin_us, clk, halo_bytes_total);
 
     // one kernel over the entire local volume
-    auto cost = perf::dslash_kernel_cost(prec, vh, cfg.reconstruct);
+    auto cost = perf::dslash_kernel_cost(prec, vh, recon);
     cost.kind = trace::Kind::DslashLocal;
     clk = dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
-    if (real)
-      dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
-                cfg.accumulate);
+    if (real) dslash<P>(*f.out, *f.gauge, *f.in, local, opt, scale, cfg.accumulate);
     clk = dev.device_synchronize(clk);
     tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
     return;
@@ -184,12 +179,12 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
 
   const std::int64_t n_interior = interior_sites(local, mask);
   if (n_interior > 0) {
-    auto cost = perf::dslash_kernel_cost(prec, n_interior, cfg.reconstruct);
+    auto cost = perf::dslash_kernel_cost(prec, n_interior, recon);
     cost.kind = trace::Kind::DslashInterior;
     clk = dev.launch_kernel(clk, kInteriorStream, cost, kKernelLaunch, prec == Precision::Double);
     if (real)
-      dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
-                cfg.accumulate, KernelRegion::Interior);
+      dslash<P>(*f.out, *f.gauge, *f.in, local, opt, scale, cfg.accumulate,
+                KernelRegion::Interior);
   }
   const double comm_begin_us = clk;
 
@@ -206,11 +201,9 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
                              gpusim::CopyDir::DeviceToHost);
 
     clk = dev.stream_synchronize(clk, kBackwardFaceStream);
-    grid.send_to(d.mu, -1, face_tag(d.mu, -1),
-                 real ? serialize<P>(d.send_back) : std::vector<std::byte>{}, d.face_bytes);
+    grid.send_to(d.mu, -1, face_tag(d.mu, -1), serialize<P>(d.send_back), d.face_bytes);
     clk = dev.stream_synchronize(clk, kForwardFaceStream);
-    grid.send_to(d.mu, +1, face_tag(d.mu, +1),
-                 real ? serialize<P>(d.send_fwd) : std::vector<std::byte>{}, d.face_bytes);
+    grid.send_to(d.mu, +1, face_tag(d.mu, +1), serialize<P>(d.send_fwd), d.face_bytes);
   }
 
   // receive and upload the ghosts; each face goes up on its stream
@@ -239,26 +232,21 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
   // ghost uploads, then updates every site on a cut edge
   dev.stream_wait_stream(kInteriorStream, kBackwardFaceStream);
   dev.stream_wait_stream(kInteriorStream, kForwardFaceStream);
-  auto boundary_cost = perf::dslash_kernel_cost(prec, vh - n_interior, cfg.reconstruct);
+  auto boundary_cost = perf::dslash_kernel_cost(prec, vh - n_interior, recon);
   boundary_cost.kind = trace::Kind::DslashBoundary;
   clk = dev.launch_kernel(clk, kInteriorStream, boundary_cost, kKernelLaunch,
                           prec == Precision::Double);
   if (real)
-    dslash<P>(*f.out, *f.gauge, *f.in, local, opt, 0, vh, static_cast<real_t>(cfg.scale),
-              cfg.accumulate, KernelRegion::Boundary);
+    dslash<P>(*f.out, *f.gauge, *f.in, local, opt, scale, cfg.accumulate, KernelRegion::Boundary);
   clk = dev.device_synchronize(clk);
   tracer.span(trace::Kind::HaloDslash, op_begin_us, clk);
 }
 
 template <typename P>
 void exchange_gauge_ghost(comm::QmpGrid& grid, const Geometry& local, GaugeField<P>* gauge,
-                          Execution exec, Reconstruct recon) {
+                          Reconstruct recon) {
   if (!grid.is_parallel()) return;
-  const bool real = exec == Execution::Real;
-  if (real && gauge == nullptr)
-    throw std::invalid_argument("Real execution requires a gauge field");
-  // the field itself is authoritative when present; `recon` parameterizes
-  // the Modeled byte charge
+  const bool real = gauge != nullptr;
   if (real) recon = gauge->reconstruct();
   const int wire = gauge_wire_reals(recon);
 
@@ -273,7 +261,7 @@ void exchange_gauge_ghost(comm::QmpGrid& grid, const Geometry& local, GaugeField
     const std::int64_t bytes = fs * 2 * wire * bytes_per_real(P::value);
 
     GaugeFaceBuffer<P> out_buf;
-    if (real) pack_gauge_face(*gauge, local, mu, local.dims()[mu] - 1, out_buf);
+    if (real) pack_gauge_face(*gauge, local, mu, out_buf);
 
     auto pending = grid.post_receive(mu, -1, gauge_tag(mu));
 
@@ -302,11 +290,20 @@ void exchange_gauge_ghost(comm::QmpGrid& grid, const Geometry& local, GaugeField
   ctx.tracer().span(trace::Kind::GaugeExchange, op_begin_us, clk);
 }
 
+void charge_blas(sim::RankContext& ctx, Precision p, std::int64_t sites, int reads, int writes,
+                 double& flops) {
+  double& clk = ctx.clock().now_us;
+  clk = ctx.device().launch_kernel(clk, kInteriorStream,
+                                   perf::blas_kernel_cost(p, sites, reads, writes), kKernelLaunch);
+  clk = ctx.device().device_synchronize(clk);
+  flops += perf::effective_blas_flops(sites, reads);
+}
+
 #define QUDA_INSTANTIATE_HALO(P)                                                                  \
   template void halo_dslash<P>(comm::QmpGrid&, const Geometry&, const HaloDslashConfig&,          \
                                HaloFields<P>);                                                    \
   template void exchange_gauge_ghost<P>(comm::QmpGrid&, const Geometry&, GaugeField<P>*,          \
-                                        Execution, Reconstruct);
+                                        Reconstruct);
 
 QUDA_INSTANTIATE_HALO(PrecDouble)
 QUDA_INSTANTIATE_HALO(PrecSingle)

@@ -21,9 +21,10 @@
 //    landed.  Hides transfer time behind compute but pays the
 //    (Tylersburg-sized) async-copy latencies -- the tradeoff behind Fig. 5.
 //
-// The same entry point runs Execution::Real (numerics + timing) and
-// Execution::Modeled (timing only; null fields) so that tests validate the
-// exact code path the benchmarks time.
+// The same entry point runs the numerics and the timing when it is given
+// fields, and the timing alone when it is given none (the benchmarks'
+// paper-sized volumes), so that tests validate the exact code path the
+// benchmarks time.
 
 #include "comm/qmp.h"
 #include "dirac/dslash.h"
@@ -47,17 +48,17 @@ inline constexpr gpusim::LaunchConfig kKernelLaunch{256, 0};
 
 struct HaloDslashConfig {
   CommPolicy policy = CommPolicy::Overlap;
-  Execution exec = Execution::Real;
   Parity out_parity = Parity::Even;
   double scale = 1.0;
   Accumulate accumulate = Accumulate::No;
   TimeBoundary time_bc = TimeBoundary::Periodic;
-  // gauge storage format of the field this dslash streams: sets the modeled
-  // gauge bytes per site (Real callers mirror gauge->reconstruct() here)
+  // gauge storage format a timing-only call charges the bytes of; a call
+  // with fields reads it from its gauge field
   Reconstruct reconstruct = Reconstruct::Twelve;
 };
 
-// field set for one halo dslash; all pointers may be null in Modeled mode
+// field set for one halo dslash: all three run the numerics, none makes the
+// call timing-only, and a partial set raises std::invalid_argument
 template <typename P> struct HaloFields {
   SpinorField<P>* out = nullptr;
   const GaugeField<P>* gauge = nullptr;
@@ -74,12 +75,18 @@ void halo_dslash(comm::QmpGrid& grid, const Geometry& local, const HaloDslashCon
 // one-time gauge ghost exchange at setup (Section VI-B): for each cut
 // dimension mu, each rank sends the U_mu links of its last perpendicular
 // slice forward; the receiver stores them in the pad of its mu slab.  The
-// wire carries gauge_wire_reals(recon) reals per link; in Modeled mode
-// (null gauge) `recon` alone sets the modeled bytes, in Real mode it must
-// match gauge->reconstruct().
+// wire carries gauge_wire_reals() reals per link in the gauge field's
+// format; a null gauge makes the exchange timing-only, and `recon` sets the
+// bytes it charges.
 template <typename P>
 void exchange_gauge_ghost(comm::QmpGrid& grid, const Geometry& local, GaugeField<P>* gauge,
-                          Execution exec, Reconstruct recon = Reconstruct::Twelve);
+                          Reconstruct recon = Reconstruct::Twelve);
+
+// one fused BLAS kernel sweeping `sites` sites of `reads` + `writes`
+// vectors: its streaming time on the rank's device, and its effective
+// flops added to `flops`
+void charge_blas(sim::RankContext& ctx, Precision p, std::int64_t sites, int reads, int writes,
+                 double& flops);
 
 // single-parity interior site count for a partition mask (the work the
 // overlapped interior kernel covers)

@@ -6,26 +6,15 @@ namespace quda::parallel {
 
 namespace {
 
-// dispatch a modeled halo dslash at a runtime precision and link storage
+// a timing-only halo dslash at a runtime precision and link storage
 void modeled_halo(comm::QmpGrid& grid, const Geometry& local, Precision prec, Reconstruct recon,
                   CommPolicy policy, TimeBoundary bc, Parity parity) {
   HaloDslashConfig cfg;
   cfg.policy = policy;
-  cfg.exec = Execution::Modeled;
   cfg.out_parity = parity;
   cfg.time_bc = bc;
   cfg.reconstruct = recon;
-  switch (prec) {
-    case Precision::Double:
-      halo_dslash<PrecDouble>(grid, local, cfg, {});
-      break;
-    case Precision::Single:
-      halo_dslash<PrecSingle>(grid, local, cfg, {});
-      break;
-    case Precision::Half:
-      halo_dslash<PrecHalf>(grid, local, cfg, {});
-      break;
-  }
+  with_precision(prec, [&](auto tag) { halo_dslash<decltype(tag)>(grid, local, cfg, {}); });
 }
 
 // one even-odd matrix application: two halo dslashes (clover fused)
@@ -33,17 +22,6 @@ void modeled_matrix(comm::QmpGrid& grid, const Geometry& local, Precision prec, 
                     CommPolicy policy, TimeBoundary bc) {
   modeled_halo(grid, local, prec, recon, policy, bc, Parity::Odd);
   modeled_halo(grid, local, prec, recon, policy, bc, Parity::Even);
-}
-
-// one fused BLAS kernel + counters
-void modeled_blas(sim::RankContext& ctx, Precision prec, std::int64_t sites, int reads,
-                  int writes, double& eff_flops) {
-  double& clk = ctx.clock().now_us;
-  clk = ctx.device().launch_kernel(clk, kInteriorStream,
-                                   perf::blas_kernel_cost(prec, sites, reads, writes),
-                                   kKernelLaunch);
-  clk = ctx.device().device_synchronize(clk);
-  eff_flops += perf::effective_blas_flops(sites, reads);
 }
 
 void modeled_reduction(sim::RankContext& ctx) { (void)ctx.allreduce_sum(0.0); }
@@ -107,22 +85,14 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
     const double setup_begin_us = ctx.clock().now_us;
 
     // setup: gauge ghost exchange (program initialization, Section VI-B)
-    switch (sloppy) {
-      case Precision::Double:
-        exchange_gauge_ghost<PrecDouble>(grid, local, nullptr, Execution::Modeled, recon_sloppy);
-        break;
-      case Precision::Single:
-        exchange_gauge_ghost<PrecSingle>(grid, local, nullptr, Execution::Modeled, recon_sloppy);
-        break;
-      case Precision::Half:
-        exchange_gauge_ghost<PrecHalf>(grid, local, nullptr, Execution::Modeled, recon_sloppy);
-        break;
-    }
+    with_precision(sloppy, [&](auto tag) {
+      exchange_gauge_ghost<decltype(tag)>(grid, local, nullptr, recon_sloppy);
+    });
 
     // initial residual: one outer matrix apply + two BLAS sweeps + reduction
     modeled_matrix(grid, local, config.outer, recon_outer, config.policy, config.time_bc);
     flops += perf::effective_matrix_flops(vh);
-    modeled_blas(ctx, config.outer, vh, 2, 1, flops);
+    charge_blas(ctx, config.outer, vh, 2, 1, flops);
     modeled_reduction(ctx);
     tracer.span(trace::Kind::Setup, setup_begin_us, ctx.clock().now_us);
     const double solve_begin_us = ctx.clock().now_us;
@@ -138,15 +108,15 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
       flops += 2 * perf::effective_matrix_flops(vh);
       ++executed;
 
-      modeled_blas(ctx, sloppy, vh, 2, 0, flops); // <r0, v>
+      charge_blas(ctx, sloppy, vh, 2, 0, flops); // <r0, v>
       modeled_reduction(ctx);
-      modeled_blas(ctx, sloppy, vh, 3, 2, flops); // s = r - alpha v
-      modeled_blas(ctx, sloppy, vh, 3, 0, flops); // <t, s>, <t, t>
+      charge_blas(ctx, sloppy, vh, 3, 2, flops); // s = r - alpha v
+      charge_blas(ctx, sloppy, vh, 3, 0, flops); // <t, s>, <t, t>
       modeled_reduction(ctx);
-      modeled_blas(ctx, sloppy, vh, 3, 1, flops); // x update
-      modeled_blas(ctx, sloppy, vh, 3, 1, flops); // r update + norms
+      charge_blas(ctx, sloppy, vh, 3, 1, flops); // x update
+      charge_blas(ctx, sloppy, vh, 3, 1, flops); // r update + norms
       modeled_reduction(ctx);
-      modeled_blas(ctx, sloppy, vh, 3, 1, flops); // p update
+      charge_blas(ctx, sloppy, vh, 3, 1, flops); // p update
 
       tracer.instant(trace::Kind::Iteration, ctx.clock().now_us, 0, -1, -1, k);
       // modeled iterations carry no residual (arithmetic suppressed); the
@@ -158,10 +128,10 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
         // reliable update: fold x_lo, recompute the true residual at outer
         // precision, convert back down (Section V-D)
         const double reliable_begin_us = ctx.clock().now_us;
-        modeled_blas(ctx, config.outer, vh, 3, 1, flops); // y += x_lo
+        charge_blas(ctx, config.outer, vh, 3, 1, flops); // y += x_lo
         modeled_matrix(grid, local, config.outer, recon_outer, config.policy, config.time_bc);
         flops += perf::effective_matrix_flops(vh);
-        modeled_blas(ctx, config.outer, vh, 2, 1, flops); // r = b - Ay + norm
+        charge_blas(ctx, config.outer, vh, 2, 1, flops); // r = b - Ay + norm
         modeled_reduction(ctx);
 
         // SDC detection rides the true residual's allreduce: any rank's
@@ -174,12 +144,12 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
           ++rollbacks;
           // rollback: restore the saved iterate, recompute the residual,
           // rebuild the sloppy Krylov space, then re-run the voided segment
-          modeled_blas(ctx, config.outer, vh, 1, 1, flops); // x = x_saved
+          charge_blas(ctx, config.outer, vh, 1, 1, flops); // x = x_saved
           modeled_matrix(grid, local, config.outer, recon_outer, config.policy, config.time_bc);
           flops += perf::effective_matrix_flops(vh);
-          modeled_blas(ctx, config.outer, vh, 2, 1, flops); // r = b - Ax + norm
+          charge_blas(ctx, config.outer, vh, 2, 1, flops); // r = b - Ax + norm
           modeled_reduction(ctx);
-          modeled_blas(ctx, sloppy, vh, 4, 3, flops); // rebuild r0, p, rho
+          charge_blas(ctx, sloppy, vh, 4, 3, flops); // rebuild r0, p, rho
           modeled_reduction(ctx);
           tracer.instant(trace::Kind::SolverRollback, ctx.clock().now_us, 0, -1, -1, k);
           if (auto* rec = telemetry::current()) rec->flag(telemetry::kRollback);
@@ -188,7 +158,7 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
           k -= config.reliable_interval; // the segment is re-run
           continue;
         }
-        modeled_blas(ctx, sloppy, vh, 1, 1, flops); // r_lo = convert(r)
+        charge_blas(ctx, sloppy, vh, 1, 1, flops); // r_lo = convert(r)
         if (auto* rec = telemetry::current()) rec->flag(telemetry::kReliableUpdate);
         tracer.span(trace::Kind::ReliableUpdate, reliable_begin_us, ctx.clock().now_us, 0, -1, -1,
                     k);

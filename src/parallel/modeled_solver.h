@@ -1,5 +1,5 @@
 #pragma once
-// Timing-only ("Modeled") execution of the parallel BiCGstab solver at
+// Timing-only ("modeled") execution of the parallel BiCGstab solver at
 // paper-scale volumes.
 //
 // The benchmark harness needs the performance of solves on lattices like
@@ -8,7 +8,8 @@
 // per-iteration quantity, so we execute the solver's *schedule* (matrix
 // applications, fused BLAS sweeps, reductions, reliable updates) through
 // exactly the same halo-exchange and device-timing code paths the real
-// solver uses, with Execution::Modeled suppressing the arithmetic.  The
+// solver uses: the halo calls are given no fields, which leaves out the
+// arithmetic, and the BLAS sweeps charge the operator's charge_blas.  The
 // iteration count is a fixed input; it cancels out of the Gflops metric up
 // to the reliable-update overhead, which is modeled explicitly.
 

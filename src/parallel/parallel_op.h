@@ -55,16 +55,14 @@ public:
   // Mhat x_e = T_e x_e - 1/4 D_eo T_o^{-1} D_oe x_e, with halo exchange on
   // both hopping applications
   void apply(SpinorField<P>& out, const SpinorField<P>& in) override {
-    const std::int64_t vh = local_.half_volume();
     // the ghost end zone of `in` receives the neighbors' faces -- it is
     // scratch space within the field, not logical content (mirrors QUDA,
     // where the received faces land inside the input spinor's allocation)
     halo(tmp_o_, const_cast<SpinorField<P>&>(in), Parity::Odd, 1.0, Accumulate::No);
-    apply_clover_xpay<P>(tmp2_o_, clover_inv_, Parity::Odd, tmp_o_, local_, 0, vh, 0);
+    apply_clover_xpay<P>(tmp2_o_, clover_inv_, Parity::Odd, tmp_o_, 0);
     halo(out, tmp2_o_, Parity::Even, 1.0, Accumulate::No);
-    apply_clover_xpay<P>(out, clover_, Parity::Even, in, local_, 0, vh,
-                         static_cast<typename P::real_t>(-0.25));
-    effective_flops_ += perf::effective_matrix_flops(vh);
+    apply_clover_xpay<P>(out, clover_, Parity::Even, in, static_cast<typename P::real_t>(-0.25));
+    effective_flops_ += perf::effective_matrix_flops(sites());
     maybe_inject_device_flip(out);
   }
 
@@ -78,30 +76,27 @@ public:
 
   // b' = b_e + 1/2 D_eo T_o^{-1} b_o
   void prepare_source(SpinorField<P>& bprime, const SpinorField<P>& b_e, SpinorField<P>& b_o) {
-    const std::int64_t vh = local_.half_volume();
-    apply_clover_xpay<P>(tmp_o_, clover_inv_, Parity::Odd, b_o, local_, 0, vh, 0);
+    apply_clover_xpay<P>(tmp_o_, clover_inv_, Parity::Odd, b_o, 0);
     blas::copy(bprime, b_e);
     halo(bprime, tmp_o_, Parity::Even, 0.5, Accumulate::Yes);
   }
 
   // x_o = T_o^{-1} (b_o + 1/2 D_oe x_e)
   void reconstruct_odd(SpinorField<P>& x_o, SpinorField<P>& x_e, const SpinorField<P>& b_o) {
-    const std::int64_t vh = local_.half_volume();
     blas::copy(tmp_o_, b_o);
     halo(tmp_o_, x_e, Parity::Odd, 0.5, Accumulate::Yes);
-    apply_clover_xpay<P>(x_o, clover_inv_, Parity::Odd, tmp_o_, local_, 0, vh, 0);
+    apply_clover_xpay<P>(x_o, clover_inv_, Parity::Odd, tmp_o_, 0);
   }
 
   // full (two-parity) operator for end-to-end residual checks:
   // out_p = T_p in_p - 1/2 D in_{p'}
   void apply_full(SpinorField<P>& out_e, SpinorField<P>& out_o, SpinorField<P>& in_e,
                   SpinorField<P>& in_o) {
-    const std::int64_t vh = local_.half_volume();
     using real_t = typename P::real_t;
     halo(out_e, in_o, Parity::Even, -0.5, Accumulate::No);
-    apply_clover_xpay<P>(out_e, clover_, Parity::Even, in_e, local_, 0, vh, real_t(1));
+    apply_clover_xpay<P>(out_e, clover_, Parity::Even, in_e, real_t(1));
     halo(out_o, in_e, Parity::Odd, -0.5, Accumulate::No);
-    apply_clover_xpay<P>(out_o, clover_, Parity::Odd, in_o, local_, 0, vh, real_t(1));
+    apply_clover_xpay<P>(out_o, clover_, Parity::Odd, in_o, real_t(1));
   }
 
   // MPI reductions for the solver's linear-algebra kernels (Section VI-E)
@@ -116,13 +111,7 @@ public:
 
   // a fused BLAS kernel swept the local vectors: charge the streaming kernel
   void account_blas(int reads, int writes) override {
-    auto& ctx = grid_.context();
-    double& clk = ctx.clock().now_us;
-    clk = ctx.device().launch_kernel(
-        clk, kInteriorStream, perf::blas_kernel_cost(P::value, sites(), reads, writes),
-        kKernelLaunch);
-    clk = ctx.device().device_synchronize(clk);
-    effective_flops_ += perf::effective_blas_flops(sites(), reads);
+    charge_blas(grid_.context(), P::value, sites(), reads, writes, effective_flops_);
   }
 
 private:
@@ -149,17 +138,11 @@ private:
             Accumulate acc) {
     HaloDslashConfig cfg;
     cfg.policy = policy_;
-    cfg.exec = Execution::Real;
     cfg.out_parity = out_parity;
     cfg.scale = scale;
     cfg.accumulate = acc;
     cfg.time_bc = time_bc_;
-    cfg.reconstruct = gauge_.reconstruct();
-    HaloFields<P> f;
-    f.out = &out;
-    f.gauge = &gauge_;
-    f.in = &in;
-    halo_dslash<P>(grid_, local_, cfg, f);
+    halo_dslash<P>(grid_, local_, cfg, {&out, &gauge_, &in});
   }
 
   comm::QmpGrid& grid_;

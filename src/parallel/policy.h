@@ -1,5 +1,5 @@
 #pragma once
-// Execution policies for the multi-GPU operator.
+// Communication policies for the multi-GPU operator.
 
 namespace quda {
 
@@ -13,14 +13,5 @@ enum class CommPolicy {
 inline const char* to_string(CommPolicy p) {
   return p == CommPolicy::NoOverlap ? "not overlapped" : "overlapped";
 }
-
-// Real: perform the numerics on the host while advancing the simulated
-// clocks (tests, examples).  Modeled: advance the clocks only -- used by the
-// benchmark harness to run paper-sized volumes whose arithmetic would take
-// hours on one host core.  Both modes share the identical timing path.
-enum class Execution {
-  Real,
-  Modeled,
-};
 
 } // namespace quda

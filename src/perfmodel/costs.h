@@ -38,32 +38,24 @@ inline constexpr double kLinkLoadsPerSite = 16.0;
 // the 2976-byte anchor assumes 2-row (12-real) gauge compression
 inline constexpr int kAnchorGaugeReals = 12;
 
-inline double matrix_bytes_per_site(Precision p) {
-  switch (p) {
-    case Precision::Double: return 2.0 * kMatrixBytesPerSiteSingle;
-    case Precision::Single: return kMatrixBytesPerSiteSingle;
-    case Precision::Half:
-      // 16-bit payload plus the float normalization arrays (9 spinor norms
-      // and 1 clover norm per site)
-      return 0.5 * kMatrixBytesPerSiteSingle + 10.0 * 4.0;
-  }
-  return 0;
-}
-
 // gauge-only slice of the matrix traffic: 16 link loads per site at the
 // field's stored width -- the quantity link reconstruction shrinks
 inline double gauge_bytes_per_site(Precision p, Reconstruct r) {
   return kLinkLoadsPerSite * reals_per_link(r) * static_cast<double>(bytes_per_real(p));
 }
 
-// recon-aware matrix traffic: shift the anchored total by the difference
-// between the stored link width and the anchor's 12 reals, so Twelve
-// reproduces matrix_bytes_per_site(p) exactly and Eight/Eighteen move the
-// modeled bandwidth (and with it effective Gflops) the way the papers show
+// matrix traffic per site: the anchored total at the precision's width,
+// shifted by the difference between the stored link width and the
+// anchor's 12 reals, so Eight/Eighteen move the modeled bandwidth (and with
+// it effective Gflops) the way the papers show
 inline double matrix_bytes_per_site(Precision p, Reconstruct r) {
-  return matrix_bytes_per_site(p) +
-         kLinkLoadsPerSite * (reals_per_link(r) - kAnchorGaugeReals) *
-             static_cast<double>(bytes_per_real(p));
+  double anchor = kMatrixBytesPerSiteSingle;
+  if (p == Precision::Double) anchor = 2.0 * kMatrixBytesPerSiteSingle;
+  // half: 16-bit payload plus the float normalization arrays (9 spinor
+  // norms and 1 clover norm per site)
+  if (p == Precision::Half) anchor = 0.5 * kMatrixBytesPerSiteSingle + 10.0 * 4.0;
+  return anchor + kLinkLoadsPerSite * (reals_per_link(r) - kAnchorGaugeReals) *
+                      static_cast<double>(bytes_per_real(p));
 }
 
 // dslash-kernel fraction of peak bandwidth (gather-heavy access pattern);
@@ -82,23 +74,15 @@ inline constexpr double kBlasEfficiency = 0.85;
 
 // The even-odd matrix application is realized as two fused dslash+clover
 // kernels (one per parity sweep), so each kernel gets half the per-site
-// totals over `sites` output sites.
-inline gpusim::KernelCost dslash_kernel_cost(Precision p, std::int64_t sites,
+// totals over `sites` output sites, with links stored as `r`.
+inline gpusim::KernelCost dslash_kernel_cost(Precision p, std::int64_t sites, Reconstruct r,
                                              std::int64_t stride_bytes = 0) {
   gpusim::KernelCost c;
   c.flops = 0.5 * kMatrixFlopsPerSite * static_cast<double>(sites);
-  c.bytes = 0.5 * matrix_bytes_per_site(p) * static_cast<double>(sites);
+  c.bytes = 0.5 * matrix_bytes_per_site(p, r) * static_cast<double>(sites);
   c.efficiency = dslash_efficiency(p);
   c.stride_bytes = stride_bytes;
   c.kind = trace::Kind::Dslash;
-  return c;
-}
-
-// recon-aware variant (Twelve reproduces the two-argument cost bit-for-bit)
-inline gpusim::KernelCost dslash_kernel_cost(Precision p, std::int64_t sites, Reconstruct r,
-                                             std::int64_t stride_bytes = 0) {
-  gpusim::KernelCost c = dslash_kernel_cost(p, sites, stride_bytes);
-  c.bytes = 0.5 * matrix_bytes_per_site(p, r) * static_cast<double>(sites);
   return c;
 }
 

@@ -206,7 +206,7 @@ void expect_dslash_bit_identity(Reconstruct recon = Reconstruct::Twelve) {
     with_budget(budget, [&] {
       SpinorField<P> out(d.g, kPartitionTimeOnly);
       DslashOptions opt;
-      dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), 1, Accumulate::No);
+      dslash<P>(out, gauge, in, d.g, opt, 1, Accumulate::No);
       out_raw = out.raw_data();
     });
     return out_raw;

@@ -15,6 +15,12 @@
 // input that holds an all-zero site, an all -0 site and a site with an Inf
 // and a NaN on each parity: a device bit flip can leave such values in a
 // field, and the kernels must then write the same bits as before too.
+//
+// The half ghost store is checked apart: unpack_ghost<PrecHalf> decodes each
+// received face site and store_ghost re-encodes it under the norm it came
+// with.  On every face a sender packs that equals a verbatim copy of the
+// wire; on wire data no sender writes it does not, and what it stores is
+// pinned.
 
 #include "dirac/clover_term.h"
 #include "dirac/dslash.h"
@@ -26,7 +32,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
 namespace quda {
@@ -96,10 +104,10 @@ std::uint64_t fill_ghosts(SpinorField<P>& in, const Geometry& g, const Partition
   FaceBuffer<P> buf;
   for (int mu = 0; mu < 4; ++mu) {
     if (!mask[static_cast<std::size_t>(mu)]) continue;
-    pack_face(in, g, Parity::Odd, mu, g.dims()[mu] - 1, +1, buf);
+    pack_face(in, g, Parity::Odd, mu, +1, buf);
     h = face_digest(h, buf);
     unpack_ghost(in, g, mu, GhostFace::Backward, buf);
-    pack_face(in, g, Parity::Odd, mu, 0, -1, buf);
+    pack_face(in, g, Parity::Odd, mu, -1, buf);
     h = face_digest(h, buf);
     unpack_ghost(in, g, mu, GhostFace::Forward, buf);
   }
@@ -114,7 +122,7 @@ std::uint64_t fill_gauge_ghosts(GaugeField<P>& gauge, const Geometry& g,
   GaugeFaceBuffer<P> buf;
   for (int mu = 0; mu < 4; ++mu) {
     if (!mask[static_cast<std::size_t>(mu)]) continue;
-    pack_gauge_face(gauge, g, mu, g.dims()[mu] - 1, buf);
+    pack_gauge_face(gauge, g, mu, buf);
     h = vec_digest(h, buf.data);
     unpack_gauge_ghost(gauge, g, mu, buf);
   }
@@ -152,8 +160,7 @@ void expect_dslash_pinned(const HostSpinorField& src, std::uint64_t faces,
     for (int k = 0; k < 6; ++k) {
       SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, mask);
       const Accumulate acc = k % 2 ? Accumulate::Yes : Accumulate::No;
-      dslash<P>(out, gauge, in, d.g, opt, 0, d.g.half_volume(), typename P::real_t(-0.37), acc,
-                regions[k / 2]);
+      dslash<P>(out, gauge, in, d.g, opt, typename P::real_t(-0.37), acc, regions[k / 2]);
       const std::uint64_t got = stored_digest(out);
       EXPECT_EQ(got, pins.dslash[static_cast<std::size_t>(k)])
           << "recon " << to_string(pins.recon) << " dslash " << k << ": 0x" << std::hex << got;
@@ -179,8 +186,7 @@ void expect_clover_pinned(const HostSpinorField& src, const std::array<std::uint
   constexpr double bs[2] = {0.0, -0.43};
   for (int k = 0; k < 2; ++k) {
     SpinorField<P> out = upload_spinor<P>(d.b, Parity::Even, kPartitionTimeOnly);
-    apply_clover_xpay<P>(out, clover, Parity::Even, x, d.g, 0, d.g.half_volume(),
-                         static_cast<typename P::real_t>(bs[k]));
+    apply_clover_xpay<P>(out, clover, Parity::Even, x, static_cast<typename P::real_t>(bs[k]));
     const std::uint64_t got = stored_digest(out);
     EXPECT_EQ(got, want[static_cast<std::size_t>(k + 1)])
         << "clover b=" << bs[k] << ": 0x" << std::hex << got;
@@ -308,6 +314,101 @@ TEST(KernelPinned, DslashSingleSpecialsXYCut) {
         {Reconstruct::Eighteen, 0xd107143d37474e94ull,
          {0xac55b83e045555f4ull, 0x05b7a14f30eb376aull, 0x273fd4efa7145a8dull, 0x15dbbfdb619362a0ull, 0xd320d1ab6b8d1970ull, 0x896eab3b04fd185full}}}},
       kPinMaskXY);
+}
+
+// --- the half ghost store ----------------------------------------------------
+
+// the t ghost end zone of a time-cut half field, payload and norms, as the
+// wire lays out one face: 12 int16 a face site, then one norm a face site
+struct HalfGhost {
+  std::vector<half_t> data;
+  std::vector<float> norm;
+};
+
+HalfGhost stored_ghost(const SpinorField<PrecHalf>& f, const Geometry& g, GhostFace face) {
+  const std::int64_t nf = g.face_sites(3);
+  const std::int64_t k = static_cast<int>(face);
+  const auto& raw = f.raw_data();
+  const auto& norm = f.norm_data();
+  // the t end zone is the last of each array: the backward face, then the
+  // forward face
+  const auto* d = raw.data() + (raw.size() - 2 * nf * 12) + k * nf * 12;
+  const auto* n = norm.data() + (norm.size() - 2 * nf) + k * nf;
+  return {{d, d + nf * 12}, {n, n + nf}};
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(HalfGhostUnpack, SenderFacesAreStoredAsTheyArrived) {
+  const Geometry g({4, 4, 4, 8});
+  HostSpinorField h(g);
+  make_random_spinor(h, 45);
+  // odd sites on both t faces: all zero, one +Inf, one NaN, and one beyond
+  // float range (which the upload rounds to Inf)
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Coords zero[2] = {{1, 0, 0, 0}, {0, 0, 0, 7}};
+  const Coords inf[2] = {{0, 1, 0, 0}, {1, 1, 0, 7}};
+  const Coords nan[2] = {{0, 0, 1, 0}, {2, 2, 0, 7}};
+  const Coords huge[2] = {{3, 3, 3, 0}, {3, 1, 2, 7}};
+  for (int e = 0; e < 2; ++e) {
+    for (const Coords& c : {zero[e], inf[e], nan[e], huge[e]})
+      ASSERT_EQ(Geometry::site_parity(c), Parity::Odd);
+    h.at(zero[e]) = Spinor<double>{};
+    h.at(inf[e]).s[1][2].re = -kInf;
+    h.at(nan[e]).s[3][0].im = std::numeric_limits<double>::quiet_NaN();
+    h.at(huge[e]).s[0][1].re = 1e39;
+  }
+  const SpinorField<PrecHalf> in = upload_spinor<PrecHalf>(h, Parity::Odd, kPartitionTimeOnly);
+
+  for (const int sign : {+1, -1}) {
+    FaceBuffer<PrecHalf> buf;
+    pack_face(in, g, Parity::Odd, 3, sign, buf);
+    const GhostFace face = sign > 0 ? GhostFace::Backward : GhostFace::Forward;
+    SpinorField<PrecHalf> out(g, kPartitionTimeOnly);
+    unpack_ghost(out, g, 3, face, buf);
+    const HalfGhost got = stored_ghost(out, g, face);
+    EXPECT_EQ(got.data, buf.data) << "sign " << sign;
+    EXPECT_TRUE(same_bits(got.norm, buf.norm)) << "sign " << sign;
+  }
+}
+
+// A face no sender packs: a nonzero payload under one corrupted norm a
+// case.  The store writes 0 wherever it cannot take the norm's reciprocal
+// and saturates under a subnormal one, so it is no verbatim copy; it stores
+// the wire norm unchanged.
+TEST(HalfGhostUnpack, CorruptedNormsArePinned) {
+  const Geometry g({4, 4, 4, 8});
+  const std::int64_t nf = g.face_sites(3);
+  struct Case {
+    const char* name;
+    float norm;
+    std::uint64_t digest; // of the stored payload
+  };
+  const Case cases[] = {
+      {"+inf", std::numeric_limits<float>::infinity(), 0x9fa9e040e0eedf25ull},
+      {"-1", -1.0f, 0x9fa9e040e0eedf25ull},
+      {"nan", std::numeric_limits<float>::quiet_NaN(), 0x9fa9e040e0eedf25ull},
+      {"0", 0.0f, 0x9fa9e040e0eedf25ull},
+      {"denorm_min", std::numeric_limits<float>::denorm_min(), 0xe7b07cbc2e57c3afull},
+  };
+  std::mt19937 rng(46);
+  std::uniform_int_distribution<int> payload(1, 32767);
+  for (const Case& c : cases) {
+    FaceBuffer<PrecHalf> buf;
+    buf.resize(nf);
+    for (half_t& v : buf.data)
+      v = static_cast<half_t>(rng() % 2 ? payload(rng) : -payload(rng));
+    buf.norm.assign(static_cast<std::size_t>(nf), c.norm);
+    SpinorField<PrecHalf> out(g, kPartitionTimeOnly);
+    unpack_ghost(out, g, 3, GhostFace::Backward, buf);
+    const HalfGhost got = stored_ghost(out, g, GhostFace::Backward);
+    EXPECT_TRUE(same_bits(got.norm, buf.norm)) << c.name;
+    EXPECT_NE(got.data, buf.data) << c.name;
+    const std::uint64_t digest = fnv1a_values(kFnvBasis, got.data.data(), got.data.size());
+    EXPECT_EQ(digest, c.digest) << c.name << ": 0x" << std::hex << digest;
+  }
 }
 
 } // namespace

@@ -111,9 +111,9 @@ std::string show(const auto& x) {
 template <typename P> void fill_ghosts(SpinorField<P>& f, const Geometry& g) {
   FaceBuffer<P> buf;
   for (int mu = 0; mu < 4; ++mu) {
-    pack_face(f, g, Parity::Odd, mu, g.dims()[mu] - 1, +1, buf);
+    pack_face(f, g, Parity::Odd, mu, +1, buf);
     unpack_ghost(f, g, mu, GhostFace::Backward, buf);
-    pack_face(f, g, Parity::Odd, mu, 0, -1, buf);
+    pack_face(f, g, Parity::Odd, mu, -1, buf);
     unpack_ghost(f, g, mu, GhostFace::Forward, buf);
   }
 }
@@ -165,7 +165,7 @@ template <typename P> void expect_gauge_lanes() {
     GaugeField<P> gauge = upload_gauge<P>(d.u, R);
     GaugeFaceBuffer<P> buf;
     for (int mu = 0; mu < 4; ++mu) {
-      pack_gauge_face(gauge, d.g, mu, d.g.dims()[mu] - 1, buf);
+      pack_gauge_face(gauge, d.g, mu, buf);
       unpack_gauge_ghost(gauge, d.g, mu, buf);
     }
     for (int mu = 0; mu < 4; ++mu)

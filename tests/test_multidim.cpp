@@ -58,7 +58,7 @@ HostSpinorField md_parallel_hopping(const HostGaugeField& gauge, const HostSpino
     const HostSpinorField lin = core::slice_spinor(in, topo, rank);
 
     GaugeField<P> dev_u = upload_gauge<P>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<P>(grid, lg, &dev_u, Execution::Real);
+    parallel::exchange_gauge_ghost<P>(grid, lg, &dev_u);
 
     SpinorField<P> in_e = upload_spinor<P>(lin, Parity::Even, mask);
     SpinorField<P> in_o = upload_spinor<P>(lin, Parity::Odd, mask);
@@ -66,7 +66,6 @@ HostSpinorField md_parallel_hopping(const HostGaugeField& gauge, const HostSpino
 
     HaloDslashConfig cfg;
     cfg.policy = policy;
-    cfg.exec = Execution::Real;
     cfg.time_bc = bc;
 
     cfg.out_parity = Parity::Even;
@@ -221,7 +220,7 @@ TEST(MultiDimSolver, TwoDimensionalSolveMatchesReference) {
     const HostSpinorField lb = core::slice_spinor(b, topo, rank);
 
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u);
     const CloverField<PrecDouble> dev_t = upload_clover<PrecDouble>(lt);
     const CloverField<PrecDouble> dev_tinv = upload_clover<PrecDouble>(ltinv);
 

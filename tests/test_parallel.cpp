@@ -54,7 +54,7 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
     const HostSpinorField lin = core::slice_spinor(in, topo, rank);
 
     GaugeField<P> dev_u = upload_gauge<P>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<P>(grid, lg, &dev_u, Execution::Real);
+    parallel::exchange_gauge_ghost<P>(grid, lg, &dev_u);
 
     SpinorField<P> in_e = upload_spinor<P>(lin, Parity::Even, mask);
     SpinorField<P> in_o = upload_spinor<P>(lin, Parity::Odd, mask);
@@ -62,7 +62,6 @@ HostSpinorField parallel_hopping(const HostGaugeField& gauge, const HostSpinorFi
 
     HaloDslashConfig cfg;
     cfg.policy = policy;
-    cfg.exec = Execution::Real;
     cfg.time_bc = bc;
     cfg.scale = 1.0;
 
@@ -181,7 +180,7 @@ TEST(GaugeGhostExchange, GhostEqualsNeighborLastSlice) {
     const Geometry lg = core::local_geometry(g, topo);
     const HostGaugeField lu = core::slice_gauge(u, topo, ctx.rank());
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u);
 
     // the ghost must equal the backward neighbor's t = T_local-1 temporal links
     const int back = (ctx.rank() + n_ranks - 1) % n_ranks;
@@ -236,7 +235,7 @@ TEST(ParallelSolver, DistributedBiCGstabMatchesReferenceResidual) {
     const HostSpinorField lb = core::slice_spinor(s.b, topo, rank);
 
     GaugeField<PrecDouble> dev_u = upload_gauge<PrecDouble>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecDouble>(grid, lg, &dev_u);
     const CloverField<PrecDouble> dev_t = upload_clover<PrecDouble>(lt);
     const CloverField<PrecDouble> dev_tinv = upload_clover<PrecDouble>(ltinv);
 
@@ -300,8 +299,8 @@ TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
 
     GaugeField<PrecSingle> u_s = upload_gauge<PrecSingle>(lu, Reconstruct::Twelve);
     GaugeField<PrecHalf> u_h = upload_gauge<PrecHalf>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<PrecSingle>(grid, lg, &u_s, Execution::Real);
-    parallel::exchange_gauge_ghost<PrecHalf>(grid, lg, &u_h, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecSingle>(grid, lg, &u_s);
+    parallel::exchange_gauge_ghost<PrecHalf>(grid, lg, &u_h);
     const CloverField<PrecSingle> t_s = upload_clover<PrecSingle>(lt);
     const CloverField<PrecSingle> tinv_s = upload_clover<PrecSingle>(ltinv);
     const CloverField<PrecHalf> t_h = upload_clover<PrecHalf>(lt);
@@ -330,7 +329,7 @@ TEST(ParallelSolver, MixedPrecisionDistributedSolve) {
 
 TEST(ParallelTiming, OverlapHidesTransfersForLargeLocalVolume) {
   // with a big interior, the overlapped policy's makespan must beat the
-  // serialized one -- the left half of Fig. 5(a)'s story (Modeled mode)
+  // serialized one -- the left half of Fig. 5(a)'s story (timing-only calls)
   const LatticeDims local{32, 32, 32, 32};
   const Geometry lg(local);
   for (int ranks : {4}) {
@@ -342,7 +341,6 @@ TEST(ParallelTiming, OverlapHidesTransfersForLargeLocalVolume) {
         comm::QmpGrid grid(ctx, GridTopology::time_only(ranks));
         HaloDslashConfig cfg;
         cfg.policy = policy;
-        cfg.exec = Execution::Modeled;
         for (int rep = 0; rep < 10; ++rep) {
           cfg.out_parity = rep % 2 == 0 ? Parity::Even : Parity::Odd;
           parallel::halo_dslash<PrecSingle>(grid, lg, cfg, {});

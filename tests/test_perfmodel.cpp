@@ -34,23 +34,15 @@ ModeledSolverResult run_case(int ranks, const LatticeDims& local, Precision oute
 
 TEST(Costs, PaperAnchorNumbers) {
   EXPECT_DOUBLE_EQ(perf::kMatrixFlopsPerSite, 3696.0);
-  EXPECT_DOUBLE_EQ(perf::matrix_bytes_per_site(Precision::Single), 2976.0);
-  EXPECT_DOUBLE_EQ(perf::matrix_bytes_per_site(Precision::Double), 5952.0);
-  EXPECT_LT(perf::matrix_bytes_per_site(Precision::Half),
-            0.55 * perf::matrix_bytes_per_site(Precision::Single));
+  // the anchor assumes 12-real links
+  constexpr Reconstruct anchor = Reconstruct::Twelve;
+  EXPECT_DOUBLE_EQ(perf::matrix_bytes_per_site(Precision::Single, anchor), 2976.0);
+  EXPECT_DOUBLE_EQ(perf::matrix_bytes_per_site(Precision::Double, anchor), 5952.0);
+  EXPECT_LT(perf::matrix_bytes_per_site(Precision::Half, anchor),
+            0.55 * perf::matrix_bytes_per_site(Precision::Single, anchor));
 }
 
 TEST(Costs, ReconAwareTrafficShrinks) {
-  // Twelve is the anchor: the recon-aware overload must reproduce the
-  // two-argument totals bit-for-bit
-  for (Precision p : {Precision::Double, Precision::Single, Precision::Half}) {
-    EXPECT_EQ(perf::matrix_bytes_per_site(p, Reconstruct::Twelve), perf::matrix_bytes_per_site(p));
-    const auto anchor = perf::dslash_kernel_cost(p, 1000);
-    const auto twelve = perf::dslash_kernel_cost(p, 1000, Reconstruct::Twelve);
-    EXPECT_EQ(anchor.bytes, twelve.bytes);
-    EXPECT_EQ(anchor.flops, twelve.flops);
-  }
-
   // gauge-only traffic: 16 link loads x stored reals; the acceptance floors
   // of the reconstruction work -- 8-real cuts >= 30% of the gauge traffic
   // vs 18-real and >= 25% vs 12-real

@@ -123,10 +123,9 @@ TEST(SolverCrossChecks, CloverXpayFusionMatchesComposition) {
 
   const double bcoef = -0.25;
   // fused: out = C x + b out
-  apply_clover_xpay<PrecDouble>(fused, s.clover, Parity::Even, x, s.g, 0, s.g.half_volume(),
-                                bcoef);
+  apply_clover_xpay<PrecDouble>(fused, s.clover, Parity::Even, x, bcoef);
   // composed: C x, then add b*y manually
-  apply_clover_xpay<PrecDouble>(plain, s.clover, Parity::Even, x, s.g, 0, s.g.half_volume(), 0);
+  apply_clover_xpay<PrecDouble>(plain, s.clover, Parity::Even, x, 0);
   const SpinorFieldD y = upload_spinor<PrecDouble>(hy, Parity::Even, kPartitionTimeOnly);
   blas::axpy(bcoef, y, plain);
   for (std::int64_t i = 0; i < x.sites(); ++i)

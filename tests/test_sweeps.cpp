@@ -203,25 +203,23 @@ TEST(KernelRegions, InteriorPlusBoundaryEqualsAll) {
     for (int mu = 0; mu < 4; ++mu) {
       if (!mask[static_cast<std::size_t>(mu)]) continue;
       FaceBuffer<PrecDouble> fwd_face, back_face;
-      pack_face(in, g, Parity::Odd, mu, g.dims()[mu] - 1, +1, fwd_face);
+      pack_face(in, g, Parity::Odd, mu, +1, fwd_face);
       unpack_ghost(in, g, mu, GhostFace::Backward, fwd_face);
-      pack_face(in, g, Parity::Odd, mu, 0, -1, back_face);
+      pack_face(in, g, Parity::Odd, mu, -1, back_face);
       unpack_ghost(in, g, mu, GhostFace::Forward, back_face);
       GaugeFaceBuffer<PrecDouble> gf;
-      pack_gauge_face(u, g, mu, g.dims()[mu] - 1, gf);
+      pack_gauge_face(u, g, mu, gf);
       unpack_gauge_ghost(u, g, mu, gf);
     }
 
     SpinorFieldD all(g, mask), split(g, mask);
     DslashOptions wrap;
-    dslash<PrecDouble>(all, u, in, g, wrap, 0, g.half_volume(), 1, Accumulate::No);
+    dslash<PrecDouble>(all, u, in, g, wrap, 1, Accumulate::No);
 
     DslashOptions ghosted;
     ghosted.ghost = mask;
-    dslash<PrecDouble>(split, u, in, g, ghosted, 0, g.half_volume(), 1, Accumulate::No,
-                       KernelRegion::Interior);
-    dslash<PrecDouble>(split, u, in, g, ghosted, 0, g.half_volume(), 1, Accumulate::No,
-                       KernelRegion::Boundary);
+    dslash<PrecDouble>(split, u, in, g, ghosted, 1, Accumulate::No, KernelRegion::Interior);
+    dslash<PrecDouble>(split, u, in, g, ghosted, 1, Accumulate::No, KernelRegion::Boundary);
 
     for (std::int64_t i = 0; i < g.half_volume(); ++i)
       ASSERT_LT(quda::norm2(split.load(i) - all.load(i)), 1e-24)

@@ -613,8 +613,8 @@ void expect_instants_match_ledger(RealSolver solver) {
     const HostCloverField ltinv = core::slice_clover(tinv, topo, rank);
     GaugeFieldS u_s = upload_gauge<PrecSingle>(lu, Reconstruct::Twelve);
     GaugeFieldH u_h = upload_gauge<PrecHalf>(lu, Reconstruct::Twelve);
-    parallel::exchange_gauge_ghost<PrecSingle>(grid, lg, &u_s, Execution::Real);
-    parallel::exchange_gauge_ghost<PrecHalf>(grid, lg, &u_h, Execution::Real);
+    parallel::exchange_gauge_ghost<PrecSingle>(grid, lg, &u_s);
+    parallel::exchange_gauge_ghost<PrecHalf>(grid, lg, &u_h);
     const CloverFieldS t_s = upload_clover<PrecSingle>(lt);
     const CloverFieldS tinv_s = upload_clover<PrecSingle>(ltinv);
     const CloverFieldH t_h = upload_clover<PrecHalf>(lt);
