@@ -68,9 +68,9 @@ ModeledSolverResult run_modeled_solver(sim::VirtualCluster& cluster,
     double& flops = eff_flops[static_cast<std::size_t>(ctx.rank())];
 
     // modeled SDC: one device-fault draw per matrix application, exactly as
-    // in Real execution; a flip voids the segment since the last reliable
-    // update, and the detection point decides globally (mirroring the true
-    // residual's allreduce) whether to re-run it
+    // the operator draws one per apply; a flip voids the segment since the
+    // last reliable update, and the detection point decides globally
+    // (mirroring the true residual's allreduce) whether to re-run it
     bool segment_corrupt = false;
     int rollbacks = 0;
     auto draw_flip = [&] {

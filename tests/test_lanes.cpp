@@ -68,8 +68,10 @@ template <typename A, typename B> bool same_bits(const A& a, const B& b) {
   return std::memcmp(&a, &b, sizeof(A)) == 0;
 }
 
+// an empty vector's data() may be null, which memcmp must not be given
 template <typename T> bool same_elements(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 // groups of W sites in [0, n): consecutive ones at the start, in the middle

@@ -4,8 +4,9 @@
 //    check: a random local SU(3) rotation of links and fields commutes with
 //    the operator);
 //  * gamma_5 Hermiticity of the full operator;
-//  * Modeled and Real execution charge *identical* simulated time (the
-//    benchmark harness times exactly the code path the tests validate);
+//  * halo calls with and without fields charge *identical* simulated time
+//    (the benchmark harness times exactly the code path the tests
+//    validate);
 //  * BLAS kernels against naive recompositions, in all precisions, and the
 //    stored bits and returned values of every BLAS kernel, precision
 //    conversion and gamma_5 pinned;
